@@ -23,6 +23,8 @@ from .gradients import (
     per_sample_gradients,
 )
 from .network import (
+    HARD_MODE,
+    SURROGATE_MODE,
     NetworkParams,
     SurrogateSpec,
     forward,
@@ -30,9 +32,6 @@ from .network import (
     parameter_vector,
     replace_parameters,
 )
-
-HARD_MODE = "hard"
-SURROGATE_MODE = "surrogate"
 
 
 @dataclass(frozen=True)

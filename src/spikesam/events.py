@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .network import _read_declared, _read_header
+
 EVENT_DROP = "event_drop"
 TIME_JITTER = "time_jitter"
 BIN_DROP = "bin_drop"
@@ -310,6 +312,7 @@ def synth_task(cfg: SynthTaskConfig) -> SplitDataset:
 
 _DATASET_MAGIC = b"SNND"
 _DATASET_VERSION = 1
+_DATASET_HEADER = ("<IIIII", ("version", "n", "n_steps", "width", "n_classes"))
 
 
 def save_dataset(path: str, ds: Dataset) -> None:
@@ -317,7 +320,7 @@ def save_dataset(path: str, ds: Dataset) -> None:
     n, n_steps, width = ds.frames.shape
     buf = io.BytesIO()
     buf.write(_DATASET_MAGIC)
-    buf.write(struct.pack("<IIIII", _DATASET_VERSION, n, n_steps, width, ds.n_classes))
+    buf.write(struct.pack(_DATASET_HEADER[0], _DATASET_VERSION, n, n_steps, width, ds.n_classes))
     buf.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
     buf.write(np.ascontiguousarray(ds.frames, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
@@ -325,20 +328,23 @@ def save_dataset(path: str, ds: Dataset) -> None:
 
 
 def load_frames(path: str) -> Dataset:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`.
+
+    Declared sizes are checked against the file length before any read, so
+    a truncated or inconsistent file raises ``ValueError`` naming the field.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _DATASET_MAGIC:
             raise ValueError(f"not a dataset file (magic {magic!r})")
-        version, n, n_steps, width, n_classes = struct.unpack("<IIIII", fh.read(20))
+        version, n, n_steps, width, n_classes = _read_header(fh, *_DATASET_HEADER, "dataset")
         if version != _DATASET_VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        labels_raw = fh.read(8 * n)
-        frames_raw = fh.read(8 * n * n_steps * width)
-        if len(labels_raw) != 8 * n or len(frames_raw) != 8 * n * n_steps * width:
-            raise ValueError("dataset truncated")
+        labels = _read_declared(fh, 8 * n, "n", "dataset")
+        frames = _read_declared(fh, 8 * n * n_steps * width, "n/n_steps/width", "dataset")
         if fh.read(1):
             raise ValueError("trailing bytes after dataset payload")
-    labels = np.frombuffer(labels_raw, dtype="<i8").copy()
-    frames = np.frombuffer(frames_raw, dtype="<f8").reshape(n, n_steps, width).copy()
+    labels = np.frombuffer(labels, dtype="<i8").astype(np.int64)
+    frames = np.frombuffer(frames, dtype="<f8").astype(np.float64)
+    return Dataset(frames.reshape(n, n_steps, width), labels, n_classes)
     return Dataset(frames, labels, n_classes)

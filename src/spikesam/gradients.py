@@ -29,8 +29,8 @@ from .network import (
     NetworkParams,
     StateTrace,
     SurrogateSpec,
+    _layout,
     forward,
-    parameter_count,
     parameter_vector,
     replace_parameters,
     surrogate_derivative,
@@ -67,34 +67,19 @@ class Batch:
 
 
 @dataclass
-class LayerGrads:
-    weight: np.ndarray
-    bias: np.ndarray
-    threshold: np.ndarray
-
-
-@dataclass
 class ParamGrads:
-    """Gradients in the same structure as :class:`NetworkParams`.
+    """Gradients in canonical-vector order, one float64 ``buffer`` of P entries.
 
     ``alpha`` is always computed; whether it enters the canonical vector is
     the caller's choice (frozen by default, matching the direct
     parameterization of the leak).
     """
 
-    layers: list[LayerGrads]
-    w_out: np.ndarray
-    b_out: np.ndarray
+    buffer: np.ndarray  # (P,)
     alpha: float
 
     def vector(self, include_alpha: bool = False) -> np.ndarray:
-        pieces = []
-        for layer in self.layers:
-            pieces.extend((layer.weight.ravel(), layer.bias, layer.threshold))
-        pieces.extend((self.w_out.ravel(), self.b_out))
-        if include_alpha:
-            pieces.append(np.array([self.alpha]))
-        return np.concatenate(pieces)
+        return np.append(self.buffer, self.alpha) if include_alpha else self.buffer.copy()
 
 
 @dataclass
@@ -166,29 +151,32 @@ def _reverse_sweep(
     trace: StateTrace,
     v: np.ndarray,
     per_sample: bool = False,
-) -> tuple[ParamGrads, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate logit cotangents ``v`` (n, C) back to parameters and inputs.
 
-    With ``per_sample=True`` the batch axis is never summed over: the third
-    return value holds one canonical gradient vector per sample (each the
-    exact gradient of that sample's own scalar objective ``v_i @ o_i``).
+    Returns the canonical parameter gradient (P,), the leak gradient and
+    the input gradients (n, T, d0).  With ``per_sample=True`` the batch axis
+    is never summed over: the parameter gradient is (n, P) and the leak
+    gradient (n,), one row each per sample (the exact gradient of that
+    sample's own scalar objective ``v_i @ o_i``).
     """
     spec = trace.spec
     n, n_steps, _ = trace.inputs.shape
     alpha = params.alpha
     n_layers = params.n_layers
+    layer_slots, (w_out_slot, b_out_slot), size = _layout(params.dims, params.n_classes)
+    lead = (n,) if per_sample else ()
+    axes = 1 if per_sample else (0, 1)  # sums over time (and batch)
+    grads = np.empty((*lead, size))
 
-    if per_sample:
-        sample_pieces: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-        d_w_out = np.einsum("nc,nd->ncd", v, trace.zbar)
-        d_b_out = v.copy()
-    else:
-        d_w_out = v.T @ trace.zbar
-        d_b_out = v.sum(axis=0)
+    def put(slot: tuple[slice, tuple[int, ...]], value: np.ndarray) -> None:
+        grads[..., slot[0]] = value.reshape(*lead, -1)
+
+    put(w_out_slot, np.einsum("nc,nd->ncd", v, trace.zbar) if per_sample else v.T @ trace.zbar)
+    put(b_out_slot, v if per_sample else v.sum(axis=0))
 
     gzbar = v @ params.w_out  # (n, d_L)
-    d_alpha = np.zeros(n) if per_sample else 0.0
-    layer_grads: list[LayerGrads | None] = [None] * n_layers
+    d_alpha = np.zeros(lead)
     gu_above: np.ndarray | None = None
 
     for idx in range(n_layers - 1, -1, -1):
@@ -221,45 +209,17 @@ def _reverse_sweep(
         u_shift[:, 1:, :] = u[:, :-1, :]
         spike_arg_term = sp * gz  # dLoss/d(theta) contribution via the spike argument
 
-        if per_sample:
-            d_weight = np.einsum("ntd,ntj->ndj", gu, z_prev)
-            d_bias = gu.sum(axis=1)
-            d_theta = -(spike_arg_term.sum(axis=1) + (z_shift * gu).sum(axis=1))
-            sample_pieces[idx] = [d_weight.reshape(n, -1), d_bias, d_theta]
-            d_alpha = d_alpha + (u_shift * gu).sum(axis=(1, 2))
-            layer_grads[idx] = LayerGrads(
-                d_weight.sum(axis=0), d_bias.sum(axis=0), d_theta.sum(axis=0)
-            )
-        else:
-            layer_grads[idx] = LayerGrads(
-                weight=np.einsum("ntd,ntj->dj", gu, z_prev),
-                bias=gu.sum(axis=(0, 1)),
-                threshold=-(spike_arg_term.sum(axis=(0, 1)) + (z_shift * gu).sum(axis=(0, 1))),
-            )
-            d_alpha += float((u_shift * gu).sum())
+        w_slot, b_slot, th_slot = layer_slots[idx]
+        put(w_slot, np.einsum("ntd,ntj->ndj" if per_sample else "ntd,ntj->dj", gu, z_prev))
+        put(b_slot, gu.sum(axis=axes))
+        put(th_slot, -(spike_arg_term.sum(axis=axes) + (z_shift * gu).sum(axis=axes)))
+        d_alpha += (u_shift * gu).sum(axis=(1, 2) if per_sample else None)
 
         gu_above = gu
         if idx == 0:
             input_grads = gu @ params.layers[0].weight  # (n, T, d0)
 
-    per_sample_vectors = None
-    if per_sample:
-        pieces = []
-        for idx in range(n_layers):
-            pieces.extend(sample_pieces[idx])
-        pieces.extend((d_w_out.reshape(n, -1), d_b_out))
-        per_sample_vectors = np.concatenate(pieces, axis=1)
-        grads = ParamGrads(
-            layers=list(layer_grads),
-            w_out=d_w_out.sum(axis=0),
-            b_out=d_b_out.sum(axis=0),
-            alpha=float(np.sum(d_alpha)),
-        )
-    else:
-        grads = ParamGrads(
-            layers=list(layer_grads), w_out=d_w_out, b_out=d_b_out, alpha=float(d_alpha)
-        )
-    return grads, input_grads, per_sample_vectors
+    return grads, d_alpha, input_grads
 
 
 def backward(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> GradientBundle:
@@ -268,32 +228,24 @@ def backward(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> Gradie
     trace = forward(params, spec, batch.inputs)
     loss, v = _softmax_loss_and_grad(trace.logits, batch.labels)
     v /= batch.n_samples  # mean reduction
-    grads, input_grads, _ = _reverse_sweep(params, trace, v)
-    return GradientBundle(loss=loss, grads=grads, input_grads=input_grads)
+    grads, d_alpha, input_grads = _reverse_sweep(params, trace, v)
+    return GradientBundle(loss=loss, grads=ParamGrads(grads, float(d_alpha)), input_grads=input_grads)
 
 
 def per_sample_gradients(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> GradientBundle:
     """Per-sample parameter gradients (of each sample's own loss) and input gradients.
 
-    The bundle's ``grads`` field holds the batch-mean gradient, which equals
-    the mean of the per-sample vectors by construction of the sweep.
+    The bundle's ``grads`` field holds the batch-mean gradient: the sum of
+    the per-sample vectors over samples, divided by n.
     """
     _require_smooth(spec)
     trace = forward(params, spec, batch.inputs)
     loss, v = _softmax_loss_and_grad(trace.logits, batch.labels)
-    grads, input_grads, vectors = _reverse_sweep(params, trace, v, per_sample=True)
+    vectors, d_alpha, input_grads = _reverse_sweep(params, trace, v, per_sample=True)
     n = batch.n_samples
-    mean_grads = ParamGrads(
-        layers=[
-            LayerGrads(lg.weight / n, lg.bias / n, lg.threshold / n) for lg in grads.layers
-        ],
-        w_out=grads.w_out / n,
-        b_out=grads.b_out / n,
-        alpha=grads.alpha / n,
-    )
     return GradientBundle(
         loss=loss,
-        grads=mean_grads,
+        grads=ParamGrads(vectors.sum(axis=0) / n, float(np.sum(d_alpha)) / n),
         input_grads=input_grads,
         per_sample_grad_norms=np.linalg.norm(vectors, axis=1),
         per_sample_grad_vectors=vectors,
@@ -318,7 +270,7 @@ def logit_jacobians(
     tiled = np.broadcast_to(x, (n_classes, *x.shape)).copy()
     trace = forward(params, spec, tiled)
     v = np.eye(n_classes)
-    _, input_grads, vectors = _reverse_sweep(params, trace, v, per_sample=True)
+    vectors, _, input_grads = _reverse_sweep(params, trace, v, per_sample=True)
     return vectors, input_grads.reshape(n_classes, -1)
 
 

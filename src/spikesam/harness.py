@@ -39,10 +39,12 @@ from .events import (
 )
 from .gradients import Batch, batch_loss
 from .network import (
+    InstabilityError,
     NetworkParams,
     SurrogateSpec,
     init_network,
     load_checkpoint,
+    parameter_count,
     save_checkpoint,
 )
 from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer
@@ -391,7 +393,7 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
                             params, rep = opt.sast_step(params, spec, batch, second)
                         else:
                             params, rep = opt.baseline_step(params, spec, batch)
-                    except (FloatingPointError, ValueError, RuntimeError):
+                    except (InstabilityError, FloatingPointError):
                         diverged = True
                         break
                     if not np.isfinite(rep.loss_first):
@@ -647,7 +649,7 @@ def apply_threshold_scale(params: NetworkParams, lambdas: Sequence[float]) -> Ne
     for layer, lam in zip(out.layers, scales):
         if lam <= 0.0:
             raise ValueError("threshold scales must be positive")
-        layer.threshold = layer.threshold * lam
+        layer.threshold *= lam  # in place: the threshold is a view of out.buffer
     return out
 
 
@@ -750,8 +752,7 @@ def estimate_step_memory(
     the trace is rebuilt per pass, not duplicated, so the ratio to a
     single-pass step stays near one.
     """
-    p_count = sum(l.weight.size + l.bias.size + l.threshold.size for l in params.layers)
-    p_count += params.w_out.size + params.b_out.size
+    p_count = parameter_count(params)
     dims = params.dims
     trace = batch_size * n_steps * (dims[0] + 2 * sum(dims[1:])) * 8
     d_max = max(dims[1:])

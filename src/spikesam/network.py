@@ -16,8 +16,9 @@ exactly at threshold fires.
 
 from __future__ import annotations
 
-import io
+import functools
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Sequence
@@ -38,7 +39,7 @@ HARD_MODE = "hard"
 
 
 class InstabilityError(RuntimeError):
-    """Raised when a forward or backward pass produces non-finite values."""
+    """Raised when a forward or backward pass, or an update, produces inadmissible values."""
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,20 @@ class LayerParams:
 
 @dataclass
 class NetworkParams:
-    """Full parameter set: spiking layers, shared leak, linear readout."""
+    """Full parameter set: spiking layers, shared leak, linear readout.
+
+    The parameters live in one float64 ``buffer`` in canonical-vector order
+    (see :func:`_layout`).  Every layer's ``weight``/``bias``/``threshold``
+    and ``w_out``/``b_out`` are views into it, so an in-place edit of either
+    shows in the other.  The constructor copies its inputs into a fresh
+    buffer and leaves the given arrays and ``LayerParams`` objects alone.
+    """
 
     layers: list[LayerParams]
     alpha: float
     w_out: np.ndarray  # (n_classes, d_L)
     b_out: np.ndarray  # (n_classes,)
+    buffer: np.ndarray = field(init=False, repr=False)  # (P,)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -203,6 +212,24 @@ class NetworkParams:
             raise ValueError("readout bias length must equal n_classes")
         if not (np.all(np.isfinite(self.w_out)) and np.all(np.isfinite(self.b_out))):
             raise ValueError("readout has non-finite entries")
+        dims, n_classes = self.dims, self.n_classes
+        net = NetworkParams._over(np.empty(_layout(dims, n_classes)[2]), dims, n_classes, self.alpha)
+        for dst, src in zip(net.layers, self.layers):
+            dst.weight[...], dst.bias[...], dst.threshold[...] = src.weight, src.bias, src.threshold
+        net.w_out[...], net.b_out[...] = self.w_out, self.b_out
+        vars(self).update(vars(net))  # take the fresh buffer and its views
+
+    @classmethod
+    def _over(cls, buffer: np.ndarray, dims: tuple[int, ...], n_classes: int, alpha: float) -> NetworkParams:
+        """Network stored in ``buffer`` itself, not a copy; the caller vouches for its values."""
+        layer_slots, readout_slots, _ = _layout(dims, n_classes)
+        out = cls.__new__(cls)
+        out.buffer, out.alpha = buffer, alpha
+        out.layers = [object.__new__(LayerParams) for _ in layer_slots]  # views, not re-validated
+        for layer, (w, b, th) in zip(out.layers, layer_slots):
+            layer.weight, layer.bias, layer.threshold = _view(buffer, w), _view(buffer, b), _view(buffer, th)
+        out.w_out, out.b_out = (_view(buffer, s) for s in readout_slots)
+        return out
 
     @property
     def n_layers(self) -> int:
@@ -218,9 +245,7 @@ class NetworkParams:
         return (self.layers[0].d_in, *(layer.d_out for layer in self.layers))
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            [layer.copy() for layer in self.layers], self.alpha, self.w_out.copy(), self.b_out.copy()
-        )
+        return NetworkParams._over(self.buffer.copy(), self.dims, self.n_classes, self.alpha)
 
 
 def init_network(
@@ -320,66 +345,81 @@ def forward(params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray) -> S
 # ---------------------------------------------------------------------------
 # Canonical parameter vector
 #
-# Order: per layer (weight row-major, bias, threshold), then readout weight
-# row-major, readout bias, and finally alpha if requested.  Gradient packing
-# must match this order exactly.
+# The order is decided in one place, :func:`_layout`: per layer (weight
+# row-major, bias, threshold), then readout weight row-major, readout bias,
+# and finally alpha if requested.  ``NetworkParams.buffer`` and
+# ``ParamGrads.buffer`` are stored in this order, and an SNNW checkpoint's
+# payload is that buffer's bytes.
 # ---------------------------------------------------------------------------
+
+_Slot = tuple[slice, tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(dims: tuple[int, ...], n_classes: int) -> tuple:
+    """Canonical slots: per-layer (weight, bias, threshold), readout (w_out, b_out), size.
+
+    A slot is the block's slice of the vector and its array shape.  Sizes
+    are Python ints, so absurd widths read from a file cannot overflow.
+    """
+    pos = 0
+
+    def slot(*shape: int) -> _Slot:
+        nonlocal pos
+        start, pos = pos, pos + math.prod(shape)
+        return slice(start, pos), shape
+
+    layers = tuple((slot(d_out, d_in), slot(d_out), slot(d_out)) for d_in, d_out in zip(dims, dims[1:]))
+    readout = (slot(n_classes, dims[-1]), slot(n_classes))
+    return layers, readout, pos
+
+
+def _view(buffer: np.ndarray, s: _Slot) -> np.ndarray:
+    """Block ``s`` of a 1-d canonical buffer, as a view of its shape."""
+    return buffer[s[0]].reshape(s[1])
 
 
 def parameter_count(params: NetworkParams, include_alpha: bool = False) -> int:
-    n = sum(l.weight.size + l.bias.size + l.threshold.size for l in params.layers)
-    n += params.w_out.size + params.b_out.size
-    return n + (1 if include_alpha else 0)
+    return params.buffer.size + int(include_alpha)
 
 
 def parameter_vector(params: NetworkParams, include_alpha: bool = False) -> np.ndarray:
-    pieces = []
-    for layer in params.layers:
-        pieces.extend((layer.weight.ravel(), layer.bias, layer.threshold))
-    pieces.extend((params.w_out.ravel(), params.b_out))
-    if include_alpha:
-        pieces.append(np.array([params.alpha]))
-    return np.concatenate(pieces)
+    return np.append(params.buffer, params.alpha) if include_alpha else params.buffer.copy()
+
+
+def _admissible(params: NetworkParams) -> NetworkParams:
+    """``params`` if its leak and thresholds are admissible (values already finite)."""
+    if not (0.0 < params.alpha < 1.0):
+        raise ValueError(f"leak alpha must lie in (0, 1), got {params.alpha}")
+    if not all(np.all(layer.threshold > 0.0) for layer in params.layers):
+        raise ValueError("thresholds must be strictly positive")
+    return params
 
 
 def replace_parameters(
     params: NetworkParams, vector: np.ndarray, include_alpha: bool = False
 ) -> NetworkParams:
-    """New NetworkParams with values taken from a canonical vector."""
+    """New NetworkParams stored in a copy of a canonical vector.
+
+    A wrong length is a ``ValueError``.  A non-finite entry, or a leak
+    outside (0, 1), means an update diverged and raises
+    :class:`InstabilityError`.
+    """
     vector = np.asarray(vector, dtype=np.float64)
-    expected = parameter_count(params, include_alpha)
-    if vector.shape != (expected,):
-        raise ValueError(f"expected vector of length {expected}, got shape {vector.shape}")
-    pos = 0
-
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = vector[pos : pos + size].reshape(shape).copy()
-        pos += size
-        return out
-
-    layers = []
-    for layer in params.layers:
-        layers.append(
-            LayerParams(take(layer.weight.shape), take(layer.bias.shape), take(layer.threshold.shape))
-        )
-    w_out = take(params.w_out.shape)
-    b_out = take(params.b_out.shape)
-    alpha = float(vector[pos]) if include_alpha else params.alpha
-    return NetworkParams(layers, alpha, w_out, b_out)
+    size = params.buffer.size
+    if vector.shape != (size + int(include_alpha),):
+        raise ValueError(f"expected vector of length {size + int(include_alpha)}, got shape {vector.shape}")
+    alpha = float(vector[size]) if include_alpha else params.alpha
+    if not np.all(np.isfinite(vector)):
+        raise InstabilityError("parameter vector has non-finite entries")
+    if not (0.0 < alpha < 1.0):
+        raise InstabilityError(f"leak alpha {alpha} left (0, 1)")
+    return _admissible(NetworkParams._over(vector[:size].copy(), params.dims, params.n_classes, alpha))
 
 
-def threshold_slices(params: NetworkParams, include_alpha: bool = False) -> list[slice]:
+def threshold_slices(params: NetworkParams) -> list[slice]:
     """Canonical-vector slices holding each layer's thresholds."""
-    del include_alpha  # slices are the same either way; kept for signature symmetry
-    out = []
-    pos = 0
-    for layer in params.layers:
-        pos += layer.weight.size + layer.bias.size
-        out.append(slice(pos, pos + layer.threshold.size))
-        pos += layer.threshold.size
-    return out
+    return [th[0] for _, _, th in _layout(params.dims, params.n_classes)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -436,76 +476,79 @@ def constant_bounds_extract(params: NetworkParams) -> ParamBounds:
 #   L       u32  number of spiking layers
 #   C       u32  number of classes
 #   dims    (L+1) * u32   widths d_0 .. d_L
-#   per layer l = 1..L: weight (d_l * d_{l-1}) f64 row-major, bias d_l f64,
-#                       threshold d_l f64
-#   readout: w_out (C * d_L) f64 row-major, b_out C f64
+#   payload P * f64   the canonical parameter vector (see :func:`_layout`),
+#                     i.e. ``NetworkParams.buffer``, P fixed by dims and C
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_MAGIC = b"SNNW"
 _CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = ("<IIddII", ("version", "family", "slope", "alpha", "L", "C"))
 
 
-def _write_array(fh: BinaryIO, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def _read_header(fh: BinaryIO, fmt: str, names: Sequence[str], what: str) -> tuple:
+    """Unpack a fixed header ``fmt`` (one code per field) of a ``what`` file.
+
+    A short file raises ``ValueError`` naming the first field it cuts off.
+    """
+    raw = fh.read(struct.calcsize(fmt))
+    for i, name in enumerate(names):
+        if struct.calcsize(fmt[: i + 2]) > len(raw):
+            raise ValueError(f"{what} truncated in header field {name!r}")
+    return struct.unpack(fmt, raw)
 
 
-def _read_array(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ValueError("checkpoint truncated")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+def _read_declared(fh: BinaryIO, n_bytes: int, field_name: str, what: str) -> bytes:
+    """Read the ``n_bytes`` that header field ``field_name`` declares, checked against
+    the file length first, so that absurd declared sizes are never allocated."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n_bytes > remaining:
+        raise ValueError(f"{what} truncated: {field_name} declares {n_bytes} bytes, {remaining} remain")
+    return fh.read(n_bytes)
 
 
 def save_checkpoint(path: str, params: NetworkParams, spec: SurrogateSpec) -> None:
     """Write parameters and the spike rule to a deterministic binary file."""
     dims = params.dims
-    buf = io.BytesIO()
-    buf.write(_CHECKPOINT_MAGIC)
-    buf.write(
-        struct.pack(
-            "<IIddII",
-            _CHECKPOINT_VERSION,
-            _FAMILY_CODES[spec.family],
-            spec.slope,
-            params.alpha,
-            params.n_layers,
-            params.n_classes,
-        )
+    header = struct.pack(
+        _CHECKPOINT_HEADER[0],
+        _CHECKPOINT_VERSION,
+        _FAMILY_CODES[spec.family],
+        spec.slope,
+        params.alpha,
+        params.n_layers,
+        params.n_classes,
     )
-    buf.write(struct.pack(f"<{len(dims)}I", *dims))
-    for layer in params.layers:
-        _write_array(buf, layer.weight)
-        _write_array(buf, layer.bias)
-        _write_array(buf, layer.threshold)
-    _write_array(buf, params.w_out)
-    _write_array(buf, params.b_out)
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(_CHECKPOINT_MAGIC + header + struct.pack(f"<{len(dims)}I", *dims))
+        fh.write(params.buffer.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[NetworkParams, SurrogateSpec]:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Declared sizes are checked against the file length before any read, so
+    a truncated or inconsistent file raises ``ValueError`` naming the field.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        header = fh.read(struct.calcsize("<IIddII"))
-        version, family_code, slope, alpha, n_layers, n_classes = struct.unpack("<IIddII", header)
+        version, family_code, slope, alpha, n_layers, n_classes = _read_header(
+            fh, *_CHECKPOINT_HEADER, "checkpoint"
+        )
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         if family_code not in _CODE_FAMILIES:
             raise ValueError(f"unknown spike family code {family_code}")
-        dims = struct.unpack(f"<{n_layers + 1}I", fh.read(4 * (n_layers + 1)))
-        layers = []
-        for l in range(1, n_layers + 1):
-            weight = _read_array(fh, (dims[l], dims[l - 1]))
-            bias = _read_array(fh, (dims[l],))
-            threshold = _read_array(fh, (dims[l],))
-            layers.append(LayerParams(weight, bias, threshold))
-        w_out = _read_array(fh, (n_classes, dims[-1]))
-        b_out = _read_array(fh, (n_classes,))
+        if n_layers < 1:
+            raise ValueError("checkpoint field 'L' must be at least 1")
+        dims = struct.unpack(f"<{n_layers + 1}I", _read_declared(fh, 4 * (n_layers + 1), "L", "checkpoint"))
+        size = _layout(dims, n_classes)[2]
+        raw = _read_declared(fh, 8 * size, "dims/C", "checkpoint")
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
+    buffer = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(buffer)):
+        raise ValueError("checkpoint payload has non-finite entries")
     spec = SurrogateSpec(_CODE_FAMILIES[family_code], slope)
-    return NetworkParams(layers, alpha, w_out, b_out), spec
+    return _admissible(NetworkParams._over(buffer, dims, n_classes, alpha)), spec

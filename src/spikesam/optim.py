@@ -99,6 +99,34 @@ def sam_perturbation(grad: np.ndarray, rho: float, delta: float = 1e-12) -> np.n
 LossGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
+def _update(
+    w: np.ndarray,
+    loss_grad: LossGrad,
+    cfg: OptimizerConfig,
+    velocity: np.ndarray | None,
+    loss_grad_second: LossGrad | None,
+) -> tuple[np.ndarray, np.ndarray | None, StepReport]:
+    """First pass; with ``loss_grad_second``, ascent and second pass; one base-rule step."""
+    loss1, g1 = loss_grad(w)
+    eps = loss2 = g2 = None
+    if loss_grad_second is not None:
+        eps = sam_perturbation(g1, cfg.rho, cfg.delta)
+        loss2, g2 = loss_grad_second(w + eps)
+    step = g1 if g2 is None else g2
+    if cfg.base == MOMENTUM:
+        velocity = step.copy() if velocity is None else cfg.momentum * velocity + step
+        step = velocity
+    report = StepReport(
+        loss_first=loss1,
+        grad_norm_first=float(np.linalg.norm(g1)),
+        epsilon_norm=0.0 if eps is None else float(np.linalg.norm(eps)),
+        loss_second=loss2,
+        grad_norm_second=None if g2 is None else float(np.linalg.norm(g2)),
+        n_passes=1 if g2 is None else 2,
+    )
+    return w - cfg.eta * step, velocity, report
+
+
 def two_pass_update(
     w: np.ndarray,
     loss_grad: LossGrad,
@@ -112,25 +140,7 @@ def two_pass_update(
     (default: the same function) evaluates the second pass at the perturbed
     point.  Returns the new vector, the updated momentum buffer, and a report.
     """
-    loss1, g1 = loss_grad(w)
-    eps = sam_perturbation(g1, cfg.rho, cfg.delta)
-    second = loss_grad_second if loss_grad_second is not None else loss_grad
-    loss2, g2 = second(w + eps)
-    if cfg.base == MOMENTUM:
-        velocity = g2.copy() if velocity is None else cfg.momentum * velocity + g2
-        step = velocity
-    else:
-        step = g2
-    w_new = w - cfg.eta * step
-    report = StepReport(
-        loss_first=loss1,
-        grad_norm_first=float(np.linalg.norm(g1)),
-        epsilon_norm=float(np.linalg.norm(eps)),
-        loss_second=loss2,
-        grad_norm_second=float(np.linalg.norm(g2)),
-        n_passes=2,
-    )
-    return w_new, velocity, report
+    return _update(w, loss_grad, cfg, velocity, loss_grad_second or loss_grad)
 
 
 def single_pass_update(
@@ -140,22 +150,7 @@ def single_pass_update(
     velocity: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, StepReport]:
     """One plain baseline update on a parameter vector."""
-    loss1, g1 = loss_grad(w)
-    if cfg.base == MOMENTUM:
-        velocity = g1.copy() if velocity is None else cfg.momentum * velocity + g1
-        step = velocity
-    else:
-        step = g1
-    w_new = w - cfg.eta * step
-    report = StepReport(
-        loss_first=loss1,
-        grad_norm_first=float(np.linalg.norm(g1)),
-        epsilon_norm=0.0,
-        loss_second=None,
-        grad_norm_second=None,
-        n_passes=1,
-    )
-    return w_new, velocity, report
+    return _update(w, loss_grad, cfg, velocity, None)
 
 
 def trainable_mask(params: NetworkParams, cfg: OptimizerConfig) -> np.ndarray:

@@ -6,6 +6,8 @@ The binning oracle is a scalar loop over events; corruption edge cases
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,4 +281,33 @@ def test_load_frames_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"WHAT" + bytes(32))
     with pytest.raises(ValueError):
+        load_frames(str(path))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 3), n_steps=st.integers(1, 3), width=st.integers(1, 3), seed=st.integers(0, 100))
+def test_property_every_proper_prefix_of_a_dataset_is_refused(tmp_path_factory, n, n_steps, width, seed):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(rng.random((n, n_steps, width)), rng.integers(0, 2, size=n), 2)
+    path = tmp_path_factory.mktemp("prefix") / "ds.bin"
+    save_dataset(str(path), ds)
+    data = path.read_bytes()
+    cut_path = path.with_name("cut.bin")
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="magic|truncated"):
+            load_frames(str(cut_path))
+    cut_path.write_bytes(data + bytes(1))
+    with pytest.raises(ValueError, match="trailing"):
+        load_frames(str(cut_path))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(2**32 - 1, 2**32 - 1, 2**32 - 1), (2**32 - 1, 1, 1), (1, 2**32 - 1, 2**32 - 1)],
+)
+def test_dataset_with_huge_declared_sizes_is_refused_before_reading(tmp_path, sizes):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"SNND" + struct.pack("<IIIII", 1, *sizes, 2) + bytes(64))
+    with pytest.raises(ValueError, match=r"truncated: n(/n_steps/width)? declares"):
         load_frames(str(path))

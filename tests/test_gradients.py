@@ -30,6 +30,7 @@ from spikesam.network import (
     HARD,
     SurrogateSpec,
     forward,
+    parameter_count,
     parameter_vector,
     replace_parameters,
 )
@@ -152,6 +153,16 @@ def test_per_sample_gradients_average_to_batch_gradient():
         for i in range(batch.n_samples)
     ]
     np.testing.assert_allclose(per.per_sample_grad_norms, want_norms, rtol=1e-10)
+
+
+def test_per_sample_mean_gradient_is_the_sum_of_the_rows_over_n():
+    params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=32)
+    batch = dense_batch(params, n_samples=5, n_steps=4, seed=33)
+    per = per_sample_gradients(params, ARCTAN_PI, batch)
+    assert per.per_sample_grad_vectors.shape == (batch.n_samples, parameter_count(params))
+    want = per.per_sample_grad_vectors.sum(axis=0) / batch.n_samples
+    assert np.array_equal(per.grads.vector(False), want)
+    assert per.grads.vector(True).shape == (parameter_count(params, True),)
 
 
 def test_logit_jacobians_against_finite_difference():

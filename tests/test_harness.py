@@ -6,10 +6,12 @@ full benchmark recipe is exercised by the acceptance suite.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,7 +53,8 @@ from spikesam.harness import (
     summarize_transfer,
     train,
 )
-from spikesam.network import init_network, load_checkpoint
+from spikesam import optim
+from spikesam.network import init_network, load_checkpoint, parameter_vector, threshold_slices
 from spikesam.optim import INDEPENDENT, REUSED, OptimizerConfig
 from spikesam import cli
 
@@ -220,6 +223,34 @@ def test_checkpoint_selection_rule(tmp_path):
         assert got == pytest.approx(s.test_acc_hard, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_step_size_is_recorded_as_divergence(tmp_path):
+    cfg = micro_config(str(tmp_path / "blowup"), epochs=2, seeds=(0,))
+    cfg = replace(cfg, optimizer=replace(cfg.optimizer, eta=1e308))  # the first update overflows
+    res = train(cfg)
+    with open(res.seeds[0].metrics_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[-1]["diverged"] == "1"
+
+
+def test_trained_leak_leaving_its_range_is_recorded_as_divergence(tmp_path):
+    cfg = micro_config(str(tmp_path / "leak"), epochs=2, seeds=(0,))
+    cfg = replace(cfg, optimizer=replace(cfg.optimizer, eta=50.0, train_alpha=True))
+    res = train(cfg)
+    with open(res.seeds[0].metrics_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[-1]["diverged"] == "1"
+
+
+def test_programming_errors_inside_a_step_propagate(tmp_path, monkeypatch):
+    def broken_backward(*args, **kwargs):
+        raise ValueError("shapes (8, 6) and (5,) not aligned")
+
+    monkeypatch.setattr(optim, "backward", broken_backward)
+    with pytest.raises(ValueError, match="not aligned"):
+        train(micro_config(str(tmp_path / "bug"), epochs=1, seeds=(0,)))
+
+
 def test_train_result_rows_carry_method_label(tmp_path):
     res = train(micro_config(str(tmp_path / "r"), rho=0.1, epochs=2, seeds=(0,)))
     rows = res.rows()
@@ -314,6 +345,17 @@ def test_calibration_guarantee_and_instrumentation(tmp_path):
     per_layer_res = calibrate_thresholds(params, spec, data.val, mode=PER_LAYER_CALIBRATION)
     assert per_layer_res.n_evals == 1 + n_layers * len(CALIBRATION_GRID)
     assert len(per_layer_res.lambdas) == n_layers
+
+
+def test_apply_threshold_scale_leaves_its_input_alone():
+    params = init_network((4, 3, 2), 2, alpha=0.5, theta=0.5, seed=np.random.default_rng(6))
+    before = parameter_vector(params, True)
+    scaled = harness.apply_threshold_scale(params, [2.0, 0.5])
+    np.testing.assert_array_equal(parameter_vector(params, True), before)
+    vec = parameter_vector(scaled)
+    for layer, sl, lam in zip(scaled.layers, threshold_slices(scaled), (2.0, 0.5)):
+        np.testing.assert_array_equal(layer.threshold, vec[sl])
+        np.testing.assert_array_equal(layer.threshold, before[sl] * lam)
 
 
 def test_calibration_tie_break_prefers_identity():

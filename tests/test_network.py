@@ -8,6 +8,7 @@ pure-Python re-implementation of the leaky recursion.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -301,6 +302,67 @@ def test_replace_parameters_rejects_wrong_length():
         replace_parameters(params, np.zeros(parameter_count(params) + 1), False)
 
 
+def test_replace_parameters_rejects_non_finite_and_non_positive_thresholds():
+    params = tiny_net(seed=16)
+    for bad_value in (np.nan, np.inf):
+        vec = parameter_vector(params)
+        vec[0] = bad_value  # an update that diverged
+        with pytest.raises(InstabilityError):
+            replace_parameters(params, vec)
+    vec = parameter_vector(params)
+    vec[threshold_slices(params)[-1].start] = 0.0
+    with pytest.raises(ValueError, match="thresholds"):
+        replace_parameters(params, vec)
+    vec = parameter_vector(params, include_alpha=True)
+    vec[-1] = 1.0  # an update that moved the leak out of (0, 1)
+    with pytest.raises(InstabilityError, match="leak"):
+        replace_parameters(params, vec, include_alpha=True)
+
+
+# ---------------------------------------------------------------------------
+# The canonical vector is the storage
+# ---------------------------------------------------------------------------
+
+
+def test_in_place_edits_of_layer_arrays_show_in_the_vector():
+    params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=18)
+    params.layers[1].threshold[2] = 0.75
+    params.layers[0].weight[1, 3] = -2.5
+    params.b_out[...] = 0.125
+    vec = parameter_vector(params)
+    assert vec[threshold_slices(params)[1]][2] == 0.75
+    assert vec[1 * 6 + 3] == -2.5
+    np.testing.assert_array_equal(vec[-params.n_classes :], 0.125)
+    vec[threshold_slices(params)[0]] = 9.0  # the returned vector is a copy
+    assert np.all(params.layers[0].threshold == 0.4)
+
+
+def test_copies_share_no_memory_with_their_source():
+    params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=19)
+    vec = parameter_vector(params, include_alpha=True)
+    for other in (params.copy(), replace_parameters(params, vec, include_alpha=True)):
+        mine = [params.buffer, params.w_out, params.b_out]
+        mine += [a for l in params.layers for a in (l.weight, l.bias, l.threshold)]
+        theirs = [other.buffer, other.w_out, other.b_out]
+        theirs += [a for l in other.layers for a in (l.weight, l.bias, l.threshold)]
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        assert not any(np.shares_memory(vec, b) for b in theirs)
+        np.testing.assert_array_equal(parameter_vector(other, True), vec)
+
+
+def test_constructor_copies_and_leaves_its_inputs_alone():
+    src = tiny_net(dims=(6, 5, 4), n_classes=3, seed=20)
+    before = parameter_vector(src, True)
+    layer = src.layers[0]
+    sub = NetworkParams([layer], src.alpha, np.zeros((src.n_classes, layer.d_out)), src.b_out)
+    assert src.layers[0] is layer
+    sub.layers[0].threshold[...] = 3.0
+    sub.b_out[...] = 7.0
+    np.testing.assert_array_equal(parameter_vector(src, True), before)
+    assert np.shares_memory(src.layers[0].threshold, src.buffer)
+    assert not np.shares_memory(sub.buffer, src.buffer)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint container
 # ---------------------------------------------------------------------------
@@ -327,6 +389,51 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ValueError):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_payload_is_the_canonical_vector(tmp_path):
+    params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=21)
+    path = tmp_path / "net.bin"
+    save_checkpoint(str(path), params, ARCTAN_PI)
+    payload = path.read_bytes()[-8 * parameter_count(params) :]
+    assert payload == parameter_vector(params).astype("<f8").tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(dims=st.lists(st.integers(1, 4), min_size=2, max_size=4), n_classes=st.integers(2, 3))
+def test_property_every_proper_prefix_of_a_checkpoint_is_refused(tmp_path_factory, dims, n_classes):
+    path = tmp_path_factory.mktemp("prefix") / "net.bin"
+    save_checkpoint(str(path), tiny_net(dims=tuple(dims), n_classes=n_classes), ARCTAN_PI)
+    data = path.read_bytes()
+    cut_path = path.with_name("cut.bin")
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="magic|truncated"):
+            load_checkpoint(str(cut_path))
+    cut_path.write_bytes(data + bytes(1))
+    with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(str(cut_path))
+
+
+def _checkpoint_header(n_layers: int, n_classes: int, dims: tuple[int, ...]) -> bytes:
+    head = b"SNNW" + struct.pack("<IIddII", 1, 1, math.pi, 0.5, n_layers, n_classes)
+    return head + struct.pack(f"<{len(dims)}I", *dims)
+
+
+@pytest.mark.parametrize(
+    "n_layers, n_classes, dims, field",
+    [
+        (1, 2, (2**32 - 1, 2**32 - 1), "dims/C declares"),  # int64 overflow in a numpy product
+        (2, 2**32 - 1, (2**31, 2**31, 2**31), "dims/C declares"),
+        (2**32 - 1, 2, (3, 2), "L declares"),
+        (0, 2, (3,), "'L' must"),
+    ],
+)
+def test_checkpoint_with_huge_declared_sizes_is_refused_before_reading(tmp_path, n_layers, n_classes, dims, field):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(_checkpoint_header(n_layers, n_classes, dims))
+    with pytest.raises(ValueError, match=field):
         load_checkpoint(str(path))
 
 
