@@ -10,9 +10,13 @@ The reverse sweep mirrors the forward recursion by hand.  Writing with
 with ``gu[l, T+1] = 0``.  Layers are processed top-down (the cross-layer
 term needs the full time course of ``gu[l+1]``), time backwards within each
 layer.  Thresholds receive two contributions: through the spike argument
-``u - theta`` and through the reset term ``-theta * z[l, t-1]``.  Only the
-adjacent layer's ``gu`` array is kept alive, so peak memory stays within a
-small constant of the forward trace.
+``u - theta`` and through the reset term ``-theta * z[l, t-1]``.
+
+Working set beyond the forward trace and the gradient buffer ((P,), or
+(n, P) per sample): three (T, n, d) arrays of the layer being swept
+(``sigma'``, ``gz`` and ``gu``) plus the ``gu`` of the layer above, held
+while this layer is swept; for the bottom layer also the (n, T, d0) input
+gradients and, in batch mode, a time-major copy of the input frames.
 """
 
 from __future__ import annotations
@@ -166,58 +170,62 @@ def _reverse_sweep(
     n_layers = params.n_layers
     layer_slots, (w_out_slot, b_out_slot), size = _layout(params.dims, params.n_classes)
     lead = (n,) if per_sample else ()
-    axes = 1 if per_sample else (0, 1)  # sums over time (and batch)
     grads = np.empty((*lead, size))
 
     def put(slot: tuple[slice, tuple[int, ...]], value: np.ndarray) -> None:
         grads[..., slot[0]] = value.reshape(*lead, -1)
 
-    put(w_out_slot, np.einsum("nc,nd->ncd", v, trace.zbar) if per_sample else v.T @ trace.zbar)
+    put(w_out_slot, v[:, :, None] * trace.zbar[:, None, :] if per_sample else v.T @ trace.zbar)
     put(b_out_slot, v if per_sample else v.sum(axis=0))
 
     gzbar = v @ params.w_out  # (n, d_L)
     d_alpha = np.zeros(lead)
+    axes = 0 if per_sample else (0, 1)  # the time (and batch) axes of time-major arrays
     gu_above: np.ndarray | None = None
 
     for idx in range(n_layers - 1, -1, -1):
         layer = params.layers[idx]
-        u = trace.u[idx]
-        z = trace.z[idx]
-        sp = surrogate_derivative(spec, u - layer.threshold)
-        gu = np.empty_like(u)
-        gz = np.empty_like(u)
-        gu_next = np.zeros((n, layer.d_out))
-        for t in range(n_steps - 1, -1, -1):
+        theta = layer.threshold
+        u = trace.u[idx].transpose(1, 0, 2)  # time-major (T, n, d) views
+        z = trace.z[idx].transpose(1, 0, 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
+            sp = u - theta
+            surrogate_derivative(spec, sp, out=sp)
+            # gz starts as the cross-layer term; each step subtracts the reset term
+            # and then scales by sigma', which leaves the threshold's
+            # spike-argument contribution sigma' * gz in place.
             if idx == n_layers - 1:
-                gz_t = gzbar / n_steps - layer.threshold * gu_next
+                gz = np.broadcast_to(gzbar / n_steps, u.shape).copy()
             else:
-                gz_t = gu_above[:, t, :] @ params.layers[idx + 1].weight - layer.threshold * gu_next
-            gu_t = sp[:, t, :] * gz_t + alpha * gu_next
-            gz[:, t, :] = gz_t
-            gu[:, t, :] = gu_t
-            gu_next = gu_t
+                above = params.layers[idx + 1]
+                gz = (gu_above.reshape(n_steps * n, above.d_out) @ above.weight).reshape(u.shape)
+            gu = np.empty_like(gz)
+            tmp = np.empty((n, layer.d_out))
+            gu_t = np.zeros((n, layer.d_out))
+            for t in range(n_steps - 1, -1, -1):
+                gz_t = np.subtract(gz[t], np.multiply(theta, gu_t, out=tmp), out=gz[t])
+                gz_t *= sp[t]
+                gu_t = np.add(gz_t, np.multiply(alpha, gu_t, out=tmp), out=gu[t])
         if not np.all(np.isfinite(gu)):
-            bad_t = int(np.argwhere(~np.isfinite(gu).all(axis=(0, 2)))[-1][0])
+            bad_t = int(np.argwhere(~np.isfinite(gu).all(axis=(1, 2)))[-1][0])
             raise InstabilityError(
                 f"non-finite gradient first appears at layer {idx + 1}, step {bad_t + 1}"
             )
 
-        z_prev = trace.z[idx - 1] if idx > 0 else trace.inputs
-        z_shift = np.zeros_like(z)
-        z_shift[:, 1:, :] = z[:, :-1, :]
-        u_shift = np.zeros_like(u)
-        u_shift[:, 1:, :] = u[:, :-1, :]
-        spike_arg_term = sp * gz  # dLoss/d(theta) contribution via the spike argument
-
+        z_prev = trace.z[idx - 1] if idx > 0 else trace.inputs  # (n, T, d_in)
+        gu_rows = gu.reshape(n_steps * n, layer.d_out)
         w_slot, b_slot, th_slot = layer_slots[idx]
-        put(w_slot, np.einsum("ntd,ntj->ndj" if per_sample else "ntd,ntj->dj", gu, z_prev))
+        if per_sample:  # one (d, T) @ (T, d_in) product per sample
+            put(w_slot, np.matmul(gu.transpose(1, 2, 0), z_prev))
+        else:  # one product over all (t, sample) rows; only the input frames are copied to time-major
+            put(w_slot, gu_rows.T @ z_prev.transpose(1, 0, 2).reshape(n_steps * n, layer.d_in))
         put(b_slot, gu.sum(axis=axes))
-        put(th_slot, -(spike_arg_term.sum(axis=axes) + (z_shift * gu).sum(axis=axes)))
-        d_alpha += (u_shift * gu).sum(axis=(1, 2) if per_sample else None)
+        put(th_slot, -(gz.sum(axis=axes) + (z[:-1] * gu[1:]).sum(axis=axes)))
+        d_alpha += (u[:-1] * gu[1:]).sum(axis=(0, 2) if per_sample else None)
 
         gu_above = gu
         if idx == 0:
-            input_grads = gu @ params.layers[0].weight  # (n, T, d0)
+            input_grads = (gu_rows @ layer.weight).reshape(n_steps, n, layer.d_in).transpose(1, 0, 2)
 
     return grads, d_alpha, input_grads
 

@@ -37,13 +37,15 @@ from .events import (
     load_frames,
     synth_task,
 )
-from .gradients import Batch, batch_loss
+from .gradients import Batch, _softmax_loss_and_grad
 from .network import (
     InstabilityError,
     NetworkParams,
     SurrogateSpec,
+    forward,
     init_network,
     load_checkpoint,
+    mode_spec,
     parameter_count,
     save_checkpoint,
 )
@@ -275,6 +277,8 @@ class SeedResult:
     test_acc_surrogate: float
     test_acc_hard: float
     diverged: bool
+    diverged_reason: str | None  # the error message, or "non-finite loss"; None if healthy
+    diverged_step: int | None  # 1-based optimizer step that diverged; None if healthy
     metrics_path: str
     checkpoint_path: str
 
@@ -366,6 +370,7 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
         best = (-1.0, 0, params.copy())  # (val surrogate acc, epoch, params)
         passes = steps = 0
         diverged = False
+        diverged_reason: str | None = None
         metrics_path = os.path.join(seed_dir, "metrics.csv")
         diag_path = os.path.join(seed_dir, "diagnostics.csv")
         diag_fh = None
@@ -393,11 +398,11 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
                             params, rep = opt.sast_step(params, spec, batch, second)
                         else:
                             params, rep = opt.baseline_step(params, spec, batch)
-                    except (InstabilityError, FloatingPointError):
-                        diverged = True
+                    except (InstabilityError, FloatingPointError) as exc:
+                        diverged, diverged_reason = True, str(exc)
                         break
                     if not np.isfinite(rep.loss_first):
-                        diverged = True
+                        diverged, diverged_reason = True, "non-finite loss"
                         break
                     losses.append(rep.loss_first)
                     passes += rep.n_passes
@@ -477,6 +482,8 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
                     selected, spec, data.test.frames, data.test.labels, HARD_MODE
                 ),
                 diverged=diverged,
+                diverged_reason=diverged_reason,
+                diverged_step=steps + 1 if diverged else None,
                 metrics_path=metrics_path,
                 checkpoint_path=ckpt_path,
             )
@@ -500,6 +507,8 @@ def _write_summary(result: TrainResult) -> None:
             "test_acc_hard": s.test_acc_hard,
             "test_transfer_gap": s.test_acc_surrogate - s.test_acc_hard,
             "diverged": s.diverged,
+            "diverged_reason": s.diverged_reason,
+            "diverged_step": s.diverged_step,
         }
         for s in result.seeds
     ]
@@ -548,9 +557,11 @@ class EvalReport:
 
 
 def evaluate(params: NetworkParams, spec: SurrogateSpec, ds: Dataset, mode: str) -> EvalReport:
-    """Accuracy (and, in smooth mode, mean loss) on a dataset."""
-    acc = accuracy(params, spec, ds.frames, ds.labels, mode)
-    loss = batch_loss(params, spec, Batch(ds.frames, ds.labels)) if mode == SURROGATE_MODE else None
+    """Accuracy (and, in smooth mode, mean loss) on a dataset, from one forward pass."""
+    batch = Batch(ds.frames, ds.labels)
+    logits = forward(params, mode_spec(spec, mode), batch.inputs).logits
+    acc = float((logits.argmax(axis=1) == batch.labels).mean())
+    loss = _softmax_loss_and_grad(logits, batch.labels)[0] if mode == SURROGATE_MODE else None
     return EvalReport(mode=mode, accuracy=acc, loss=loss)
 
 

@@ -88,26 +88,42 @@ class SurrogateSpec:
         raise ValueError("the hard step has no curvature bound")
 
 
-def surrogate_value(spec: SurrogateSpec, x: np.ndarray) -> np.ndarray:
-    """Evaluate the smooth spike function elementwise."""
+def surrogate_value(spec: SurrogateSpec, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the smooth spike function elementwise, into ``out`` if given (it may be ``x``)."""
     x = np.asarray(x, dtype=np.float64)
-    k = spec.slope
-    if spec.family == ARCTAN:
-        return 0.5 + np.arctan(k * x) / math.pi
-    if spec.family == FAST_SIGMOID:
-        return 0.5 * (1.0 + k * x / (1.0 + np.abs(k * x)))
-    raise ValueError("hard step is not a surrogate; use hard_step")
+    if spec.family == HARD:
+        raise ValueError("hard step is not a surrogate; use hard_step")
+    y = np.multiply(spec.slope, x, out=np.empty_like(x) if out is None else out)
+    if spec.family == ARCTAN:  # 0.5 + arctan(k x) / pi
+        np.arctan(y, out=y)
+        y /= math.pi
+        y += 0.5
+    else:  # 0.5 (1 + k x / (1 + |k x|))
+        den = np.abs(y)
+        den += 1.0
+        y /= den
+        y += 1.0
+        y *= 0.5
+    return y if y.ndim else y[()]
 
 
-def surrogate_derivative(spec: SurrogateSpec, x: np.ndarray) -> np.ndarray:
-    """First derivative of the smooth spike function elementwise."""
+def surrogate_derivative(spec: SurrogateSpec, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative of the smooth spike function elementwise, into ``out`` if given (it may be ``x``)."""
     x = np.asarray(x, dtype=np.float64)
+    if spec.family == HARD:
+        raise ValueError("hard step has no derivative; use the surrogate families")
     k = spec.slope
-    if spec.family == ARCTAN:
-        return (k / math.pi) / (1.0 + (k * x) ** 2)
-    if spec.family == FAST_SIGMOID:
-        return 0.5 * k / (1.0 + np.abs(k * x)) ** 2
-    raise ValueError("hard step has no derivative; use the surrogate families")
+    y = np.multiply(k, x, out=np.empty_like(x) if out is None else out)
+    if spec.family == ARCTAN:  # (k / pi) / (1 + (k x)^2)
+        np.square(y, out=y)
+        y += 1.0
+        np.divide(k / math.pi, y, out=y)
+    else:  # (k / 2) / (1 + |k x|)^2
+        np.abs(y, out=y)
+        y += 1.0
+        np.square(y, out=y)
+        np.divide(0.5 * k, y, out=y)
+    return y if y.ndim else y[()]
 
 
 def surrogate_second_derivative(spec: SurrogateSpec, x: np.ndarray) -> np.ndarray:
@@ -125,9 +141,11 @@ def surrogate_second_derivative(spec: SurrogateSpec, x: np.ndarray) -> np.ndarra
     raise ValueError("hard step has no second derivative")
 
 
-def hard_step(x: np.ndarray) -> np.ndarray:
-    """Heaviside step with the tie rule step(0) = 1."""
-    return (np.asarray(x, dtype=np.float64) >= 0.0).astype(np.float64)
+def hard_step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Heaviside step with the tie rule step(0) = 1, into a float64 ``out`` if given."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.greater_equal(x, 0.0, out=np.empty_like(x) if out is None else out)
+    return y if y.ndim else y[()]
 
 
 def mode_spec(spec: SurrogateSpec, mode: str) -> SurrogateSpec:
@@ -280,7 +298,8 @@ class StateTrace:
     """Everything a forward pass produced, kept for the reverse sweep.
 
     ``u[l]`` and ``z[l]`` have shape (n, T, d_l) for layer ``l`` (0-based
-    list index for layer ``l + 1`` of the recursion); ``zbar`` is the
+    list index for layer ``l + 1`` of the recursion); :func:`forward` makes
+    them views of time-major (T, n, d_l) buffers.  ``zbar`` is the
     time-averaged top-layer activity and ``logits`` the readout output.
     """
 
@@ -313,29 +332,37 @@ def forward(params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray) -> S
     if x.shape[2] != d0:
         raise ValueError(f"frame width {x.shape[2]} does not match input width {d0}")
     n, n_steps, _ = x.shape
-    smooth = spec.family != HARD
+    spike = functools.partial(surrogate_value, spec) if spec.family != HARD else hard_step
+    alpha = params.alpha
 
-    z_prev = x
+    # Layer buffers are time-major (T, n, d), so every step works on
+    # contiguous (n, d) blocks; the trace holds their (n, T, d) views.
+    rows = x.reshape(n * n_steps, d0)  # the input frames' rows are sample-major
     us: list[np.ndarray] = []
     zs: list[np.ndarray] = []
-    for idx, layer in enumerate(params.layers):
-        drive = np.einsum("ntj,dj->ntd", z_prev, layer.weight) + layer.bias
-        u = np.empty((n, n_steps, layer.d_out))
-        z = np.empty_like(u)
-        u_t = np.zeros((n, layer.d_out))
-        z_t = np.zeros((n, layer.d_out))
-        for t in range(n_steps):
-            u_t = params.alpha * u_t + drive[:, t, :] - layer.threshold * z_t
-            a_t = u_t - layer.threshold
-            z_t = surrogate_value(spec, a_t) if smooth else hard_step(a_t)
-            u[:, t, :] = u_t
-            z[:, t, :] = z_t
-        if not np.all(np.isfinite(u)):
-            bad = np.argwhere(~np.isfinite(u))[0]
-            raise InstabilityError(f"non-finite membrane state at layer {idx + 1}, step {bad[1] + 1}")
-        us.append(u)
-        zs.append(z)
-        z_prev = z
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
+        for idx, layer in enumerate(params.layers):
+            d, theta = layer.d_out, layer.threshold
+            drive = rows @ layer.weight.T
+            drive += layer.bias
+            drive = drive.reshape(n, n_steps, d).transpose(1, 0, 2) if idx == 0 else drive.reshape(n_steps, n, d)
+            u = np.empty((n_steps, n, d))
+            z = np.empty_like(u)
+            a = np.empty((n, d))
+            u_t = z_t = np.zeros((n, d))
+            for t in range(n_steps):
+                u_t = np.multiply(alpha, u_t, out=u[t])
+                u_t += drive[t]
+                u_t -= np.multiply(theta, z_t, out=a)
+                z_t = spike(np.subtract(u_t, theta, out=a), out=z[t])
+            del drive
+            rows = z.reshape(n_steps * n, d)
+            u, z = u.transpose(1, 0, 2), z.transpose(1, 0, 2)
+            if not np.all(np.isfinite(u)):
+                bad = np.argwhere(~np.isfinite(u))[0]
+                raise InstabilityError(f"non-finite membrane state at layer {idx + 1}, step {bad[1] + 1}")
+            us.append(u)
+            zs.append(z)
 
     zbar = zs[-1].mean(axis=1)
     logits = zbar @ params.w_out.T + params.b_out

@@ -7,6 +7,7 @@ checked against the classical closed forms for softmax cross entropy.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from conftest import ARCTAN_PI, dense_batch, spike_batch, tiny_net
 from spikesam.gradients import (
     Batch,
+    _reverse_sweep,
+    _softmax_loss_and_grad,
     backward,
     batch_loss,
     central_difference,
@@ -28,11 +31,16 @@ from spikesam.gradients import (
 from spikesam.network import (
     FAST_SIGMOID,
     HARD,
+    InstabilityError,
+    NetworkParams,
+    StateTrace,
     SurrogateSpec,
     forward,
+    init_network,
     parameter_count,
     parameter_vector,
     replace_parameters,
+    surrogate_derivative,
 )
 
 # ---------------------------------------------------------------------------
@@ -163,6 +171,90 @@ def test_per_sample_mean_gradient_is_the_sum_of_the_rows_over_n():
     want = per.per_sample_grad_vectors.sum(axis=0) / batch.n_samples
     assert np.array_equal(per.grads.vector(False), want)
     assert per.grads.vector(True).shape == (parameter_count(params, True),)
+
+
+def einsum_reverse_sweep(
+    params: NetworkParams, trace: StateTrace, v: np.ndarray, per_sample: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference reverse sweep: per-step loops, zero-padded shifts and einsum products.
+
+    Returns the parameter gradient with the leak gradient appended ((P + 1,),
+    or (n, P + 1) per sample) and the input gradients.
+    """
+    spec = trace.spec
+    n, n_steps, _ = trace.inputs.shape
+    lead = "n" if per_sample else ""
+    axes = 1 if per_sample else (0, 1)
+    pieces = []
+    gzbar = v @ params.w_out
+    gu_above = None
+    d_alpha = np.zeros(n if per_sample else ())
+    for idx in range(params.n_layers - 1, -1, -1):
+        layer = params.layers[idx]
+        u, z = trace.u[idx], trace.z[idx]
+        sp = surrogate_derivative(spec, u - layer.threshold)
+        gu, gz = np.zeros_like(u), np.zeros_like(u)
+        gu_next = np.zeros((n, layer.d_out))
+        for t in range(n_steps - 1, -1, -1):
+            if idx == params.n_layers - 1:
+                cross = gzbar / n_steps
+            else:
+                cross = np.einsum("ne,ed->nd", gu_above[:, t, :], params.layers[idx + 1].weight)
+            gz[:, t] = cross - layer.threshold * gu_next
+            gu[:, t] = sp[:, t] * gz[:, t] + params.alpha * gu_next
+            gu_next = gu[:, t]
+        z_prev = trace.z[idx - 1] if idx > 0 else trace.inputs
+        z_shift, u_shift = np.zeros_like(z), np.zeros_like(u)
+        z_shift[:, 1:], u_shift[:, 1:] = z[:, :-1], u[:, :-1]
+        weight = np.einsum(f"ntd,ntj->{lead}dj", gu, z_prev)
+        threshold = -((sp * gz).sum(axis=axes) + (z_shift * gu).sum(axis=axes))
+        pieces[:0] = [weight, gu.sum(axis=axes), threshold]
+        d_alpha = d_alpha + (u_shift * gu).sum(axis=(1, 2) if per_sample else None)
+        gu_above = gu
+    input_grads = np.einsum("ntd,dj->ntj", gu_above, params.layers[0].weight)
+    pieces += [np.einsum(f"nc,nd->{lead}cd", v, trace.zbar), np.einsum(f"nc->{lead}c", v), d_alpha]
+    width = (n, -1) if per_sample else (-1,)
+    return np.concatenate([p.reshape(width) for p in pieces], axis=-1), input_grads
+
+
+def study_net_and_batch() -> tuple[NetworkParams, Batch]:
+    """The packaged 48-16-16-16 net, ten classes, B=32 and T=8."""
+    params = init_network((48, 16, 16, 16), 10, alpha=0.5, theta=0.5, seed=np.random.default_rng(43))
+    return params, spike_batch(params, n_samples=32, n_steps=8, rate=0.3, seed=44)
+
+
+@pytest.mark.parametrize("spec", [ARCTAN_PI, SurrogateSpec(FAST_SIGMOID, 2.0)], ids=["arctan", "fast_sigmoid"])
+def test_backward_matches_einsum_reference_at_the_study_shape(spec):
+    params, batch = study_net_and_batch()
+    bundle = backward(params, spec, batch)
+    trace = forward(params, spec, batch.inputs)
+    v = _softmax_loss_and_grad(trace.logits, batch.labels)[1] / batch.n_samples
+    want, want_inputs = einsum_reverse_sweep(params, trace, v, per_sample=False)
+    # atol only covers entries that cancel to ~1e-19 against O(0.1) gradients
+    np.testing.assert_allclose(bundle.grads.vector(True), want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(bundle.input_grads, want_inputs, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", [ARCTAN_PI, SurrogateSpec(FAST_SIGMOID, 2.0)], ids=["arctan", "fast_sigmoid"])
+def test_per_sample_gradients_match_einsum_reference_at_the_study_shape(spec):
+    params, batch = study_net_and_batch()
+    bundle = per_sample_gradients(params, spec, batch)
+    trace = forward(params, spec, batch.inputs)
+    want, want_inputs = einsum_reverse_sweep(params, trace, _softmax_loss_and_grad(trace.logits, batch.labels)[1], True)
+    np.testing.assert_allclose(bundle.per_sample_grad_vectors, want[:, :-1], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(bundle.grads.alpha, want[:, -1].sum() / batch.n_samples, rtol=1e-12)
+    np.testing.assert_allclose(bundle.input_grads, want_inputs, rtol=1e-12, atol=1e-15)
+
+
+def test_reverse_sweep_names_the_layer_and_step_of_a_non_finite_gradient():
+    params, batch = study_net_and_batch()
+    trace = forward(params, ARCTAN_PI, batch.inputs)
+    trace.u[0][0, 2, 0] = np.nan  # poisons steps 3, 2 and 1 of layer 1 on the way back
+    v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="at layer 1, step 3$"):
+            _reverse_sweep(params, trace, v)
 
 
 def test_logit_jacobians_against_finite_difference():

@@ -10,14 +10,16 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spikesam import harness
-from spikesam.diagnostics import HARD_MODE, SURROGATE_MODE
+from spikesam import diagnostics, gradients, harness, network
+from spikesam.diagnostics import HARD_MODE, SURROGATE_MODE, accuracy
+from spikesam.gradients import Batch, batch_loss
 from spikesam.events import SynthTaskConfig, save_dataset
 from spikesam.harness import (
     CALIBRATION_GRID,
@@ -223,14 +225,49 @@ def test_checkpoint_selection_rule(tmp_path):
         assert got == pytest.approx(s.test_acc_hard, abs=1e-12)
 
 
+def evaluation_fixture():
+    cfg = micro_config("unused")
+    data = load_data(cfg.data)
+    params = init_network((data.test.frames.shape[2], 6), data.test.n_classes, seed=np.random.default_rng(5))
+    return params, cfg.surrogate.spec(), data.test
+
+
+@pytest.mark.parametrize("mode", [SURROGATE_MODE, HARD_MODE])
+def test_evaluate_equals_accuracy_and_batch_loss_bit_for_bit(mode):
+    params, spec, ds = evaluation_fixture()
+    got = evaluate(params, spec, ds, mode)
+    assert got.accuracy == accuracy(params, spec, ds.frames, ds.labels, mode)
+    if mode == SURROGATE_MODE:
+        assert got.loss == batch_loss(params, spec, Batch(ds.frames, ds.labels))
+    else:
+        assert got.loss is None
+
+
+@pytest.mark.parametrize("mode", [SURROGATE_MODE, HARD_MODE])
+def test_evaluate_runs_one_forward_pass(mode, monkeypatch):
+    params, spec, ds = evaluation_fixture()
+    calls = []
+    real_forward = network.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_forward(*args, **kwargs)
+
+    for module in (network, gradients, diagnostics, harness):  # every binding of forward
+        monkeypatch.setattr(module, "forward", counted, raising=False)
+    evaluate(params, spec, ds, mode)
+    assert len(calls) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_huge_step_size_is_recorded_as_divergence(tmp_path):
     cfg = micro_config(str(tmp_path / "blowup"), epochs=2, seeds=(0,))
-    cfg = replace(cfg, optimizer=replace(cfg.optimizer, eta=1e308))  # the first update overflows
+    cfg = replace(cfg, optimizer=replace(cfg.optimizer, eta=1e308))  # the second step's loss overflows
     res = train(cfg)
     with open(res.seeds[0].metrics_path) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[-1]["diverged"] == "1"
+    assert_divergence_recorded(res, "^non-finite loss$", step=2)
 
 
 def test_trained_leak_leaving_its_range_is_recorded_as_divergence(tmp_path):
@@ -240,6 +277,24 @@ def test_trained_leak_leaving_its_range_is_recorded_as_divergence(tmp_path):
     with open(res.seeds[0].metrics_path) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[-1]["diverged"] == "1"
+    assert_divergence_recorded(res, "leak alpha .* left \\(0, 1\\)", step=1)
+
+
+def assert_divergence_recorded(res, reason: str, step: int) -> None:
+    """The seed's reason and step are in its result and in summary.json."""
+    seed = res.seeds[0]
+    assert re.search(reason, seed.diverged_reason) and seed.diverged_step == step
+    with open(os.path.join(res.run_dir, "summary.json")) as fh:
+        row = json.load(fh)["per_seed"][0]
+    assert (row["diverged_reason"], row["diverged_step"]) == (seed.diverged_reason, step)
+
+
+def test_healthy_seeds_record_no_divergence_reason(tmp_path):
+    res = train(micro_config(str(tmp_path / "ok"), epochs=1, seeds=(0,)))
+    with open(os.path.join(res.run_dir, "summary.json")) as fh:
+        row = json.load(fh)["per_seed"][0]
+    assert row["diverged"] is False
+    assert row["diverged_reason"] is None and row["diverged_step"] is None
 
 
 def test_programming_errors_inside_a_step_propagate(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -147,14 +148,20 @@ def test_spec_validation():
 # ---------------------------------------------------------------------------
 
 
-def naive_forward_logits(params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray) -> np.ndarray:
-    """Scalar-loop re-implementation of the leaky unroll with subtraction reset."""
+def naive_forward(
+    params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Scalar-loop re-implementation of the leaky unroll with subtraction reset.
+
+    Returns the logits and each layer's (n, T, d) activity.
+    """
     n, n_steps, _ = frames.shape
     smooth = spec.family != HARD
     logits = np.zeros((n, params.n_classes))
+    activity = [np.zeros((n, n_steps, layer.d_out)) for layer in params.layers]
     for i in range(n):
         z_prev = [frames[i, t, :] for t in range(n_steps)]
-        for layer in params.layers:
+        for layer, out in zip(params.layers, activity):
             u = np.zeros(layer.d_out)
             z = np.zeros(layer.d_out)
             zs = []
@@ -163,10 +170,15 @@ def naive_forward_logits(params: NetworkParams, spec: SurrogateSpec, frames: np.
                 a = u - layer.threshold
                 z = surrogate_value(spec, a) if smooth else hard_step(a)
                 zs.append(z)
+            out[i] = zs
             z_prev = zs
         zbar = np.mean(z_prev, axis=0)
         logits[i] = params.w_out @ zbar + params.b_out
-    return logits
+    return logits, activity
+
+
+def naive_forward_logits(params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray) -> np.ndarray:
+    return naive_forward(params, spec, frames)[0]
 
 
 @pytest.mark.parametrize("family,k", [(ARCTAN, math.pi), (ARCTAN, 0.7), (FAST_SIGMOID, 2.0)])
@@ -190,6 +202,21 @@ def test_forward_hard_matches_naive_unroll():
         assert set(np.unique(z)).issubset({0.0, 1.0})
 
 
+@pytest.mark.parametrize("spec", [ARCTAN_PI, SurrogateSpec(HARD, math.pi)], ids=["smooth", "hard"])
+def test_forward_matches_naive_unroll_at_the_study_shape(spec):
+    # The packaged 48-16-16-16 net at B=32, T=8: wide enough that the
+    # drive products run through BLAS kernels, not a short dot loop.
+    params = init_network((48, 16, 16, 16), 10, alpha=0.5, theta=0.5, seed=np.random.default_rng(41))
+    batch = spike_batch(params, n_samples=32, n_steps=8, rate=0.3, seed=42)
+    trace = forward(params, spec, batch.inputs)
+    want_logits, want_activity = naive_forward(params, spec, batch.inputs)
+    np.testing.assert_allclose(trace.logits, want_logits, rtol=0, atol=1e-12)
+    if spec.family == HARD:
+        for got, want in zip(trace.z, want_activity):
+            assert np.array_equal(got, want)
+        assert 0.0 < float(trace.z[-1].mean()) < 1.0  # the comparison saw spikes and silences
+
+
 def test_forward_single_sequence_promotion():
     params = tiny_net(seed=5)
     batch = spike_batch(params, n_samples=1, n_steps=4, seed=6)
@@ -210,8 +237,11 @@ def test_forward_flags_instability():
     params = tiny_net(seed=8)
     params.layers[0].weight *= 1e200
     frames = np.full((1, 3, params.dims[0]), 1e200)
-    with pytest.raises(InstabilityError):
-        forward(params, ARCTAN_PI, frames)
+    for spec in (ARCTAN_PI, SurrogateSpec(HARD, 1.0)):
+        with warnings.catch_warnings():  # the overflowing drive surfaces only as InstabilityError
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match="layer 1, step 1"):
+                forward(params, spec, frames)
 
 
 def test_hard_spike_counts_track_drive_over_threshold():
