@@ -29,6 +29,7 @@ from .diagnostics import (
     MechanismRecord,
     SampleStats,
     accuracy,
+    bound_battery,
     diagnose,
     mechanism_check,
     observed_contraction,

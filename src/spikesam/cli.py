@@ -1,9 +1,12 @@
-"""Command-line entry points for training, evaluation, and reports.
+"""Command-line entry points for training, evaluation, studies and reports.
 
-Every subcommand reads explicit files (JSON configs, binary checkpoints and
-datasets) and writes results as JSON to stdout or a requested path.  Exit
-code 0 means the invoked operations and their internal assertions all
-passed; any error exits 1 with a message on stderr.
+Subcommands take their inputs from explicit files (JSON configs, binary
+checkpoints and datasets) or, for ``study`` and ``verify-bounds``, from
+packaged defaults, and write results as JSON to stdout or a requested path.
+Exit code 0 means the invoked operations and their internal assertions all
+passed; any error, or a bound that ``verify-bounds`` finds broken, exits 1
+with a message on stderr.  Without an installed entry point, run
+``python -m spikesam.cli`` with ``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from . import harness
-from .diagnostics import diagnose
+from .diagnostics import bound_battery, diagnose
 from .events import CORRUPTION_FAMILIES, SEVERITY_GRID, load_frames
 from .network import load_checkpoint
 
@@ -22,8 +26,8 @@ from .network import load_checkpoint
 def _emit(obj, out_path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -44,19 +48,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
         {
             "run_dir": result.run_dir,
             "method": cfg.method_label,
-            "seeds": [
-                {
-                    "seed": s.seed,
-                    "best_epoch": s.best_epoch,
-                    "passes": s.passes,
-                    "val_acc_surrogate": s.val_acc_surrogate,
-                    "val_acc_hard": s.val_acc_hard,
-                    "test_acc_surrogate": s.test_acc_surrogate,
-                    "test_acc_hard": s.test_acc_hard,
-                    "diverged": s.diverged,
-                }
-                for s in result.seeds
-            ],
+            "seeds": [harness.seed_record(s) for s in result.seeds],
         },
         args.out,
     )
@@ -71,7 +63,10 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 
 def _cmd_sweep_robustness(args: argparse.Namespace) -> None:
     params, spec = load_checkpoint(args.checkpoint)
-    ds = load_frames(args.data)
+    if args.data is not None:
+        ds = load_frames(args.data)
+    else:
+        ds = harness.load_data(harness.load_config(args.config).data).test
     result = harness.robustness_sweep(
         params,
         spec,
@@ -109,6 +104,23 @@ def _cmd_match_compute(args: argparse.Namespace) -> None:
     data = harness.load_data(cfg.data)
     matched = harness.match_compute(cfg, data.train.n_samples)
     _emit(harness.config_to_dict(matched), args.out)
+
+
+def _cmd_study(args: argparse.Namespace) -> None:
+    if args.config is None:
+        cfg = harness.default_transfer_config()
+    else:
+        cfg = harness.load_config(args.config)
+    if args.out_dir:
+        cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
+    _emit(harness.run_transfer_study(cfg).to_dict(), args.out)
+
+
+def _cmd_verify_bounds(args: argparse.Namespace) -> None:
+    counts = bound_battery(args.configs, args.probes, args.seed)
+    _emit(counts, args.out)
+    if any(counts.values()):
+        raise RuntimeError(f"closed-form bounds violated: {counts}")
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
@@ -149,7 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("sweep-robustness", help="accuracy across corruption severities")
-    add_eval_args(p)
+    p.add_argument("--checkpoint", required=True, help="checkpoint file (.bin)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="dataset file (.bin)")
+    source.add_argument("--config", help="run config JSON whose test split to regenerate")
     p.add_argument("--families", nargs="+", default=list(CORRUPTION_FAMILIES))
     p.add_argument("--severities", nargs="+", type=float, default=list(SEVERITY_GRID))
     p.add_argument("--seed", type=int, default=0, help="corruption seed (shared across models)")
@@ -177,6 +192,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_args(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_match_compute)
+
+    p = sub.add_parser("study", help="baseline vs. two-pass transfer study over the radius grid")
+    p.add_argument("--config", default=None, help="run config JSON; omit for the packaged study")
+    p.add_argument("--out-dir", default="", help="override the config's out_dir")
+    p.add_argument("--out", default=None)
+    p.set_defaults(fn=_cmd_study)
+
+    p = sub.add_parser("verify-bounds", help="falsification battery for the closed-form bounds")
+    p.add_argument("--configs", type=int, default=100, help="random admissible configurations")
+    p.add_argument("--probes", type=int, default=64, help="ascent-cap probes per configuration")
+    p.add_argument("--seed", type=int, default=77)
+    p.add_argument("--out", default=None)
+    p.set_defaults(fn=_cmd_verify_bounds)
 
     p = sub.add_parser("report", help="consolidated transfer table over run directories")
     p.add_argument("--runs", nargs="+", required=True, help="run directories with summary.json")

@@ -14,6 +14,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import (
+    assumptions_from,
+    compute_constants,
+    contraction_gamma,
+    input_lipschitz,
+    loss_stability_bound,
+    sam_upper_bound,
+    state_bounds,
+)
 from .gradients import (
     Batch,
     backward,
@@ -28,6 +37,7 @@ from .network import (
     NetworkParams,
     SurrogateSpec,
     forward,
+    init_network,
     mode_spec,
     parameter_vector,
     replace_parameters,
@@ -405,3 +415,88 @@ def diagnose(
         n_unconditioned=unconditioned,
         mechanism_violations=violations,
     )
+
+
+# ---------------------------------------------------------------------------
+# Falsification battery for the closed-form bounds
+# ---------------------------------------------------------------------------
+
+
+def bound_battery(n_configs: int, n_probes: int = 64, seed: int = 77) -> dict[str, int]:
+    """Count closed-form bounds that random configurations break.
+
+    Each configuration draws a leak, threshold, surrogate slope and weight
+    scale, then probes (a) the membrane-state caps, (b) input-Lipschitz
+    secants on the logits, (c) the first-order two-pass ascent cap at
+    ``n_probes`` directions and (d) loss stability under a bounded input
+    perturbation.  ``inadmissible`` counts configurations whose contraction
+    factor is not below one.  All counts are zero when every bound holds.
+    """
+    rng = np.random.default_rng(seed)
+    counts = {"inadmissible": 0, "state": 0, "input_lip": 0, "sam": 0, "stability": 0}
+    for trial in range(n_configs):
+        dims = [(4, 3), (5, 4), (4, 4, 3)][trial % 3]
+        alpha = float(rng.uniform(0.2, 0.6))
+        theta = float(rng.uniform(0.1, 0.3))
+        slope = float(rng.uniform(0.5, 2.0))
+        params = init_network(
+            dims, 2, alpha=alpha, theta=theta,
+            weight_scale=float(rng.uniform(0.3, 1.0)),
+            seed=np.random.default_rng(3000 + trial),
+        )
+        for layer in params.layers:  # generic point: caps must not sit at zero
+            layer.bias += 0.05 * rng.standard_normal(layer.bias.shape)
+        spec = SurrogateSpec("arctan", slope)
+        n_steps = int(rng.integers(2, 6))
+        r_x = float(rng.uniform(0.5, 1.5))
+        assume = assumptions_from(params, spec, r_x, n_steps, margin=1.0)
+        if not contraction_gamma(assume)[1]:
+            counts["inadmissible"] += 1
+
+        def draw_frames(n):
+            x = rng.standard_normal((n, n_steps, dims[0]))
+            norms = np.sqrt((x**2).sum(axis=2, keepdims=True))
+            return x * (r_x / np.maximum(norms, 1e-12)) * rng.random((n, n_steps, 1))
+
+        # (a) membrane-state caps
+        x = draw_frames(4)
+        r_u = state_bounds(assume)
+        for layer_idx, u in enumerate(forward(params, spec, x).u):
+            if float(np.sqrt((u**2).sum(axis=2)).max()) > r_u[layer_idx] * (1 + 1e-12):
+                counts["state"] += 1
+
+        # (b) input-Lipschitz secants on the logits
+        l_x = input_lipschitz(assume)
+        for _ in range(3):
+            x1, x2 = draw_frames(1), draw_frames(1)
+            d_logits = float(np.linalg.norm(
+                forward(params, spec, x1).logits - forward(params, spec, x2).logits))
+            dist = float(np.sqrt(((x1 - x2) ** 2).sum()))
+            if d_logits > l_x * dist * (1 + 1e-9) + 1e-12:
+                counts["input_lip"] += 1
+
+        # (c) two-pass ascent cap at n_probes directions
+        labels = rng.integers(0, 2, size=4).astype(np.int64)
+        batch = Batch(x, labels)
+        rho = 0.05
+        beta = compute_constants(assumptions_from(params, spec, r_x, n_steps, margin=1.5)).beta
+        bundle = backward(params, spec, batch)
+        w0 = parameter_vector(params, False)
+        cap = sam_upper_bound(
+            bundle.loss, float(np.linalg.norm(bundle.grads.vector(False))), rho, beta
+        )
+        for _ in range(n_probes):
+            d = rng.standard_normal(w0.size)
+            d *= rho / np.linalg.norm(d)
+            if batch_loss(replace_parameters(params, w0 + d, False), spec, batch) > cap * (1 + 1e-12):
+                counts["sam"] += 1
+
+        # (d) loss stability under bounded input perturbation
+        x_tilde = x + 0.1 * rng.standard_normal(x.shape)
+        norms = np.sqrt((x_tilde**2).sum(axis=2, keepdims=True))
+        x_tilde = x_tilde * np.minimum(1.0, r_x / np.maximum(norms, 1e-12))
+        gap = abs(batch_loss(params, spec, batch) - batch_loss(params, spec, Batch(x_tilde, labels)))
+        worst_dist = max(float(np.sqrt(((x[i] - x_tilde[i]) ** 2).sum())) for i in range(4))
+        if gap > loss_stability_bound(l_x, worst_dist) * (1 + 1e-9) + 1e-12:
+            counts["stability"] += 1
+    return counts

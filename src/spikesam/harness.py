@@ -494,24 +494,26 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
     return result
 
 
+def seed_record(s: SeedResult) -> dict:
+    """One seed's entry in ``summary.json`` (and in ``spikesam train``'s output)."""
+    return {
+        "seed": s.seed,
+        "best_epoch": s.best_epoch,
+        "passes": s.passes,
+        "steps": s.steps,
+        "val_acc_surrogate": s.val_acc_surrogate,
+        "val_acc_hard": s.val_acc_hard,
+        "test_acc_surrogate": s.test_acc_surrogate,
+        "test_acc_hard": s.test_acc_hard,
+        "test_transfer_gap": s.test_acc_surrogate - s.test_acc_hard,
+        "diverged": s.diverged,
+        "diverged_reason": s.diverged_reason,
+        "diverged_step": s.diverged_step,
+    }
+
+
 def _write_summary(result: TrainResult) -> None:
-    per_seed = [
-        {
-            "seed": s.seed,
-            "best_epoch": s.best_epoch,
-            "passes": s.passes,
-            "steps": s.steps,
-            "val_acc_surrogate": s.val_acc_surrogate,
-            "val_acc_hard": s.val_acc_hard,
-            "test_acc_surrogate": s.test_acc_surrogate,
-            "test_acc_hard": s.test_acc_hard,
-            "test_transfer_gap": s.test_acc_surrogate - s.test_acc_hard,
-            "diverged": s.diverged,
-            "diverged_reason": s.diverged_reason,
-            "diverged_step": s.diverged_step,
-        }
-        for s in result.seeds
-    ]
+    per_seed = [seed_record(s) for s in result.seeds]
     summary = {
         "method": result.config.method_label,
         "per_seed": per_seed,
@@ -945,6 +947,7 @@ def report(run_dirs: Sequence[str], out_path: str | None = None) -> str:
         rows.extend(rows_from_run_dir(d))
     table = format_transfer_table(summarize_transfer(rows))
     if out_path:
+        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         with open(out_path, "w") as fh:
             fh.write(table + "\n")
     return table
@@ -1001,9 +1004,22 @@ class TransferStudyResult:
     best_gap_median: float
     baseline_surrogate_median: float
     best_surrogate_median: float
+    val_scores: dict[float, tuple[float, float]]  # rho -> (median val hard acc, median val gap)
 
     def rows(self) -> list[TransferRow]:
         return self.baseline.rows() + self.by_rho[self.best_rho].rows()
+
+    def to_dict(self) -> dict:
+        """Headline numbers, radius scores and the baseline and best-radius rows."""
+        return {
+            "best_rho": self.best_rho,
+            "baseline_gap_median": self.baseline_gap_median,
+            "best_gap_median": self.best_gap_median,
+            "baseline_surrogate_median": self.baseline_surrogate_median,
+            "best_surrogate_median": self.best_surrogate_median,
+            "val_scores": {f"{r:g}": list(self.val_scores[r]) for r in sorted(self.val_scores)},
+            "rows": [asdict(r) for r in self.rows()],
+        }
 
 
 def run_transfer_study(
@@ -1056,20 +1072,11 @@ def run_transfer_study(
             np.median([s.test_acc_surrogate for s in baseline.seeds])
         ),
         best_surrogate_median=float(np.median([s.test_acc_surrogate for s in best.seeds])),
+        val_scores=scores,
     )
+    payload = study.to_dict()
+    del payload["rows"]
     with open(os.path.join(base_dir, "study.json"), "w") as fh:
-        json.dump(
-            {
-                "best_rho": study.best_rho,
-                "baseline_gap_median": study.baseline_gap_median,
-                "best_gap_median": study.best_gap_median,
-                "baseline_surrogate_median": study.baseline_surrogate_median,
-                "best_surrogate_median": study.best_surrogate_median,
-                "val_scores": {f"{r:g}": list(scores[r]) for r in sorted(scores)},
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return study

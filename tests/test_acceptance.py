@@ -20,20 +20,17 @@ from spikesam.bounds import (
     assumptions_from,
     compute_constants,
     event_drop_distance_bound,
-    input_lipschitz,
-    loss_stability_bound,
-    sam_upper_bound,
-    state_bounds,
 )
 from spikesam.diagnostics import (
     HARD_MODE,
     SURROGATE_MODE,
     accuracy,
+    bound_battery,
     mechanism_check,
     secant_smoothness,
 )
 from spikesam.events import SynthTaskConfig, synth_task
-from spikesam.gradients import Batch, backward, batch_loss, gradcheck
+from spikesam.gradients import Batch, gradcheck
 from spikesam.harness import (
     CALIBRATION_GRID,
     DataConfig,
@@ -56,12 +53,10 @@ from spikesam.harness import (
 from spikesam.network import (
     SurrogateSpec,
     constant_bounds_extract,
-    forward,
     init_network,
     load_checkpoint,
     parameter_count,
     parameter_vector,
-    replace_parameters,
 )
 from spikesam.optim import (
     INDEPENDENT,
@@ -126,83 +121,12 @@ def test_criterion_01_gradients_match_finite_differences():
 
 def test_criterion_02_bound_battery_no_violations():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(77)
-    n_configs = 100
-    violations = {"state": 0, "input_lip": 0, "sam": 0, "stability": 0}
-    for trial in range(n_configs):
-        dims = [(4, 3), (5, 4), (4, 4, 3)][trial % 3]
-        alpha = float(rng.uniform(0.2, 0.6))
-        theta = float(rng.uniform(0.1, 0.3))
-        slope = float(rng.uniform(0.5, 2.0))
-        params = init_network(
-            dims, 2, alpha=alpha, theta=theta,
-            weight_scale=float(rng.uniform(0.3, 1.0)),
-            seed=np.random.default_rng(3000 + trial),
-        )
-        for layer in params.layers:  # generic point: caps must not sit at zero
-            layer.bias += 0.05 * rng.standard_normal(layer.bias.shape)
-        spec = SurrogateSpec("arctan", slope)
-        n_steps = int(rng.integers(2, 6))
-        r_x = float(rng.uniform(0.5, 1.5))
-        assume = assumptions_from(params, spec, r_x, n_steps, margin=1.0)
-        assert alpha + assume.m_theta * assume.b1 < 1.0  # admissible by construction
-
-        def draw_frames(n):
-            x = rng.standard_normal((n, n_steps, dims[0]))
-            norms = np.sqrt((x**2).sum(axis=2, keepdims=True))
-            return x * (r_x / np.maximum(norms, 1e-12)) * rng.random((n, n_steps, 1))
-
-        # (a) membrane-state caps
-        x = draw_frames(4)
-        trace = forward(params, spec, x)
-        r_u = state_bounds(assume)
-        for layer_idx, u in enumerate(trace.u):
-            if float(np.sqrt((u**2).sum(axis=2)).max()) > r_u[layer_idx] * (1 + 1e-12):
-                violations["state"] += 1
-
-        # (b) input-Lipschitz secants on the logits
-        l_x = input_lipschitz(assume)
-        for _ in range(3):
-            x1, x2 = draw_frames(1), draw_frames(1)
-            d_logits = float(np.linalg.norm(
-                forward(params, spec, x1).logits - forward(params, spec, x2).logits))
-            dist = float(np.sqrt(((x1 - x2) ** 2).sum()))
-            if d_logits > l_x * dist * (1 + 1e-9) + 1e-12:
-                violations["input_lip"] += 1
-
-        # (c) two-pass ascent cap at 64 probe directions
-        labels = rng.integers(0, 2, size=4).astype(np.int64)
-        batch = Batch(x, labels)
-        rho = 0.05
-        ball = assumptions_from(params, spec, r_x, n_steps, margin=1.5)
-        beta = compute_constants(ball).beta
-        bundle = backward(params, spec, batch)
-        w0 = parameter_vector(params, False)
-        cap = sam_upper_bound(
-            bundle.loss, float(np.linalg.norm(bundle.grads.vector(False))), rho, beta
-        )
-        for _ in range(64):
-            d = rng.standard_normal(w0.size)
-            d *= rho / np.linalg.norm(d)
-            probed = batch_loss(replace_parameters(params, w0 + d, False), spec, batch)
-            if probed > cap * (1 + 1e-12):
-                violations["sam"] += 1
-
-        # (d) loss stability under bounded input perturbation
-        x_tilde = x + 0.1 * rng.standard_normal(x.shape)
-        norms = np.sqrt((x_tilde**2).sum(axis=2, keepdims=True))
-        x_tilde = x_tilde * np.minimum(1.0, r_x / np.maximum(norms, 1e-12))
-        gap = abs(batch_loss(params, spec, batch) - batch_loss(params, spec, Batch(x_tilde, labels)))
-        worst_dist = max(float(np.sqrt(((x[i] - x_tilde[i]) ** 2).sum())) for i in range(4))
-        if gap > loss_stability_bound(l_x, worst_dist) * (1 + 1e-9) + 1e-12:
-            violations["stability"] += 1
-
+    counts = bound_battery(100, 64, 77)
     elapsed = time.perf_counter() - t0
-    total = sum(violations.values())
     _report(
         2,
-        total == 0 and elapsed < 300.0,
-        f"{n_configs} admissible configs, violations {violations}, {elapsed:.1f}s (cap 300s)",
+        not any(counts.values()) and elapsed < 300.0,
+        f"100 admissible configs, violations {counts}, {elapsed:.1f}s (cap 300s)",
     )
 
 

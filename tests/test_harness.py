@@ -509,13 +509,14 @@ def test_cli_end_to_end(tmp_path):
     cfg_path = str(tmp_path / "config.json")
     save_config(cfg_path, cfg)
 
-    out_json = str(tmp_path / "train.json")
+    out_json = str(tmp_path / "new" / "dir" / "train.json")  # --out creates parent directories
     rc = cli.main(["train", "--config", cfg_path, "--out", out_json])
     assert rc == 0
     with open(out_json) as fh:
         train_out = json.load(fh)
     assert train_out["method"] == "sast-rho0.1"
-    assert len(train_out["seeds"]) == 1
+    with open(tmp_path / "run" / "summary.json") as fh:
+        assert train_out["seeds"] == json.load(fh)["per_seed"]
 
     ckpt = str(tmp_path / "run" / "seed_0" / "checkpoints" / "final.bin")
     data = load_data(cfg.data)
@@ -528,11 +529,20 @@ def test_cli_end_to_end(tmp_path):
     with open(eval_json) as fh:
         assert 0.0 <= json.load(fh)["accuracy"] <= 1.0
 
-    sweep_json = str(tmp_path / "sweep.json")
-    assert cli.main(["sweep-robustness", "--checkpoint", ckpt, "--data", val_path,
-                     "--severities", "0.0", "0.2", "--out", sweep_json]) == 0
-    with open(sweep_json) as fh:
-        assert "auc" in json.load(fh)
+    test_path = str(tmp_path / "test.bin")
+    save_dataset(test_path, data.test)
+    sweeps = {}
+    for source in (["--data", test_path], ["--config", cfg_path]):
+        sweep_json = str(tmp_path / f"sweep{source[0]}.json")
+        assert cli.main(["sweep-robustness", "--checkpoint", ckpt, *source,
+                         "--severities", "0.0", "0.2", "--out", sweep_json]) == 0
+        with open(sweep_json) as fh:
+            sweeps[source[0]] = json.load(fh)
+    assert "auc" in sweeps["--data"] and sweeps["--config"] == sweeps["--data"]
+    with pytest.raises(SystemExit) as both:
+        cli.main(["sweep-robustness", "--checkpoint", ckpt, "--data", test_path,
+                  "--config", cfg_path])
+    assert both.value.code == 2
 
     cal_json = str(tmp_path / "cal.json")
     assert cli.main(["calibrate", "--checkpoint", ckpt, "--data", val_path,
@@ -552,7 +562,31 @@ def test_cli_end_to_end(tmp_path):
         matched = json.load(fh)
     assert matched["optimizer"]["rho"] == 0.0
 
-    assert cli.main(["report", "--runs", str(tmp_path / "run")]) == 0
+    table_path = tmp_path / "new" / "table.txt"
+    assert cli.main(["report", "--runs", str(tmp_path / "run"), "--out", str(table_path)]) == 0
+    assert table_path.read_text().startswith("method")
+
+    study_json = str(tmp_path / "study.json")
+    assert cli.main(["study", "--config", cfg_path, "--out-dir", str(tmp_path / "study"),
+                     "--out", study_json]) == 0
+    with open(study_json) as fh:
+        study = json.load(fh)
+    assert study["best_rho"] in RHO_GRID
+    assert len(study.pop("rows")) == 2 * len(cfg.train.seeds)
+    with open(tmp_path / "study" / "study.json") as fh:
+        assert json.load(fh) == study
+
+
+def test_cli_verify_bounds(tmp_path, monkeypatch):
+    out_json = str(tmp_path / "bounds.json")
+    assert cli.main(["verify-bounds", "--configs", "3", "--probes", "4", "--out", out_json]) == 0
+    with open(out_json) as fh:
+        assert not any(json.load(fh).values())
+
+    monkeypatch.setattr(diagnostics, "state_bounds", lambda assume: np.zeros(assume.n_layers))
+    assert cli.main(["verify-bounds", "--configs", "3", "--probes", "4", "--out", out_json]) == 1
+    with open(out_json) as fh:
+        assert json.load(fh)["state"] > 0
 
 
 def test_cli_override_flag(tmp_path):
