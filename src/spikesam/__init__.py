@@ -35,7 +35,6 @@ from .diagnostics import (
     observed_contraction,
     sam_gap,
     secant_smoothness,
-    transfer_gap,
 )
 from .events import (
     SEVERITY_GRID,
@@ -67,6 +66,7 @@ from .harness import (
     OptimizerConfig,
     RunConfig,
     TrainResult,
+    aggregate,
     calibrate_thresholds,
     calibration_ops,
     evaluate,
@@ -76,7 +76,6 @@ from .harness import (
     reset_calibration_ops,
     robustness_sweep,
     run_transfer_study,
-    summarize_transfer,
     train,
 )
 from .linalg import SpectralNormResult, spectral_norm

@@ -48,7 +48,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
         {
             "run_dir": result.run_dir,
             "method": cfg.method_label,
-            "seeds": [harness.seed_record(s) for s in result.seeds],
+            "seeds": result.records(),
         },
         args.out,
     )

@@ -234,26 +234,6 @@ def accuracy(
     return float((pred == np.asarray(labels)).mean())
 
 
-@dataclass(frozen=True)
-class TransferGap:
-    surrogate_acc: float
-    hard_acc: float
-
-    @property
-    def gap(self) -> float:
-        return self.surrogate_acc - self.hard_acc
-
-
-def transfer_gap(
-    params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray, labels: np.ndarray
-) -> TransferGap:
-    """Accuracy of the smooth training model vs. its hard deployment twin."""
-    return TransferGap(
-        surrogate_acc=accuracy(params, spec, frames, labels, SURROGATE_MODE),
-        hard_acc=accuracy(params, spec, frames, labels, HARD_MODE),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Per-sample mechanism link
 # ---------------------------------------------------------------------------
@@ -384,7 +364,8 @@ def diagnose(
     m_theta_hat, gamma_hat = observed_contraction([params], spec)
     secant = secant_smoothness(params, spec, batch, seed=seed)
     gap = sam_gap(params, spec, batch, rho, seed=seed)
-    tg = transfer_gap(params, spec, frames, labels)
+    acc_s = accuracy(params, spec, frames, labels, SURROGATE_MODE)
+    acc_h = accuracy(params, spec, frames, labels, HARD_MODE)
 
     bundle = per_sample_gradients(params, spec, batch)
     input_norms = np.sqrt((bundle.input_grads**2).sum(axis=(1, 2)))
@@ -406,9 +387,9 @@ def diagnose(
         gamma_hat=gamma_hat,
         beta_sec=secant.beta_sec,
         sam_gap=gap.gap,
-        surrogate_acc=tg.surrogate_acc,
-        hard_acc=tg.hard_acc,
-        transfer_gap=tg.gap,
+        surrogate_acc=acc_s,
+        hard_acc=acc_h,
+        transfer_gap=acc_s - acc_h,
         param_grad_norms=SampleStats.from_values(bundle.per_sample_grad_norms),
         input_grad_norms=SampleStats.from_values(input_norms),
         sigma_min=SampleStats.from_values(sigma_mins),

@@ -347,4 +347,3 @@ def load_frames(path: str) -> Dataset:
     labels = np.frombuffer(labels, dtype="<i8").astype(np.int64)
     frames = np.frombuffer(frames, dtype="<f8").astype(np.float64)
     return Dataset(frames.reshape(n, n_steps, width), labels, n_classes)
-    return Dataset(frames, labels, n_classes)

@@ -44,7 +44,6 @@ from .network import (
     SurrogateSpec,
     forward,
     init_network,
-    load_checkpoint,
     mode_spec,
     parameter_count,
     save_checkpoint,
@@ -289,11 +288,8 @@ class TrainResult:
     config: RunConfig
     seeds: list[SeedResult]
 
-    def rows(self) -> list["TransferRow"]:
-        label = self.config.method_label
-        return [
-            TransferRow(label, s.seed, s.test_acc_surrogate, s.test_acc_hard) for s in self.seeds
-        ]
+    def records(self) -> list[dict]:
+        return [seed_record(s) for s in self.seeds]
 
 
 def _epoch_batches(
@@ -322,6 +318,18 @@ def planned_passes(cfg: RunConfig, n_train: int) -> int:
     return total
 
 
+def _initial_network(cfg: RunConfig, data: SplitDataset, seed: int) -> NetworkParams:
+    """The seed's starting parameters, shared by training and overhead timing."""
+    return init_network(
+        (data.train.frames.shape[2], *cfg.model.hidden_dims),
+        data.train.n_classes,
+        alpha=cfg.model.alpha,
+        theta=cfg.model.theta_init,
+        weight_scale=cfg.model.weight_scale,
+        seed=np.random.default_rng([seed, 101]),
+    )
+
+
 def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
     """Train one configuration over its seed list.
 
@@ -337,8 +345,6 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
     os.makedirs(run_dir, exist_ok=True)
     save_config(os.path.join(run_dir, "config.json"), cfg)
 
-    d0 = data.train.frames.shape[2]
-    dims = (d0, *cfg.model.hidden_dims)
     use_sast = cfg.optimizer.rho > 0.0
     paired = use_sast and cfg.optimizer.second_batch == INDEPENDENT
     budget = cfg.train.pass_budget
@@ -349,14 +355,7 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
         ckpt_dir = os.path.join(seed_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
 
-        params = init_network(
-            dims,
-            data.train.n_classes,
-            alpha=cfg.model.alpha,
-            theta=cfg.model.theta_init,
-            weight_scale=cfg.model.weight_scale,
-            seed=np.random.default_rng([seed, 101]),
-        )
+        params = _initial_network(cfg, data, seed)
         r_x = events.measured_input_bound(data.train.frames)
         save_constants(
             os.path.join(seed_dir, "constants.json"),
@@ -495,7 +494,8 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
 
 
 def seed_record(s: SeedResult) -> dict:
-    """One seed's entry in ``summary.json`` (and in ``spikesam train``'s output)."""
+    """One seed's results: ``summary.json``'s ``per_seed`` entry, and the row
+    that ``spikesam train`` and ``spikesam study`` emit."""
     return {
         "seed": s.seed,
         "best_epoch": s.best_epoch,
@@ -503,6 +503,7 @@ def seed_record(s: SeedResult) -> dict:
         "steps": s.steps,
         "val_acc_surrogate": s.val_acc_surrogate,
         "val_acc_hard": s.val_acc_hard,
+        "val_transfer_gap": s.val_acc_surrogate - s.val_acc_hard,
         "test_acc_surrogate": s.test_acc_surrogate,
         "test_acc_hard": s.test_acc_hard,
         "test_transfer_gap": s.test_acc_surrogate - s.test_acc_hard,
@@ -512,21 +513,35 @@ def seed_record(s: SeedResult) -> dict:
     }
 
 
+AGGREGATE_KEYS = (
+    "val_acc_surrogate",
+    "val_acc_hard",
+    "val_transfer_gap",
+    "test_acc_surrogate",
+    "test_acc_hard",
+    "test_transfer_gap",
+)
+
+
+def aggregate(records: Sequence[dict]) -> dict[str, SampleStats]:
+    """Statistics over seed records, for each of ``AGGREGATE_KEYS`` they all carry.
+
+    Records read back from an older ``summary.json`` may lack a newer key;
+    that key is left out rather than failing the rest.
+    """
+    return {
+        key: SampleStats.from_values([r[key] for r in records])
+        for key in AGGREGATE_KEYS
+        if all(key in r for r in records)
+    }
+
+
 def _write_summary(result: TrainResult) -> None:
-    per_seed = [seed_record(s) for s in result.seeds]
+    per_seed = result.records()
     summary = {
         "method": result.config.method_label,
         "per_seed": per_seed,
-        "aggregate": {
-            key: asdict(SampleStats.from_values([row[key] for row in per_seed]))
-            for key in (
-                "val_acc_surrogate",
-                "val_acc_hard",
-                "test_acc_surrogate",
-                "test_acc_hard",
-                "test_transfer_gap",
-            )
-        },
+        "aggregate": {key: asdict(stats) for key, stats in aggregate(per_seed).items()},
     }
     with open(os.path.join(result.run_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -588,15 +603,19 @@ class RobustnessResult:
 def corrupted_copy(frames: np.ndarray, family: str, severity: float, base_seed: int) -> np.ndarray:
     """Corrupt every sequence in an array with per-sample derived seeds.
 
-    Seeds depend only on (base_seed, family, severity, sample index), so two
-    models swept under the same settings see identical corrupted inputs.
+    Sample ``i`` is corrupted with the ``i``-th word that
+    ``SeedSequence([base_seed, family index, round(1000 * severity)])``
+    generates, so two models swept under the same settings see identical
+    corrupted inputs, a sample's draw does not depend on the array length,
+    and no two (base seed, family, severity) cells share a stream.  These
+    draws replace ``base_seed + 1_000_003 * family + 101 * severity + i``,
+    under which base seed ``b + 1`` replayed seed ``b`` shifted by one sample.
     """
-    fam_idx = CORRUPTION_FAMILIES.index(family)
-    sev_idx = int(round(severity * 1000))
+    cell = [base_seed, CORRUPTION_FAMILIES.index(family), int(round(severity * 1000))]
+    seeds = np.random.SeedSequence(cell).generate_state(frames.shape[0], np.uint64)
     out = np.empty_like(frames)
-    for i in range(frames.shape[0]):
-        cfg = CorruptionConfig(family, severity, seed=base_seed + 1_000_003 * fam_idx + 101 * sev_idx + i)
-        out[i] = corrupt(frames[i], cfg)
+    for i, seed in enumerate(seeds):
+        out[i] = corrupt(frames[i], CorruptionConfig(family, severity, seed=int(seed)))
     return out
 
 
@@ -807,15 +826,7 @@ def measure_overhead(
     if data is None:
         data = load_data(cfg.data)
     spec = cfg.surrogate.spec()
-    dims = (data.train.frames.shape[2], *cfg.model.hidden_dims)
-    params0 = init_network(
-        dims,
-        data.train.n_classes,
-        alpha=cfg.model.alpha,
-        theta=cfg.model.theta_init,
-        weight_scale=cfg.model.weight_scale,
-        seed=np.random.default_rng([cfg.train.seeds[0], 101]),
-    )
+    params0 = _initial_network(cfg, data, cfg.train.seeds[0])
     rng = np.random.default_rng([cfg.train.seeds[0], 303])
     n = data.train.n_samples
     bs = cfg.train.batch_size
@@ -866,86 +877,35 @@ def measure_overhead(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransferRow:
-    """One seed's end-of-run test accuracies for one method."""
-
-    method: str
-    seed: int
-    surrogate_acc: float
-    hard_acc: float
-
-    @property
-    def gap(self) -> float:
-        return self.surrogate_acc - self.hard_acc
-
-
-@dataclass(frozen=True)
-class MethodSummary:
-    method: str
-    n_seeds: int
-    surrogate: SampleStats
-    hard: SampleStats
-    gap: SampleStats
-
-
-def summarize_transfer(rows: Sequence[TransferRow]) -> list[MethodSummary]:
-    """Aggregate per-seed rows into per-method statistics (input-order stable)."""
-    order: list[str] = []
-    grouped: dict[str, list[TransferRow]] = {}
-    for row in rows:
-        if row.method not in grouped:
-            grouped[row.method] = []
-            order.append(row.method)
-        grouped[row.method].append(row)
-    out = []
-    for method in order:
-        rs = grouped[method]
-        out.append(
-            MethodSummary(
-                method=method,
-                n_seeds=len(rs),
-                surrogate=SampleStats.from_values([r.surrogate_acc for r in rs]),
-                hard=SampleStats.from_values([r.hard_acc for r in rs]),
-                gap=SampleStats.from_values([r.gap for r in rs]),
-            )
-        )
-    return out
-
-
-def format_transfer_table(summaries: Sequence[MethodSummary]) -> str:
-    """Fixed-width text table: mean +/- std with median [IQR] for the gap."""
+def format_transfer_table(by_method: dict[str, Sequence[dict]]) -> str:
+    """Fixed-width text table of seed records per method: test accuracies as
+    mean +/- std, the test gap as median [IQR]."""
     lines = [
         f"{'method':<24} {'n':>2}  {'smooth acc':>18}  {'hard acc':>18}  {'gap median [IQR]':>20}"
     ]
-    for s in summaries:
+    for method, records in by_method.items():
+        stats = aggregate(records)
+        smooth, hard, gap = (
+            stats[k] for k in ("test_acc_surrogate", "test_acc_hard", "test_transfer_gap")
+        )
         lines.append(
-            f"{s.method:<24} {s.n_seeds:>2}  "
-            f"{s.surrogate.mean:.4f} +/- {s.surrogate.std:.4f}  "
-            f"{s.hard.mean:.4f} +/- {s.hard.std:.4f}  "
-            f"{s.gap.median:.4f} [{s.gap.iqr:.4f}]"
+            f"{method:<24} {len(records):>2}  "
+            f"{smooth.mean:.4f} +/- {smooth.std:.4f}  "
+            f"{hard.mean:.4f} +/- {hard.std:.4f}  "
+            f"{gap.median:.4f} [{gap.iqr:.4f}]"
         )
     return "\n".join(lines)
 
 
-def rows_from_run_dir(run_dir: str) -> list[TransferRow]:
-    """Recover per-seed rows from a run directory's summary file."""
-    with open(os.path.join(run_dir, "summary.json")) as fh:
-        summary = json.load(fh)
-    return [
-        TransferRow(
-            summary["method"], row["seed"], row["test_acc_surrogate"], row["test_acc_hard"]
-        )
-        for row in summary["per_seed"]
-    ]
-
-
 def report(run_dirs: Sequence[str], out_path: str | None = None) -> str:
-    """Consolidated transfer table over several run directories."""
-    rows: list[TransferRow] = []
+    """Transfer table over run directories; directories sharing a method label
+    pool their seeds into one row, in first-seen order."""
+    by_method: dict[str, list[dict]] = {}
     for d in run_dirs:
-        rows.extend(rows_from_run_dir(d))
-    table = format_transfer_table(summarize_transfer(rows))
+        with open(os.path.join(d, "summary.json")) as fh:
+            summary = json.load(fh)
+        by_method.setdefault(summary["method"], []).extend(summary["per_seed"])
+    table = format_transfer_table(by_method)
     if out_path:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         with open(out_path, "w") as fh:
@@ -1006,11 +966,8 @@ class TransferStudyResult:
     best_surrogate_median: float
     val_scores: dict[float, tuple[float, float]]  # rho -> (median val hard acc, median val gap)
 
-    def rows(self) -> list[TransferRow]:
-        return self.baseline.rows() + self.by_rho[self.best_rho].rows()
-
     def to_dict(self) -> dict:
-        """Headline numbers, radius scores and the baseline and best-radius rows."""
+        """Headline numbers, radius scores and the baseline and best-radius seed records."""
         return {
             "best_rho": self.best_rho,
             "baseline_gap_median": self.baseline_gap_median,
@@ -1018,7 +975,11 @@ class TransferStudyResult:
             "baseline_surrogate_median": self.baseline_surrogate_median,
             "best_surrogate_median": self.best_surrogate_median,
             "val_scores": {f"{r:g}": list(self.val_scores[r]) for r in sorted(self.val_scores)},
-            "rows": [asdict(r) for r in self.rows()],
+            "rows": [
+                {"method": run.config.method_label, **record}
+                for run in (self.baseline, self.by_rho[self.best_rho])
+                for record in run.records()
+            ],
         }
 
 
@@ -1043,35 +1004,27 @@ def run_transfer_study(
     baseline = train(baseline_cfg, data)
 
     by_rho: dict[float, TrainResult] = {}
-    scores: dict[float, tuple[float, float]] = {}
     for rho in rho_grid:
         rho_cfg = replace(
             base_cfg,
             out_dir=f"{base_dir}/sast-rho{rho:g}",
             optimizer=replace(base_cfg.optimizer, rho=float(rho)),
         )
-        result = train(rho_cfg, data)
-        by_rho[float(rho)] = result
-        val_hard = float(np.median([s.val_acc_hard for s in result.seeds]))
-        val_gap = float(np.median([s.val_acc_surrogate - s.val_acc_hard for s in result.seeds]))
-        scores[float(rho)] = (val_hard, val_gap)
-
+        by_rho[float(rho)] = train(rho_cfg, data)
+    stats = {rho: aggregate(run.records()) for rho, run in by_rho.items()}
+    scores = {
+        rho: (s["val_acc_hard"].median, s["val_transfer_gap"].median) for rho, s in stats.items()
+    }
     best_rho = min(scores, key=lambda r: (-scores[r][0], scores[r][1], r))
-    best = by_rho[best_rho]
+    base, best = aggregate(baseline.records()), stats[best_rho]
     study = TransferStudyResult(
         baseline=baseline,
         by_rho=by_rho,
         best_rho=best_rho,
-        baseline_gap_median=float(
-            np.median([s.test_acc_surrogate - s.test_acc_hard for s in baseline.seeds])
-        ),
-        best_gap_median=float(
-            np.median([s.test_acc_surrogate - s.test_acc_hard for s in best.seeds])
-        ),
-        baseline_surrogate_median=float(
-            np.median([s.test_acc_surrogate for s in baseline.seeds])
-        ),
-        best_surrogate_median=float(np.median([s.test_acc_surrogate for s in best.seeds])),
+        baseline_gap_median=base["test_transfer_gap"].median,
+        best_gap_median=best["test_transfer_gap"].median,
+        baseline_surrogate_median=base["test_acc_surrogate"].median,
+        best_surrogate_median=best["test_acc_surrogate"].median,
         val_scores=scores,
     )
     payload = study.to_dict()

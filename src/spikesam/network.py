@@ -20,7 +20,7 @@ import functools
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
 
 import numpy as np

@@ -24,12 +24,11 @@ from spikesam.bounds import (
 from spikesam.diagnostics import (
     HARD_MODE,
     SURROGATE_MODE,
-    accuracy,
     bound_battery,
     mechanism_check,
     secant_smoothness,
 )
-from spikesam.events import SynthTaskConfig, synth_task
+from spikesam.events import SynthTaskConfig
 from spikesam.gradients import Batch, gradcheck
 from spikesam.harness import (
     CALIBRATION_GRID,

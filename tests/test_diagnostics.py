@@ -26,10 +26,8 @@ from spikesam.diagnostics import (
     sam_gap_from_loss,
     secant_smoothness,
     secant_smoothness_from_grad,
-    transfer_gap,
 )
 from spikesam.gradients import backward
-from spikesam.network import SurrogateSpec, parameter_vector
 
 # ---------------------------------------------------------------------------
 # Sample statistics
@@ -148,18 +146,17 @@ def test_accuracy_on_rigged_readout():
     acc = accuracy(rigged, ARCTAN_PI, batch.inputs, batch.labels, SURROGATE_MODE)
     assert acc == pytest.approx(float((batch.labels == 1).mean()))
     # Readout-only rigging makes both modes agree: the gap vanishes.
-    tg = transfer_gap(rigged, ARCTAN_PI, batch.inputs, batch.labels)
-    assert tg.gap == 0.0
-    assert tg.surrogate_acc == acc
+    assert accuracy(rigged, ARCTAN_PI, batch.inputs, batch.labels, HARD_MODE) == acc
 
 
 def test_transfer_gap_sign_convention():
-    tg_obj = transfer_gap(
-        tiny_net(seed=76), ARCTAN_PI,
-        spike_batch(tiny_net(seed=76), n_samples=8, seed=77).inputs,
-        spike_batch(tiny_net(seed=76), n_samples=8, seed=77).labels,
-    )
-    assert tg_obj.gap == pytest.approx(tg_obj.surrogate_acc - tg_obj.hard_acc, abs=1e-15)
+    params = tiny_net(seed=76)
+    batch = spike_batch(params, n_samples=8, seed=77)
+    report = diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.05, max_mechanism_samples=2)
+    smooth = accuracy(params, ARCTAN_PI, batch.inputs, batch.labels, SURROGATE_MODE)
+    hard = accuracy(params, ARCTAN_PI, batch.inputs, batch.labels, HARD_MODE)
+    assert (report.surrogate_acc, report.hard_acc) == (smooth, hard)
+    assert report.transfer_gap == smooth - hard  # smooth minus hard
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import re
-import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +19,9 @@ import pytest
 from spikesam import diagnostics, gradients, harness, network
 from spikesam.diagnostics import HARD_MODE, SURROGATE_MODE, accuracy
 from spikesam.gradients import Batch, batch_loss
-from spikesam.events import SynthTaskConfig, save_dataset
+from spikesam.events import EVENT_DROP, SynthTaskConfig, save_dataset
 from spikesam.harness import (
+    AGGREGATE_KEYS,
     CALIBRATION_GRID,
     GLOBAL_CALIBRATION,
     METRICS_COLUMNS,
@@ -32,12 +32,13 @@ from spikesam.harness import (
     RunConfig,
     SurrogateConfig,
     TrainSettings,
-    TransferRow,
+    aggregate,
     apply_overrides,
     calibrate_thresholds,
     calibration_ops,
     config_from_dict,
     config_to_dict,
+    corrupted_copy,
     default_transfer_config,
     estimate_step_memory,
     evaluate,
@@ -50,9 +51,9 @@ from spikesam.harness import (
     report,
     reset_calibration_ops,
     robustness_sweep,
-    rows_from_run_dir,
+    run_transfer_study,
     save_config,
-    summarize_transfer,
+    seed_record,
     train,
 )
 from spikesam import optim
@@ -175,7 +176,10 @@ def test_train_is_deterministic_and_writes_artifacts(tmp_path):
         summary = json.load(fh)
     assert summary["method"] == "sast-rho0.05"
     assert len(summary["per_seed"]) == 2
-    assert set(summary["aggregate"]) >= {"test_acc_hard", "test_transfer_gap"}
+    assert set(summary["aggregate"]) == set(AGGREGATE_KEYS)
+    for row in summary["per_seed"]:
+        assert row["val_transfer_gap"] == row["val_acc_surrogate"] - row["val_acc_hard"]
+        assert row["test_transfer_gap"] == row["test_acc_surrogate"] - row["test_acc_hard"]
     # metrics files carry exactly the declared schema
     with open(res_a.seeds[0].metrics_path) as fh:
         header = fh.readline().strip().split(",")
@@ -306,12 +310,49 @@ def test_programming_errors_inside_a_step_propagate(tmp_path, monkeypatch):
         train(micro_config(str(tmp_path / "bug"), epochs=1, seeds=(0,)))
 
 
-def test_train_result_rows_carry_method_label(tmp_path):
-    res = train(micro_config(str(tmp_path / "r"), rho=0.1, epochs=2, seeds=(0,)))
-    rows = res.rows()
-    assert len(rows) == 1
-    assert rows[0].method == "sast-rho0.1"
-    assert rows[0].gap == pytest.approx(rows[0].surrogate_acc - rows[0].hard_acc)
+def test_train_from_saved_splits_matches_synth_source(tmp_path):
+    cfg = micro_config(str(tmp_path / "synth"), rho=0.05, epochs=2, seeds=(0,))
+    data = load_data(cfg.data)
+    paths = {}
+    for name in ("train", "val", "test"):
+        paths[f"{name}_path"] = str(tmp_path / f"{name}.snnd")
+        save_dataset(paths[f"{name}_path"], getattr(data, name))
+    file_cfg = replace(cfg, out_dir=str(tmp_path / "file"), data=DataConfig(source="file", **paths))
+    for a, b in zip(train(cfg).seeds, train(file_cfg).seeds):
+        assert metrics_equal(a.metrics_path, b.metrics_path)
+        ckpt_dir_a, ckpt_dir_b = Path(a.checkpoint_path).parent, Path(b.checkpoint_path).parent
+        for name in ("best.bin", "final.bin"):
+            assert (ckpt_dir_a / name).read_bytes() == (ckpt_dir_b / name).read_bytes()
+    with pytest.raises(ValueError, match="val_path"):
+        train(replace(file_cfg, data=replace(file_cfg.data, val_path="")))
+
+
+def test_diagnostics_every_epoch_writes_one_row_per_epoch(tmp_path):
+    cfg = micro_config(str(tmp_path / "d"), rho=0.05, epochs=3, seeds=(0,))
+    res = train(replace(cfg, train=replace(cfg.train, diagnostics_every=1)))
+    with open(os.path.join(res.run_dir, "seed_0", "diagnostics.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["seed"], r["epoch"]) for r in rows] == [("0", "1"), ("0", "2"), ("0", "3")]
+    for r in rows:
+        assert float(r["transfer_gap"]) == float(r["surrogate_acc"]) - float(r["hard_acc"])
+
+
+def test_study_rows_carry_method_label(tmp_path):
+    study = run_transfer_study(micro_config(str(tmp_path / "s"), epochs=2), rho_grid=(0.1, 0.2))
+    best = study.by_rho[study.best_rho]
+    rows = study.to_dict()["rows"]
+    assert rows == [
+        {"method": "baseline", **seed_record(s)} for s in study.baseline.seeds
+    ] + [{"method": f"sast-rho{study.best_rho:g}", **seed_record(s)} for s in best.seeds]
+    # The radius scores and headline medians are medians of the seed records.
+    for rho, run in study.by_rho.items():
+        records = run.records()
+        assert study.val_scores[rho] == (
+            float(np.median([r["val_acc_hard"] for r in records])),
+            float(np.median([r["val_transfer_gap"] for r in records])),
+        )
+    assert study.baseline_gap_median == float(np.median([r["test_transfer_gap"] for r in rows[:2]]))
+    assert study.best_surrogate_median == float(np.median([r["test_acc_surrogate"] for r in rows[2:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +471,15 @@ def test_calibration_tie_break_prefers_identity():
 # ---------------------------------------------------------------------------
 
 
+def test_corruption_seeds_do_not_replay_a_neighbouring_seed():
+    ones = np.ones((64, 4, 6))
+    a = corrupted_copy(ones, EVENT_DROP, 0.5, 0)
+    b = corrupted_copy(ones, EVENT_DROP, 0.5, 1)
+    assert not any(np.array_equal(b[i], a[i + 1]) for i in range(63))
+    # A sample's draw does not depend on how many samples follow it.
+    assert np.array_equal(corrupted_copy(ones[:5], EVENT_DROP, 0.5, 0), a[:5])
+
+
 def test_robustness_severity_zero_is_clean_accuracy(tmp_path):
     data = load_data(micro_config("unused").data)
     params = init_network((data.test.frames.shape[2], 6), 2, alpha=0.5, theta=0.5,
@@ -453,34 +503,51 @@ def test_robustness_severity_zero_is_clean_accuracy(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_summarize_transfer_frozen_stats():
-    rows = [
-        TransferRow("baseline", 0, 0.9, 0.7),
-        TransferRow("baseline", 1, 1.0, 0.9),
-        TransferRow("two-pass", 0, 0.95, 0.94),
+def _test_record(smooth: float, hard: float) -> dict:
+    return {"test_acc_surrogate": smooth, "test_acc_hard": hard, "test_transfer_gap": smooth - hard}
+
+
+def test_aggregate_frozen_stats():
+    baseline = [_test_record(0.9, 0.7), _test_record(1.0, 0.9)]
+    stats = aggregate(baseline)
+    assert set(stats) == {"test_acc_surrogate", "test_acc_hard", "test_transfer_gap"}
+    assert stats["test_acc_surrogate"].mean == pytest.approx(0.95)
+    assert stats["test_acc_surrogate"].std == pytest.approx(0.07071067811865475, rel=1e-12)
+    assert stats["test_transfer_gap"].median == pytest.approx(0.15)
+    table = format_transfer_table({"baseline": baseline, "two-pass": [_test_record(0.95, 0.94)]})
+    assert table.splitlines() == [
+        "method                    n          smooth acc            hard acc      gap median [IQR]",
+        "baseline                  2  0.9500 +/- 0.0707  0.8000 +/- 0.1414  0.1500 [0.0500]",
+        "two-pass                  1  0.9500 +/- 0.0000  0.9400 +/- 0.0000  0.0100 [0.0000]",
     ]
-    summaries = summarize_transfer(rows)
-    assert [s.method for s in summaries] == ["baseline", "two-pass"]
-    base = summaries[0]
-    assert base.n_seeds == 2
-    assert base.surrogate.mean == pytest.approx(0.95)
-    assert base.surrogate.std == pytest.approx(0.07071067811865475, rel=1e-12)
-    assert base.gap.median == pytest.approx(0.15)
-    table = format_transfer_table(summaries)
-    assert "baseline" in table and "two-pass" in table
-    assert "0.9500 +/- 0.0707" in table
 
 
 def test_report_over_run_dirs(tmp_path):
     data = load_data(micro_config("unused").data)
-    train(micro_config(str(tmp_path / "m1"), rho=0.0, epochs=2, seeds=(0, 1)), data)
-    train(micro_config(str(tmp_path / "m2"), rho=0.1, epochs=2, seeds=(0, 1)), data)
-    rows = rows_from_run_dir(str(tmp_path / "m1"))
-    assert len(rows) == 2 and rows[0].method == "baseline"
+    m1, m2 = str(tmp_path / "m1"), str(tmp_path / "m2")
+    train(micro_config(m1, rho=0.0, epochs=2, seeds=(0, 1)), data)
+    train(micro_config(m2, rho=0.1, epochs=2, seeds=(0, 1)), data)
     out_path = str(tmp_path / "table.txt")
-    table = report([str(tmp_path / "m1"), str(tmp_path / "m2")], out_path=out_path)
-    assert "baseline" in table and "sast-rho0.1" in table
-    assert os.path.exists(out_path)
+    table = report([m1, m2, m1], out_path=out_path)
+    # Directories sharing a method label pool their seeds, in first-seen order.
+    assert [line.split()[:2] for line in table.splitlines()[1:]] == [
+        ["baseline", "4"],
+        ["sast-rho0.1", "2"],
+    ]
+    assert Path(out_path).read_text() == table + "\n"
+
+
+def test_report_reads_a_summary_written_before_the_val_gap(tmp_path):
+    run = str(tmp_path / "run")
+    train(micro_config(run, rho=0.1, epochs=2, seeds=(0, 1)))
+    table = report([run])
+    path = Path(run) / "summary.json"
+    summary = json.loads(path.read_text())
+    del summary["aggregate"]["val_transfer_gap"]
+    for row in summary["per_seed"]:
+        del row["val_transfer_gap"]
+    path.write_text(json.dumps(summary))
+    assert report([run]) == table
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +639,9 @@ def test_cli_end_to_end(tmp_path):
     with open(study_json) as fh:
         study = json.load(fh)
     assert study["best_rho"] in RHO_GRID
-    assert len(study.pop("rows")) == 2 * len(cfg.train.seeds)
+    rows = study.pop("rows")
+    assert [r["method"] for r in rows] == ["baseline", f"sast-rho{study['best_rho']:g}"]
+    assert {"seed", "test_acc_surrogate", "test_acc_hard", "val_transfer_gap"} <= set(rows[0])
     with open(tmp_path / "study" / "study.json") as fh:
         assert json.load(fh) == study
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import ARCTAN_PI, spike_batch, tiny_net
-from spikesam.gradients import Batch, backward
+from spikesam.gradients import backward
 from spikesam.network import parameter_vector, threshold_slices
 from spikesam.optim import (
     INDEPENDENT,
