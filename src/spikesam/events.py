@@ -117,36 +117,35 @@ class CorruptionConfig:
 
 
 def corrupt(frames: np.ndarray, cfg: CorruptionConfig) -> np.ndarray:
-    """Corrupted copy of binned frames; pure function of (frames, cfg).
+    """Corrupted copy of one (n_bins, width) sequence or an (n, n_bins, width) batch.
 
-    Families:
-      - event_drop: each (bin, channel) cell is zeroed independently with
-        probability ``severity`` — frames that are already zero stay zero.
-      - time_jitter: each whole bin is displaced by one step (random sign,
-        clipped at the ends) with probability ``severity``; displaced and
-        resident content accumulates and is re-clipped to [0, 1].
-      - bin_drop: each whole bin is zeroed with probability ``severity``.
+    Pure in (frames, cfg): one generator seeded by ``cfg.seed`` gives sample
+    ``i`` the ``i``-th block of its uniforms, shaped (n_bins, width) for
+    event_drop and (n_bins,) otherwise, so a draw never depends on ``n``.
+    event_drop zeroes each (bin, channel) cell and bin_drop each whole bin
+    with probability p.  time_jitter moves a bin one step back if ``u < p/2``
+    and forward if ``p/2 <= u < p``, staying put at the ends; content that
+    meets accumulates and is re-clipped to [0, 1].
     """
     x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"frames must be (n_bins, width), got shape {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ValueError(f"frames must be (n_bins, width) or (n, n_bins, width), got {x.shape}")
+    batch = x[None] if x.ndim == 2 else x
     rng = np.random.default_rng(cfg.seed)
     p = cfg.severity
     if cfg.family == EVENT_DROP:
-        keep = rng.random(x.shape) >= p
-        return x * keep
-    if cfg.family == BIN_DROP:
-        keep = rng.random(x.shape[0]) >= p
-        return x * keep[:, None]
-    # time_jitter
-    n_bins = x.shape[0]
-    moved = rng.random(n_bins) < p
-    signs = rng.integers(0, 2, size=n_bins) * 2 - 1
-    dest = np.arange(n_bins)
-    dest[moved] = np.clip(dest[moved] + signs[moved], 0, n_bins - 1)
-    out = np.zeros_like(x)
-    np.add.at(out, dest, x)
-    return np.minimum(out, 1.0)
+        out = batch * (rng.random(batch.shape) >= p)
+    elif cfg.family == BIN_DROP:
+        out = batch * (rng.random(batch.shape[:2]) >= p)[:, :, None]
+    else:
+        u = rng.random(batch.shape[:2])
+        back, ahead = u < p / 2, (p / 2 <= u) & (u < p)
+        back[:, 0] = ahead[:, -1] = False
+        out = batch * ~(back | ahead)[:, :, None]
+        out[:, 1:] += batch[:, :-1] * ahead[:, :-1, None]
+        out[:, :-1] += batch[:, 1:] * back[:, 1:, None]
+        np.minimum(out, 1.0, out=out)
+    return out[0] if x.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------

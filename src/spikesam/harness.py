@@ -13,6 +13,7 @@ checkable after the fact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -372,10 +373,10 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
         diverged_reason: str | None = None
         metrics_path = os.path.join(seed_dir, "metrics.csv")
         diag_path = os.path.join(seed_dir, "diagnostics.csv")
-        diag_fh = None
         diag_writer = None
 
-        with open(metrics_path, "w", newline="") as fh:
+        with contextlib.ExitStack() as files:
+            fh = files.enter_context(open(metrics_path, "w", newline=""))
             writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
             writer.writeheader()
             for epoch in range(1, cfg.train.epochs + 1):
@@ -444,14 +445,12 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
                     )
                     row = {"seed": seed, "epoch": epoch, **report.to_row()}
                     if diag_writer is None:
-                        diag_fh = open(diag_path, "w", newline="")
+                        diag_fh = files.enter_context(open(diag_path, "w", newline=""))
                         diag_writer = csv.DictWriter(diag_fh, fieldnames=list(row))
                         diag_writer.writeheader()
                     diag_writer.writerow(row)
                 if diverged or (budget and passes >= budget):
                     break
-        if diag_fh is not None:
-            diag_fh.close()
 
         best_acc, best_epoch, best_params = best
         save_checkpoint(os.path.join(ckpt_dir, "best.bin"), best_params, spec)
@@ -601,22 +600,17 @@ class RobustnessResult:
 
 
 def corrupted_copy(frames: np.ndarray, family: str, severity: float, base_seed: int) -> np.ndarray:
-    """Corrupt every sequence in an array with per-sample derived seeds.
+    """Corrupt every sequence in an array with one draw for the whole cell.
 
-    Sample ``i`` is corrupted with the ``i``-th word that
-    ``SeedSequence([base_seed, family index, round(1000 * severity)])``
-    generates, so two models swept under the same settings see identical
-    corrupted inputs, a sample's draw does not depend on the array length,
-    and no two (base seed, family, severity) cells share a stream.  These
-    draws replace ``base_seed + 1_000_003 * family + 101 * severity + i``,
-    under which base seed ``b + 1`` replayed seed ``b`` shifted by one sample.
+    The cell seeds :func:`corrupt` with the first ``uint64`` word of
+    ``SeedSequence([base_seed, family index, round(1000 * severity)])``, so
+    two models swept under the same settings see identical corrupted inputs,
+    a sample's draw does not depend on the array length, and no two (base
+    seed, family, severity) cells share a stream.
     """
     cell = [base_seed, CORRUPTION_FAMILIES.index(family), int(round(severity * 1000))]
-    seeds = np.random.SeedSequence(cell).generate_state(frames.shape[0], np.uint64)
-    out = np.empty_like(frames)
-    for i, seed in enumerate(seeds):
-        out[i] = corrupt(frames[i], CorruptionConfig(family, severity, seed=int(seed)))
-    return out
+    seed = int(np.random.SeedSequence(cell).generate_state(1, np.uint64)[0])
+    return corrupt(frames, CorruptionConfig(family, severity, seed=seed))
 
 
 def robustness_sweep(
@@ -630,18 +624,24 @@ def robustness_sweep(
 ) -> RobustnessResult:
     """Accuracy under each corruption family across the severity grid.
 
-    The severity-0 point evaluates exactly the clean frames.  The summary
-    reports the trapezoidal area under each accuracy-severity curve.
+    Severity 0 leaves frames unchanged, so every family's severity-0 point
+    is the clean accuracy, evaluated once per mode.  The summary reports
+    the trapezoidal area under each accuracy-severity curve.
     """
     curves: dict[str, dict[str, list[float]]] = {}
     auc: dict[str, dict[str, float]] = {}
     sev = [float(s) for s in severities]
+
+    def accuracies(frames: np.ndarray) -> dict[str, float]:
+        return {m: accuracy(params, spec, frames, ds.labels, m) for m in modes}
+
+    clean = accuracies(ds.frames) if 0.0 in sev else {}
     for family in families:
-        curves[family] = {mode: [] for mode in modes}
-        for severity in sev:
-            frames = corrupted_copy(ds.frames, family, severity, corruption_seed)
-            for mode in modes:
-                curves[family][mode].append(accuracy(params, spec, frames, ds.labels, mode))
+        points = [
+            clean if s == 0.0 else accuracies(corrupted_copy(ds.frames, family, s, corruption_seed))
+            for s in sev
+        ]
+        curves[family] = {mode: [point[mode] for point in points] for mode in modes}
         auc[family] = {
             mode: float(np.trapezoid(np.asarray(curves[family][mode]), x=np.asarray(sev)))
             for mode in modes

@@ -165,8 +165,29 @@ def test_corrupt_is_pure_and_seeded():
     np.testing.assert_array_equal(a, b)
     c = corrupt(x, CorruptionConfig(EVENT_DROP, 0.3, seed=8))
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        corrupt(np.zeros((2, 3, 4)), cfg)
+    for shape in ((8,), (2, 3, 4, 5)):  # one sequence is 2-d, a batch 3-d
+        with pytest.raises(ValueError):
+            corrupt(np.zeros(shape), cfg)
+
+
+@pytest.mark.parametrize("family", [EVENT_DROP, BIN_DROP])
+def test_single_sequence_draw_is_one_uniform_per_cell_or_bin(family):
+    x = _frames()
+    shape = x.shape if family == EVENT_DROP else x.shape[:1]
+    for seed in range(5):
+        keep = np.random.default_rng(seed).random(shape) >= 0.3
+        expected = x * (keep if family == EVENT_DROP else keep[:, None])
+        assert corrupt(x, CorruptionConfig(family, 0.3, seed=seed)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", CORRUPTION_FAMILIES)
+def test_batch_draw_is_prefix_stable(family):
+    batch = (np.random.default_rng(91).random((12, 6, 8)) < 0.5).astype(np.float64)
+    cfg = CorruptionConfig(family, 0.5, seed=21)
+    full = corrupt(batch, cfg)
+    for n in (1, 5, 11):
+        np.testing.assert_array_equal(corrupt(batch[:n], cfg), full[:n])
+    np.testing.assert_array_equal(corrupt(batch[0], cfg), full[0])
 
 
 def test_event_drop_only_removes():
@@ -174,6 +195,10 @@ def test_event_drop_only_removes():
     dropped = corrupt(x, CorruptionConfig(EVENT_DROP, 0.4, seed=11))
     assert np.all(dropped <= x)
     assert np.all(x[dropped > 0.0] > 0.0)  # nothing appears from nowhere
+    batch = np.random.default_rng(92).random((16, 6, 8)) * (np.arange(8) % 2)
+    dropped = corrupt(batch, CorruptionConfig(EVENT_DROP, 0.4, seed=12))
+    assert np.all((dropped == batch) | (dropped == 0.0))
+    assert 0.0 < (dropped != batch).mean() < 1.0
 
 
 def test_bin_drop_zeroes_whole_rows():
@@ -182,6 +207,39 @@ def test_bin_drop_zeroes_whole_rows():
     row_sums = dropped.sum(axis=1)
     assert set(row_sums.tolist()).issubset({0.0, 4.0})
     assert 0.0 in row_sums.tolist()
+    dropped = corrupt(np.ones((32, 8, 4)), CorruptionConfig(BIN_DROP, 0.5, seed=14))
+    row_sums = dropped.sum(axis=2)
+    assert set(row_sums.ravel().tolist()) == {0.0, 4.0}
+    assert len({tuple(rows) for rows in row_sums.tolist()}) > 1  # each sample draws its own bins
+
+
+def jitter_reference(frames: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
+    """Per-sample ``np.add.at`` of each bin into its clipped destination."""
+    out = np.zeros_like(frames)
+    n_bins = frames.shape[1]
+    for i in range(frames.shape[0]):
+        dest = np.arange(n_bins) - (u[i] < p / 2) + ((p / 2 <= u[i]) & (u[i] < p))
+        np.add.at(out[i], np.clip(dest, 0, n_bins - 1), frames[i])
+    return np.minimum(out, 1.0)
+
+
+def test_time_jitter_equals_add_at_reference_on_the_same_draws():
+    frames = np.random.default_rng(93).random((40, 7, 5)) * 0.7  # graded, so sums overlap
+    for seed, p in ((0, 0.3), (1, 0.7), (2, 1.0)):
+        u = np.random.default_rng(seed).random(frames.shape[:2])
+        got = corrupt(frames, CorruptionConfig(TIME_JITTER, p, seed=seed))
+        assert got.tobytes() == jitter_reference(frames, u, p).tobytes()
+
+
+def test_time_jitter_moves_whole_bins_at_most_one_step():
+    n_bins = 9
+    frames = np.zeros((64, n_bins, 3))
+    frames[:, 4, 1] = 1.0  # one occupied bin in the middle, one channel
+    jittered = corrupt(frames, CorruptionConfig(TIME_JITTER, 0.8, seed=5))
+    assert np.array_equal(jittered.sum(axis=(1, 2)), np.ones(64))
+    assert jittered[:, :, [0, 2]].sum() == 0.0  # the channel never changes
+    landed = jittered[:, :, 1].argmax(axis=1)
+    assert set(landed.tolist()) == {3, 4, 5}
 
 
 def test_time_jitter_preserves_mass_without_collisions():

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikesam import diagnostics, gradients, harness, network
+from spikesam import diagnostics, events, gradients, harness, network
 from spikesam.diagnostics import HARD_MODE, SURROGATE_MODE, accuracy
 from spikesam.gradients import Batch, batch_loss
-from spikesam.events import EVENT_DROP, SynthTaskConfig, save_dataset
+from spikesam.events import CORRUPTION_FAMILIES, EVENT_DROP, SynthTaskConfig, save_dataset
 from spikesam.harness import (
     AGGREGATE_KEYS,
     CALIBRATION_GRID,
@@ -310,6 +310,31 @@ def test_programming_errors_inside_a_step_propagate(tmp_path, monkeypatch):
         train(micro_config(str(tmp_path / "bug"), epochs=1, seeds=(0,)))
 
 
+def test_diagnostics_rows_reach_disk_when_a_step_raises(tmp_path, monkeypatch):
+    cfg = micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0,))
+    cfg = replace(cfg, train=replace(cfg.train, diagnostics_every=1))
+    steps_per_epoch = cfg.data.synth.n_train // cfg.train.batch_size
+    real_backward = optim.backward
+    calls = []
+
+    def backward_failing_in_epoch_3(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 2 * steps_per_epoch:
+            raise ValueError("shapes (8, 6) and (5,) not aligned")
+        return real_backward(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "backward", backward_failing_in_epoch_3)
+    with pytest.raises(ValueError, match="not aligned") as excinfo:
+        train(cfg)
+    # excinfo still holds train()'s frames, so a file they left open is unflushed here.
+    with open(os.path.join(cfg.out_dir, "seed_0", "diagnostics.csv"), newline="") as fh:
+        header = fh.readline()
+        rows = list(csv.DictReader(fh, fieldnames=header.strip().split(",")))
+    assert header.startswith("seed,epoch,")
+    assert [r["epoch"] for r in rows] == ["1", "2"]
+    assert excinfo.value is not None
+
+
 def test_train_from_saved_splits_matches_synth_source(tmp_path):
     cfg = micro_config(str(tmp_path / "synth"), rho=0.05, epochs=2, seeds=(0,))
     data = load_data(cfg.data)
@@ -478,6 +503,27 @@ def test_corruption_seeds_do_not_replay_a_neighbouring_seed():
     assert not any(np.array_equal(b[i], a[i + 1]) for i in range(63))
     # A sample's draw does not depend on how many samples follow it.
     assert np.array_equal(corrupted_copy(ones[:5], EVENT_DROP, 0.5, 0), a[:5])
+
+
+def test_sweep_corrupts_and_evaluates_each_noisy_cell_once(monkeypatch):
+    params, spec, ds = evaluation_fixture()
+    counts = {"corrupt": 0, "accuracy": 0}
+    real = {"corrupt": events.corrupt, "accuracy": diagnostics.accuracy}
+
+    def counter(name):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real[name](*args, **kwargs)
+
+        return counted
+
+    for name, modules in (("corrupt", (events, harness)), ("accuracy", (diagnostics, harness))):
+        for module in modules:  # every binding of the function
+            monkeypatch.setattr(module, name, counter(name))
+    severities = (0.0, 0.1, 0.3)
+    n_noisy = len(CORRUPTION_FAMILIES) * (len(severities) - 1)
+    robustness_sweep(params, spec, ds, severities=severities)
+    assert counts == {"corrupt": n_noisy, "accuracy": 2 * (1 + n_noisy)}
 
 
 def test_robustness_severity_zero_is_clean_accuracy(tmp_path):
