@@ -339,6 +339,9 @@ def load_frames(path: str) -> Dataset:
         version, n, n_steps, width, n_classes = _read_header(fh, *_DATASET_HEADER, "dataset")
         if version != _DATASET_VERSION:
             raise ValueError(f"unsupported dataset version {version}")
+        for name, size in (("n_steps", n_steps), ("width", width)):
+            if size < 1:
+                raise ValueError(f"dataset field {name!r} must be at least 1")
         labels = _read_declared(fh, 8 * n, "n", "dataset")
         frames = _read_declared(fh, 8 * n * n_steps * width, "n/n_steps/width", "dataset")
         if fh.read(1):

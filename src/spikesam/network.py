@@ -428,9 +428,9 @@ def replace_parameters(
 ) -> NetworkParams:
     """New NetworkParams stored in a copy of a canonical vector.
 
-    A wrong length is a ``ValueError``.  A non-finite entry, or a leak
-    outside (0, 1), means an update diverged and raises
-    :class:`InstabilityError`.
+    A wrong length, or a leak or threshold outside its range, is a
+    ``ValueError``; no update trains the leak, so only a caller can move it.
+    A non-finite entry raises :class:`InstabilityError`.
     """
     vector = np.asarray(vector, dtype=np.float64)
     size = params.buffer.size
@@ -439,8 +439,6 @@ def replace_parameters(
     alpha = float(vector[size]) if include_alpha else params.alpha
     if not np.all(np.isfinite(vector)):
         raise InstabilityError("parameter vector has non-finite entries")
-    if not (0.0 < alpha < 1.0):
-        raise InstabilityError(f"leak alpha {alpha} left (0, 1)")
     return _admissible(NetworkParams._over(vector[:size].copy(), params.dims, params.n_classes, alpha))
 
 
@@ -569,7 +567,11 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, SurrogateSpec]:
             raise ValueError(f"unknown spike family code {family_code}")
         if n_layers < 1:
             raise ValueError("checkpoint field 'L' must be at least 1")
+        if n_classes < 1:
+            raise ValueError("checkpoint field 'C' must be at least 1")
         dims = struct.unpack(f"<{n_layers + 1}I", _read_declared(fh, 4 * (n_layers + 1), "L", "checkpoint"))
+        if 0 in dims:
+            raise ValueError(f"checkpoint field 'dims' must be positive, got {dims}")
         size = _layout(dims, n_classes)[2]
         raw = _read_declared(fh, 8 * size, "dims/C", "checkpoint")
         if fh.read(1):

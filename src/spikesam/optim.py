@@ -2,10 +2,10 @@
 
 One update: (1) gradient at the current point, (2) normalized ascent
 perturbation of radius ``rho``, (3) gradient at the perturbed point on a
-second minibatch, (4) base-rule update with the second gradient.  Setting
-``rho = 0`` with a reused second minibatch reproduces the plain baseline
-update exactly (the perturbed point is the original point and the recomputed
-gradient is bit-identical).
+second minibatch, (4) plain SGD step with the second gradient — the update
+the convergence analysis covers.  Setting ``rho = 0`` with a reused second
+minibatch reproduces the plain baseline update exactly (the perturbed point
+is the original point and the recomputed gradient is bit-identical).
 """
 
 from __future__ import annotations
@@ -18,55 +18,38 @@ import numpy as np
 
 from .bounds import assumptions_from, check_caps, compute_constants, convergence_rhs
 from .gradients import Batch, backward
-from .network import (
-    NetworkParams,
-    SurrogateSpec,
-    parameter_count,
-    parameter_vector,
-    replace_parameters,
-    threshold_slices,
-)
+from .network import InstabilityError, NetworkParams, SurrogateSpec, threshold_slices
 
-SGD = "sgd"
-MOMENTUM = "momentum"
 REUSED = "reused"
 INDEPENDENT = "independent"
+DELTA = 1e-12  # floor on the gradient norm in the ascent normalization
+THETA_FLOOR = 1e-3  # thresholds are clamped here, so they stay strictly positive
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Hyperparameters for baseline and two-pass training.
 
+    ``eta`` is the SGD step size and ``rho`` the ascent radius.
     ``second_batch`` picks the minibatch policy for the second pass:
     ``"independent"`` (a fresh batch, matching the convergence analysis) or
     ``"reused"`` (the same batch, the common practical choice).  Thresholds
-    train by default; the leak is frozen by default (its exact gradient is
-    still computed and reported).
+    train by default and are clamped at ``THETA_FLOOR``; the leak is never
+    trained, as in the smoothness constant's parameter space.
     """
 
     eta: float
     rho: float = 0.0
-    delta: float = 1e-12
-    base: str = SGD
-    momentum: float = 0.9
     second_batch: str = INDEPENDENT
     train_threshold: bool = True
-    train_alpha: bool = False
-    theta_floor: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.eta <= 0.0:
             raise ValueError("step size must be positive")
         if self.rho < 0.0:
             raise ValueError("perturbation radius must be non-negative")
-        if self.delta <= 0.0:
-            raise ValueError("normalization floor must be positive")
-        if self.base not in (SGD, MOMENTUM):
-            raise ValueError(f"unknown base rule {self.base!r}")
         if self.second_batch not in (REUSED, INDEPENDENT):
             raise ValueError(f"unknown second-batch policy {self.second_batch!r}")
-        if self.theta_floor <= 0.0:
-            raise ValueError("threshold floor must be positive (thresholds stay positive)")
 
 
 @dataclass(frozen=True)
@@ -81,17 +64,17 @@ class StepReport:
     n_passes: int
 
 
-def sam_perturbation(grad: np.ndarray, rho: float, delta: float = 1e-12) -> np.ndarray:
-    """Normalized ascent direction ``rho * g / (||g|| + delta)``.
+def sam_perturbation(grad: np.ndarray, rho: float) -> np.ndarray:
+    """Normalized ascent direction ``rho * g / (||g|| + DELTA)``.
 
-    The floor ``delta`` makes the zero-gradient case well defined (returns
+    The floor ``DELTA`` makes the zero-gradient case well defined (returns
     the zero vector); the result's norm never exceeds ``rho``.
     """
     if rho < 0.0:
         raise ValueError("perturbation radius must be non-negative")
     if rho == 0.0:
         return np.zeros_like(grad)
-    eps = grad * (rho / (float(np.linalg.norm(grad)) + delta))
+    eps = grad * (rho / (float(np.linalg.norm(grad)) + DELTA))
     assert float(np.linalg.norm(eps)) <= rho * (1.0 + 1e-12)
     return eps
 
@@ -103,19 +86,15 @@ def _update(
     w: np.ndarray,
     loss_grad: LossGrad,
     cfg: OptimizerConfig,
-    velocity: np.ndarray | None,
     loss_grad_second: LossGrad | None,
-) -> tuple[np.ndarray, np.ndarray | None, StepReport]:
-    """First pass; with ``loss_grad_second``, ascent and second pass; one base-rule step."""
+) -> tuple[np.ndarray, StepReport]:
+    """First pass; with ``loss_grad_second``, ascent and second pass; one SGD step."""
     loss1, g1 = loss_grad(w)
     eps = loss2 = g2 = None
     if loss_grad_second is not None:
-        eps = sam_perturbation(g1, cfg.rho, cfg.delta)
+        eps = sam_perturbation(g1, cfg.rho)
         loss2, g2 = loss_grad_second(w + eps)
     step = g1 if g2 is None else g2
-    if cfg.base == MOMENTUM:
-        velocity = step.copy() if velocity is None else cfg.momentum * velocity + step
-        step = velocity
     report = StepReport(
         loss_first=loss1,
         grad_norm_first=float(np.linalg.norm(g1)),
@@ -124,73 +103,69 @@ def _update(
         grad_norm_second=None if g2 is None else float(np.linalg.norm(g2)),
         n_passes=1 if g2 is None else 2,
     )
-    return w - cfg.eta * step, velocity, report
+    return w - cfg.eta * step, report
 
 
 def two_pass_update(
     w: np.ndarray,
     loss_grad: LossGrad,
     cfg: OptimizerConfig,
-    velocity: np.ndarray | None = None,
     loss_grad_second: LossGrad | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, StepReport]:
+) -> tuple[np.ndarray, StepReport]:
     """One sharpness-aware update on a plain parameter vector.
 
     ``loss_grad`` evaluates the first-pass objective; ``loss_grad_second``
     (default: the same function) evaluates the second pass at the perturbed
-    point.  Returns the new vector, the updated momentum buffer, and a report.
+    point.  Returns the new vector and a report.
     """
-    return _update(w, loss_grad, cfg, velocity, loss_grad_second or loss_grad)
+    return _update(w, loss_grad, cfg, loss_grad_second or loss_grad)
 
 
-def single_pass_update(
-    w: np.ndarray,
-    loss_grad: LossGrad,
-    cfg: OptimizerConfig,
-    velocity: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, StepReport]:
+def single_pass_update(w: np.ndarray, loss_grad: LossGrad, cfg: OptimizerConfig) -> tuple[np.ndarray, StepReport]:
     """One plain baseline update on a parameter vector."""
-    return _update(w, loss_grad, cfg, velocity, None)
+    return _update(w, loss_grad, cfg, None)
 
 
-def trainable_mask(params: NetworkParams, cfg: OptimizerConfig) -> np.ndarray:
-    """Boolean mask over the canonical vector selecting trainable coordinates."""
-    mask = np.ones(parameter_count(params, cfg.train_alpha), dtype=bool)
-    if not cfg.train_threshold:
+def _trained_gradient(
+    params: NetworkParams, spec: SurrogateSpec, batch: Batch, train_threshold: bool
+) -> tuple[float, np.ndarray]:
+    """Loss and canonical gradient, its frozen threshold entries zeroed in place."""
+    bundle = backward(params, spec, batch)
+    g = bundle.grads.buffer
+    if not train_threshold:
         for sl in threshold_slices(params):
-            mask[sl] = False
-    return mask
+            g[sl] = 0.0
+    return bundle.loss, g
+
+
+def _network_at(params: NetworkParams, w: np.ndarray) -> NetworkParams:
+    """``params``' network stored in ``w``, a fresh vector an update produced.
+
+    Thresholds are clamped at ``THETA_FLOOR`` in ``w`` itself; a non-finite entry means the update diverged.
+    """
+    for sl in threshold_slices(params):
+        np.maximum(w[sl], THETA_FLOOR, out=w[sl])
+    if not np.all(np.isfinite(w)):
+        raise InstabilityError("parameter vector has non-finite entries")
+    return NetworkParams._over(w, params.dims, params.n_classes, params.alpha)
 
 
 class SastOptimizer:
-    """Stateful optimizer wrapping the vector-level updates for networks.
+    """The vector-level updates applied to networks.
 
-    Holds the momentum buffer (when the base rule uses one) and the
-    trainable-coordinate mask.  Frozen coordinates receive no perturbation
-    and no update.  After each update the thresholds are projected onto the
-    admissible set (clamped at ``theta_floor``), keeping the model inside
-    the strictly-positive-threshold family.
+    Frozen thresholds receive no perturbation and no update.  The first pass
+    evaluates the given network; the perturbed and the updated point are
+    each built once, over the vector the update produced, with thresholds
+    clamped at ``THETA_FLOOR``.  The given network is never written to.
     """
 
     def __init__(self, cfg: OptimizerConfig):
         self.cfg = cfg
-        self.velocity: np.ndarray | None = None
 
-    def _project(self, params: NetworkParams, w: np.ndarray) -> np.ndarray:
-        out = w.copy()
-        for sl in threshold_slices(params):
-            np.maximum(out[sl], self.cfg.theta_floor, out=out[sl])
-        return out
-
-    def _loss_grad(self, template: NetworkParams, spec: SurrogateSpec, batch: Batch, mask: np.ndarray) -> LossGrad:
-        include_alpha = self.cfg.train_alpha
-
+    def _loss_grad(self, params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> LossGrad:
         def fn(w: np.ndarray) -> tuple[float, np.ndarray]:
-            # Evaluation points may leave the admissible set (the ascent
-            # offset can push a threshold below its floor), so project first.
-            p = replace_parameters(template, self._project(template, w), include_alpha)
-            bundle = backward(p, spec, batch)
-            return bundle.loss, bundle.grads.vector(include_alpha) * mask
+            net = params if w is params.buffer else _network_at(params, w)
+            return _trained_gradient(net, spec, batch, self.cfg.train_threshold)
 
         return fn
 
@@ -202,27 +177,19 @@ class SastOptimizer:
         second_batch: Batch | None = None,
     ) -> tuple[NetworkParams, StepReport]:
         """One two-pass update; with ``rho = 0`` prefer :meth:`baseline_step`."""
-        cfg = self.cfg
-        if cfg.second_batch == INDEPENDENT and second_batch is None:
+        if self.cfg.second_batch == INDEPENDENT and second_batch is None:
             raise ValueError("independent second-batch policy needs a second batch")
-        mask = trainable_mask(params, cfg)
-        w = parameter_vector(params, cfg.train_alpha)
-        first = self._loss_grad(params, spec, batch, mask)
-        second = first if second_batch is None else self._loss_grad(params, spec, second_batch, mask)
-        w_new, self.velocity, report = two_pass_update(w, first, cfg, self.velocity, second)
-        return replace_parameters(params, self._project(params, w_new), cfg.train_alpha), report
+        first = self._loss_grad(params, spec, batch)
+        second = first if second_batch is None else self._loss_grad(params, spec, second_batch)
+        w_new, report = two_pass_update(params.buffer, first, self.cfg, second)
+        return _network_at(params, w_new), report
 
     def baseline_step(
         self, params: NetworkParams, spec: SurrogateSpec, batch: Batch
     ) -> tuple[NetworkParams, StepReport]:
         """One single-pass update (ignores ``rho``)."""
-        cfg = self.cfg
-        mask = trainable_mask(params, cfg)
-        w = parameter_vector(params, cfg.train_alpha)
-        w_new, self.velocity, report = single_pass_update(
-            w, self._loss_grad(params, spec, batch, mask), cfg, self.velocity
-        )
-        return replace_parameters(params, self._project(params, w_new), cfg.train_alpha), report
+        w_new, report = single_pass_update(params.buffer, self._loss_grad(params, spec, batch), self.cfg)
+        return _network_at(params, w_new), report
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +250,17 @@ def _chunk_stream(n: int, batch_size: int, rng: np.random.Generator) -> Iterator
 
 
 def _gradient_noise_sq(
-    params: NetworkParams,
-    spec: SurrogateSpec,
-    data: Batch,
-    batch_size: int,
-    mask: np.ndarray,
-    include_alpha: bool,
-    rng: np.random.Generator,
+    params: NetworkParams, task: ConvergenceTask, train_threshold: bool, rng: np.random.Generator
 ) -> float:
-    """Mean squared minibatch-gradient deviation over one random partition."""
-    full = backward(params, spec, data).grads.vector(include_alpha) * mask
+    """Mean squared minibatch-gradient deviation at ``params`` over one random partition of the task's data."""
+    data, size = task.data, task.batch_size
+    _, full = _trained_gradient(params, task.spec, data, train_threshold)
     order = rng.permutation(data.n_samples)
     devs = []
-    for start in range(0, data.n_samples - batch_size + 1, batch_size):
-        idx = order[start : start + batch_size]
-        g = backward(params, spec, Batch(data.inputs[idx], data.labels[idx])).grads.vector(include_alpha)
-        devs.append(float(np.sum((g * mask - full) ** 2)))
+    for start in range(0, data.n_samples - size + 1, size):
+        idx = order[start : start + size]
+        _, g = _trained_gradient(params, task.spec, Batch(data.inputs[idx], data.labels[idx]), train_threshold)
+        devs.append(float(np.sum((g - full) ** 2)))
     return float(np.mean(devs))
 
 
@@ -329,8 +291,6 @@ def convergence_trial(
     beta = constants.beta
     eta_admissible = cfg.eta <= constants.max_stable_step * (1.0 + 1e-12)
 
-    include_alpha = cfg.train_alpha
-    mask = trainable_mask(task.params0, cfg)
     full_batch = task.batch_size is None or task.batch_size >= data.n_samples
 
     grad_traces: list[tuple[float, ...]] = []
@@ -342,7 +302,7 @@ def convergence_trial(
     for seed in seeds:
         rng = np.random.default_rng(seed)
         opt = SastOptimizer(cfg)
-        params = task.params0.copy()
+        params = task.params0
         chunks = None
         steps_per_pass = 1
         if not full_batch:
@@ -352,11 +312,10 @@ def convergence_trial(
         grads_sq = []
         losses = []
         for k in range(n_updates):
-            full = backward(params, task.spec, data)
-            g_full = full.grads.vector(include_alpha) * mask
+            loss, g_full = _trained_gradient(params, task.spec, data, cfg.train_threshold)
             grads_sq.append(float(np.sum(g_full**2)))
-            losses.append(full.loss)
-            loss_star = min(loss_star, full.loss)
+            losses.append(loss)
+            loss_star = min(loss_star, loss)
             if k % cap_check_every == 0 and not check_caps(params, assume):
                 caps_held = False
             if full_batch:
@@ -365,9 +324,7 @@ def convergence_trial(
                 if k % steps_per_pass == 0:
                     sigma_sq = max(
                         sigma_sq,
-                        _gradient_noise_sq(
-                            params, task.spec, data, task.batch_size, mask, include_alpha, rng
-                        ),
+                        _gradient_noise_sq(params, task, cfg.train_threshold, rng),
                     )
                 idx = next(chunks)
                 batch = Batch(data.inputs[idx], data.labels[idx])

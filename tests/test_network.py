@@ -344,8 +344,8 @@ def test_replace_parameters_rejects_non_finite_and_non_positive_thresholds():
     with pytest.raises(ValueError, match="thresholds"):
         replace_parameters(params, vec)
     vec = parameter_vector(params, include_alpha=True)
-    vec[-1] = 1.0  # an update that moved the leak out of (0, 1)
-    with pytest.raises(InstabilityError, match="leak"):
+    vec[-1] = 1.0  # no update trains the leak, so this is a caller's error
+    with pytest.raises(ValueError, match="leak"):
         replace_parameters(params, vec, include_alpha=True)
 
 
@@ -458,6 +458,9 @@ def _checkpoint_header(n_layers: int, n_classes: int, dims: tuple[int, ...]) -> 
         (2, 2**32 - 1, (2**31, 2**31, 2**31), "dims/C declares"),
         (2**32 - 1, 2, (3, 2), "L declares"),
         (0, 2, (3,), "'L' must"),
+        (1, 0, (3, 2), "'C' must"),  # no classes: evaluation takes argmax of an empty row
+        (1, 2, (4, 0), "'dims' must"),  # a zero-width layer: predictions from b_out alone
+        (2, 2, (0, 3, 2), "'dims' must"),
     ],
 )
 def test_checkpoint_with_huge_declared_sizes_is_refused_before_reading(tmp_path, n_layers, n_classes, dims, field):
