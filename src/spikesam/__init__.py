@@ -78,7 +78,7 @@ from .harness import (
     run_transfer_study,
     train,
 )
-from .linalg import SpectralNormResult, spectral_norm
+from .linalg import spectral_norm
 from .network import (
     LayerParams,
     NetworkParams,

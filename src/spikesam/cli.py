@@ -20,7 +20,7 @@ from pathlib import Path
 from . import harness
 from .diagnostics import bound_battery, diagnose
 from .events import CORRUPTION_FAMILIES, SEVERITY_GRID, load_frames
-from .network import load_checkpoint
+from .network import HARD_MODE, SURROGATE_MODE, load_checkpoint
 
 
 def _emit(obj, out_path: str | None) -> None:
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on a dataset")
     add_eval_args(p)
-    p.add_argument("--mode", choices=["surrogate", "hard"], default="hard")
+    p.add_argument("--mode", choices=[SURROGATE_MODE, HARD_MODE], default=HARD_MODE)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_eval)
 

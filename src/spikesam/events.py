@@ -339,7 +339,7 @@ def load_frames(path: str) -> Dataset:
         version, n, n_steps, width, n_classes = _read_header(fh, *_DATASET_HEADER, "dataset")
         if version != _DATASET_VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        for name, size in (("n_steps", n_steps), ("width", width)):
+        for name, size in (("n", n), ("n_steps", n_steps), ("width", width)):
             if size < 1:
                 raise ValueError(f"dataset field {name!r} must be at least 1")
         labels = _read_declared(fh, 8 * n, "n", "dataset")

@@ -721,7 +721,6 @@ def calibrate_thresholds(
         lambdas = (best_lam,)
     elif mode == PER_LAYER_CALIBRATION:
         scales = [1.0] * params.n_layers
-        best_acc = eval_scales(scales)
         for layer_idx in range(params.n_layers):
             cands = []
             for lam in grid:

@@ -1,4 +1,4 @@
-"""Spectral norm estimation by power iteration."""
+"""Exact spectral norm of a dense matrix."""
 
 from __future__ import annotations
 
@@ -6,57 +6,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_START_SEED = 0x5EED
-
 
 @dataclass(frozen=True)
 class SpectralNormResult:
-    """Largest singular value estimate with convergence evidence.
+    """Largest singular value of a matrix.
 
-    ``residual`` is ``||A^T A v - lam v||_2 / max(lam, tiny)`` for the final
-    iterate; eigenvalue error of the symmetric problem is bounded by the
-    unnormalized residual, so a small value certifies the estimate even when
-    the iteration count hit the cap.
+    ``iterations`` is always 0; it stays only because the tracer in
+    ``perfbench/layers.py`` reads it from every traced call.
     """
 
     value: float
     iterations: int
-    residual: float
-    converged: bool
 
 
-def spectral_norm(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> SpectralNormResult:
-    """Estimate ``||matrix||_2`` by power iteration on the Gram matrix.
-
-    Deterministic: the start vector is drawn from a fixed-seed generator, so
-    repeated calls on the same matrix return bit-identical results.
-    """
+def spectral_norm(matrix: np.ndarray) -> SpectralNormResult:
+    """``||matrix||_2``, the largest singular value computed by LAPACK."""
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if a.size == 0 or not a.any():
-        return SpectralNormResult(0.0, 0, 0.0, True)
-
-    rng = np.random.default_rng(_START_SEED)
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-
-    lam = 0.0
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = a.T @ (a @ v)
-        lam = float(v @ w)  # Rayleigh quotient of A^T A
-        residual = float(np.linalg.norm(w - lam * v)) / max(lam, np.finfo(np.float64).tiny)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # v landed exactly in the null space; restart once from a new direction
-            v = rng.standard_normal(a.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm_w
-        if residual <= tol:
-            return SpectralNormResult(float(np.sqrt(max(lam, 0.0))), iterations, residual, True)
-    return SpectralNormResult(float(np.sqrt(max(lam, 0.0))), iterations, residual, False)
+    return SpectralNormResult(float(np.linalg.norm(a, 2)) if a.size else 0.0, 0)

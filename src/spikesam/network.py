@@ -25,7 +25,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .linalg import SpectralNormResult, spectral_norm
+from .linalg import spectral_norm
 
 ARCTAN = "arctan"
 FAST_SIGMOID = "fast_sigmoid"
@@ -272,13 +272,13 @@ def init_network(
     alpha: float = 0.5,
     theta: float = 0.5,
     weight_scale: float = 1.0,
-    bias_scale: float = 0.0,
     seed: int | np.random.Generator = 0,
 ) -> NetworkParams:
     """Random network with widths ``dims = (d_0, ..., d_L)``.
 
-    Weights are drawn N(0, (weight_scale / sqrt(d_in))^2); thresholds start
-    at the constant ``theta``.  Deterministic given the seed.
+    Weights are drawn N(0, (weight_scale / sqrt(d_in))^2); biases start at
+    zero and thresholds at the constant ``theta``.  Deterministic given the
+    seed.
     """
     if len(dims) < 2:
         raise ValueError("dims must list the input width and at least one layer width")
@@ -286,8 +286,7 @@ def init_network(
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         weight = rng.standard_normal((d_out, d_in)) * (weight_scale / math.sqrt(d_in))
-        bias = rng.standard_normal(d_out) * bias_scale if bias_scale else np.zeros(d_out)
-        layers.append(LayerParams(weight, bias, np.full(d_out, float(theta))))
+        layers.append(LayerParams(weight, np.zeros(d_out), np.full(d_out, float(theta))))
     d_top = dims[-1]
     w_out = rng.standard_normal((n_classes, d_top)) * (weight_scale / math.sqrt(d_top))
     return NetworkParams(layers, alpha, w_out, np.zeros(n_classes))
@@ -458,8 +457,7 @@ class ParamBounds:
 
     ``m_a`` is the max layer spectral norm, ``m_b`` the max bias 2-norm,
     ``m_theta`` the max threshold entry, ``m_out`` the readout spectral
-    norm.  ``spectral_converged``/``spectral_residual`` report the worst
-    power-iteration certificate among the norms computed.
+    norm.
     """
 
     m_a: float
@@ -467,23 +465,16 @@ class ParamBounds:
     m_theta: float
     m_out: float
     m_b_out: float
-    spectral_converged: bool
-    spectral_residual: float
 
 
 def constant_bounds_extract(params: NetworkParams) -> ParamBounds:
     """Measure the norm caps realized by a concrete parameter set."""
-    results: list[SpectralNormResult] = [spectral_norm(l.weight) for l in params.layers]
-    out_res = spectral_norm(params.w_out)
-    results.append(out_res)
     return ParamBounds(
-        m_a=max(r.value for r in results[:-1]),
+        m_a=max(spectral_norm(l.weight).value for l in params.layers),
         m_b=max(float(np.linalg.norm(l.bias)) for l in params.layers),
         m_theta=max(float(np.max(l.threshold)) for l in params.layers),
-        m_out=out_res.value,
+        m_out=spectral_norm(params.w_out).value,
         m_b_out=float(np.linalg.norm(params.b_out)),
-        spectral_converged=all(r.converged for r in results),
-        spectral_residual=max(r.residual for r in results),
     )
 
 

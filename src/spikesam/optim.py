@@ -250,11 +250,13 @@ def _chunk_stream(n: int, batch_size: int, rng: np.random.Generator) -> Iterator
 
 
 def _gradient_noise_sq(
-    params: NetworkParams, task: ConvergenceTask, train_threshold: bool, rng: np.random.Generator
+    params: NetworkParams, task: ConvergenceTask, full: np.ndarray, train_threshold: bool, rng: np.random.Generator
 ) -> float:
-    """Mean squared minibatch-gradient deviation at ``params`` over one random partition of the task's data."""
+    """Mean squared deviation of minibatch gradients at ``params`` from ``full``, its full-data gradient.
+
+    The minibatches are one random partition of the task's data.
+    """
     data, size = task.data, task.batch_size
-    _, full = _trained_gradient(params, task.spec, data, train_threshold)
     order = rng.permutation(data.n_samples)
     devs = []
     for start in range(0, data.n_samples - size + 1, size):
@@ -324,7 +326,7 @@ def convergence_trial(
                 if k % steps_per_pass == 0:
                     sigma_sq = max(
                         sigma_sq,
-                        _gradient_noise_sq(params, task, cfg.train_threshold, rng),
+                        _gradient_noise_sq(params, task, g_full, cfg.train_threshold, rng),
                     )
                 idx = next(chunks)
                 batch = Batch(data.inputs[idx], data.labels[idx])

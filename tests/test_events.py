@@ -368,12 +368,13 @@ def test_property_every_proper_prefix_of_a_dataset_is_refused(tmp_path_factory, 
         (1, 2**32 - 1, 2**32 - 1),
         (2, 0, 3),  # no time steps: evaluation averages over an empty axis
         (2, 3, 0),
+        (0, 4, 6),  # no sequences: evaluation averages over an empty split
     ],
 )
 def test_dataset_with_huge_declared_sizes_is_refused_before_reading(tmp_path, sizes):
     path = tmp_path / "huge.bin"
     path.write_bytes(b"SNND" + struct.pack("<IIIII", 1, *sizes, 2) + bytes(64))
-    zero = [name for name, size in zip(("n_steps", "width"), sizes[1:]) if size == 0]
+    zero = [name for name, size in zip(("n", "n_steps", "width"), sizes) if size == 0]
     field = f"'{zero[0]}' must" if zero else r"truncated: n(/n_steps/width)? declares"
     with pytest.raises(ValueError, match=field):
         load_frames(str(path))

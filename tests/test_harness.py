@@ -463,7 +463,7 @@ def test_calibration_guarantee_and_instrumentation(tmp_path):
     global_res = calibrate_thresholds(params, spec, data.val, mode=GLOBAL_CALIBRATION)
     assert global_res.n_evals == len(CALIBRATION_GRID)
     per_layer_res = calibrate_thresholds(params, spec, data.val, mode=PER_LAYER_CALIBRATION)
-    assert per_layer_res.n_evals == 1 + n_layers * len(CALIBRATION_GRID)
+    assert per_layer_res.n_evals == n_layers * len(CALIBRATION_GRID)
     assert len(per_layer_res.lambdas) == n_layers
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import ARCTAN_PI, spike_batch, tiny_net
+from spikesam import optim
 from spikesam.gradients import backward
 from spikesam.network import parameter_vector, threshold_slices
 from spikesam.optim import (
@@ -273,6 +274,21 @@ def test_convergence_trial_minibatch_measures_noise():
     )
     assert report.sigma_sq > 0.0
     assert report.holds
+
+
+def test_convergence_trial_computes_each_full_data_gradient_once(monkeypatch):
+    # 8 updates: one full-data gradient per iterate plus the final one.  The
+    # noise estimate, refreshed every data pass, reuses its iterate's gradient.
+    task = _tiny_task(batch_size=2)
+    calls = []
+
+    def counted(params, spec, batch):
+        calls.append(batch.n_samples)
+        return backward(params, spec, batch)
+
+    monkeypatch.setattr(optim, "backward", counted)
+    convergence_trial(task, OptimizerConfig(eta=1e-6, rho=1e-3), n_updates=8, seeds=(0,))
+    assert calls.count(task.data.n_samples) == 9
 
 
 def test_convergence_trial_flags_inadmissible_step():
