@@ -33,8 +33,7 @@ def _emit(obj, out_path: str | None) -> None:
 
 
 def _load_run_config(args: argparse.Namespace) -> harness.RunConfig:
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    raw = harness.config_to_dict(harness.load_config(args.config))
     raw = harness.apply_overrides(raw, args.set or [])
     if args.out_dir:
         raw["out_dir"] = args.out_dir

@@ -10,14 +10,12 @@ model evaluated under it.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .network import _read_declared, _read_header
+from .network import _read_container, _read_declared, _write_container
 
 EVENT_DROP = "event_drop"
 TIME_JITTER = "time_jitter"
@@ -274,7 +272,7 @@ def _synth_sample(cfg: SynthTaskConfig, label: int, rng: np.random.Generator) ->
         duration=cfg.duration,
         n_coords=cfg.n_coords,
         n_polarities=cfg.n_polarities,
-    ).canonical_sort()
+    )
 
 
 def _synth_split(cfg: SynthTaskConfig, n: int, split_id: int) -> Dataset:
@@ -317,13 +315,10 @@ _DATASET_HEADER = ("<IIIII", ("version", "n", "n_steps", "width", "n_classes"))
 def save_dataset(path: str, ds: Dataset) -> None:
     """Write a dataset to a deterministic binary file."""
     n, n_steps, width = ds.frames.shape
-    buf = io.BytesIO()
-    buf.write(_DATASET_MAGIC)
-    buf.write(struct.pack(_DATASET_HEADER[0], _DATASET_VERSION, n, n_steps, width, ds.n_classes))
-    buf.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
-    buf.write(np.ascontiguousarray(ds.frames, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    values = (_DATASET_VERSION, n, n_steps, width, ds.n_classes)
+    labels = np.ascontiguousarray(ds.labels, dtype="<i8").tobytes()
+    frames = np.ascontiguousarray(ds.frames, dtype="<f8").tobytes()
+    _write_container(path, _DATASET_MAGIC, _DATASET_HEADER, values, labels, frames)
 
 
 def load_frames(path: str) -> Dataset:
@@ -332,20 +327,13 @@ def load_frames(path: str) -> Dataset:
     Declared sizes are checked against the file length before any read, so
     a truncated or inconsistent file raises ``ValueError`` naming the field.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DATASET_MAGIC:
-            raise ValueError(f"not a dataset file (magic {magic!r})")
-        version, n, n_steps, width, n_classes = _read_header(fh, *_DATASET_HEADER, "dataset")
-        if version != _DATASET_VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
+    container = _read_container(path, _DATASET_MAGIC, _DATASET_HEADER, _DATASET_VERSION, "dataset")
+    with container as (fh, (n, n_steps, width, n_classes)):
         for name, size in (("n", n), ("n_steps", n_steps), ("width", width)):
             if size < 1:
                 raise ValueError(f"dataset field {name!r} must be at least 1")
         labels = _read_declared(fh, 8 * n, "n", "dataset")
         frames = _read_declared(fh, 8 * n * n_steps * width, "n/n_steps/width", "dataset")
-        if fh.read(1):
-            raise ValueError("trailing bytes after dataset payload")
     labels = np.frombuffer(labels, dtype="<i8").astype(np.int64)
     frames = np.frombuffer(frames, dtype="<f8").astype(np.float64)
     return Dataset(frames.reshape(n, n_steps, width), labels, n_classes)

@@ -19,8 +19,8 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from typing import Sequence, get_origin, get_type_hints
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class TrainSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    out_dir: str
+    out_dir: str = "runs/run"
     model: ModelConfig = field(default_factory=ModelConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
     optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(eta=0.5))
@@ -170,38 +170,24 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from nested plain dicts, rejecting unknown keys."""
+    """Build a RunConfig from nested plain dicts, typed by each dataclass's own fields."""
 
-    def build(cls, d: dict):
-        names = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - names
+    def build(cls, d, path: str):
+        if not isinstance(d, dict):
+            raise ValueError(f"config section {path or '<top level>'!r} must be an object, got {type(d).__name__}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        hints = get_type_hints(cls)
         kwargs = dict(d)
-        for key in ("hidden_dims", "seeds"):
-            if key in kwargs and isinstance(kwargs[key], list):
-                kwargs[key] = tuple(kwargs[key])
+        for key, value in d.items():
+            if is_dataclass(hints[key]):
+                kwargs[key] = build(hints[key], value, f"{path}.{key}" if path else key)
+            elif get_origin(hints[key]) is tuple and isinstance(value, list):
+                kwargs[key] = tuple(value)
         return cls(**kwargs)
 
-    raw = dict(raw)
-    parts = {}
-    for key, cls in (
-        ("model", ModelConfig),
-        ("surrogate", SurrogateConfig),
-        ("optimizer", OptimizerConfig),
-        ("train", TrainSettings),
-    ):
-        if key in raw:
-            parts[key] = build(cls, raw.pop(key))
-    if "data" in raw:
-        d = dict(raw.pop("data"))
-        if "synth" in d:
-            d["synth"] = build(SynthTaskConfig, d["synth"])
-        parts["data"] = build(DataConfig, d)
-    unknown = set(raw) - {"out_dir"}
-    if unknown:
-        raise ValueError(f"unknown RunConfig keys: {sorted(unknown)}")
-    return RunConfig(out_dir=raw.get("out_dir", "runs/run"), **parts)
+    return build(RunConfig, raw, "")
 
 
 def load_config(path: str) -> RunConfig:
@@ -249,14 +235,11 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
 def load_data(cfg: DataConfig) -> SplitDataset:
     if cfg.source == "synth":
         return synth_task(cfg.synth)
-    for name, path in (("train", cfg.train_path), ("val", cfg.val_path), ("test", cfg.test_path)):
+    paths = {"train": cfg.train_path, "val": cfg.val_path, "test": cfg.test_path}
+    for name, path in paths.items():
         if not path:
             raise ValueError(f"file data source needs a {name}_path")
-    return SplitDataset(
-        train=load_frames(cfg.train_path),
-        val=load_frames(cfg.val_path),
-        test=load_frames(cfg.test_path),
-    )
+    return SplitDataset(**{name: load_frames(path) for name, path in paths.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +435,7 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
                 if diverged or (budget and passes >= budget):
                     break
 
-        best_acc, best_epoch, best_params = best
+        _, best_epoch, best_params = best
         save_checkpoint(os.path.join(ckpt_dir, "best.bin"), best_params, spec)
         save_checkpoint(os.path.join(ckpt_dir, "final.bin"), params, spec)
         # A diverged run has a junk final iterate, so fall back to best.

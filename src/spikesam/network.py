@@ -16,12 +16,13 @@ exactly at threshold fires.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -464,7 +465,6 @@ class ParamBounds:
     m_b: float
     m_theta: float
     m_out: float
-    m_b_out: float
 
 
 def constant_bounds_extract(params: NetworkParams) -> ParamBounds:
@@ -474,7 +474,6 @@ def constant_bounds_extract(params: NetworkParams) -> ParamBounds:
         m_b=max(float(np.linalg.norm(l.bias)) for l in params.layers),
         m_theta=max(float(np.max(l.threshold)) for l in params.layers),
         m_out=spectral_norm(params.w_out).value,
-        m_b_out=float(np.linalg.norm(params.b_out)),
     )
 
 
@@ -501,16 +500,33 @@ _CHECKPOINT_VERSION = 1
 _CHECKPOINT_HEADER = ("<IIddII", ("version", "family", "slope", "alpha", "L", "C"))
 
 
-def _read_header(fh: BinaryIO, fmt: str, names: Sequence[str], what: str) -> tuple:
-    """Unpack a fixed header ``fmt`` (one code per field) of a ``what`` file.
+def _write_container(path: str, magic: bytes, header: tuple, values: Sequence, *payloads: bytes) -> None:
+    """Write ``magic``, the ``header`` table's ``values`` (version first) and the payloads."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(header[0], *values))
+        fh.writelines(payloads)
 
-    A short file raises ``ValueError`` naming the first field it cuts off.
-    """
-    raw = fh.read(struct.calcsize(fmt))
-    for i, name in enumerate(names):
-        if struct.calcsize(fmt[: i + 2]) > len(raw):
-            raise ValueError(f"{what} truncated in header field {name!r}")
-    return struct.unpack(fmt, raw)
+
+@contextlib.contextmanager
+def _read_container(path: str, magic: bytes, header: tuple, version: int, what: str) -> Iterator[tuple]:
+    """Yield ``(fh, fields)`` for a ``what`` file: its header fields after the version,
+    with ``fh`` at the payload.  The magic, a header cut short (named by field) and
+    the version are refused before the body runs, and trailing bytes after it."""
+    fmt, names = header
+    with open(path, "rb") as fh:
+        found = fh.read(len(magic))
+        if found != magic:
+            raise ValueError(f"not a {what} file (magic {found!r})")
+        raw = fh.read(struct.calcsize(fmt))
+        for i, name in enumerate(names):
+            if struct.calcsize(fmt[: i + 2]) > len(raw):
+                raise ValueError(f"{what} truncated in header field {name!r}")
+        found_version, *fields = struct.unpack(fmt, raw)
+        if found_version != version:
+            raise ValueError(f"unsupported {what} version {found_version}")
+        yield fh, fields
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after {what} payload")
 
 
 def _read_declared(fh: BinaryIO, n_bytes: int, field_name: str, what: str) -> bytes:
@@ -524,19 +540,10 @@ def _read_declared(fh: BinaryIO, n_bytes: int, field_name: str, what: str) -> by
 
 def save_checkpoint(path: str, params: NetworkParams, spec: SurrogateSpec) -> None:
     """Write parameters and the spike rule to a deterministic binary file."""
-    dims = params.dims
-    header = struct.pack(
-        _CHECKPOINT_HEADER[0],
-        _CHECKPOINT_VERSION,
-        _FAMILY_CODES[spec.family],
-        spec.slope,
-        params.alpha,
-        params.n_layers,
-        params.n_classes,
-    )
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC + header + struct.pack(f"<{len(dims)}I", *dims))
-        fh.write(params.buffer.astype("<f8").tobytes())
+    family = _FAMILY_CODES[spec.family]
+    values = (_CHECKPOINT_VERSION, family, spec.slope, params.alpha, params.n_layers, params.n_classes)
+    dims = struct.pack(f"<{len(params.dims)}I", *params.dims)
+    _write_container(path, _CHECKPOINT_MAGIC, _CHECKPOINT_HEADER, values, dims, params.buffer.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[NetworkParams, SurrogateSpec]:
@@ -545,15 +552,8 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, SurrogateSpec]:
     Declared sizes are checked against the file length before any read, so
     a truncated or inconsistent file raises ``ValueError`` naming the field.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        version, family_code, slope, alpha, n_layers, n_classes = _read_header(
-            fh, *_CHECKPOINT_HEADER, "checkpoint"
-        )
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+    container = _read_container(path, _CHECKPOINT_MAGIC, _CHECKPOINT_HEADER, _CHECKPOINT_VERSION, "checkpoint")
+    with container as (fh, (family_code, slope, alpha, n_layers, n_classes)):
         if family_code not in _CODE_FAMILIES:
             raise ValueError(f"unknown spike family code {family_code}")
         if n_layers < 1:
@@ -565,8 +565,6 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, SurrogateSpec]:
             raise ValueError(f"checkpoint field 'dims' must be positive, got {dims}")
         size = _layout(dims, n_classes)[2]
         raw = _read_declared(fh, 8 * size, "dims/C", "checkpoint")
-        if fh.read(1):
-            raise ValueError("trailing bytes after checkpoint payload")
     buffer = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(buffer)):
         raise ValueError("checkpoint payload has non-finite entries")

@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bounds import assumptions_from, check_caps, compute_constants, convergence_rhs
+from .events import measured_input_bound
 from .gradients import Batch, backward
 from .network import InstabilityError, NetworkParams, SurrogateSpec, threshold_slices
 
@@ -286,7 +287,7 @@ def convergence_trial(
     abort the run but is flagged, since the guarantee does not cover it.
     """
     data = task.data
-    r_x = float(np.sqrt((data.inputs**2).sum(axis=2)).max())
+    r_x = measured_input_bound(data.inputs)
     n_steps = data.inputs.shape[1]
     assume = assumptions_from(task.params0, task.spec, r_x, n_steps, margin=task.margin)
     constants = compute_constants(assume)

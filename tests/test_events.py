@@ -119,7 +119,12 @@ def test_property_binning_matches_naive(n_events, n_bins, saturation, seed):
         duration=2.0,
         n_coords=5,
     )
-    np.testing.assert_array_equal(bin_events(s, n_bins, saturation), naive_bin(s, n_bins, saturation))
+    frames = bin_events(s, n_bins, saturation)
+    np.testing.assert_array_equal(frames, naive_bin(s, n_bins, saturation))
+    # Binning sums counts, so event order cannot matter: streams need no sort before it.
+    order = rng.permutation(n_events)
+    permuted = EventStream(s.times[order], s.coords[order], s.polarities[order], duration=2.0, n_coords=5)
+    np.testing.assert_array_equal(bin_events(permuted, n_bins, saturation), frames)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -118,6 +119,67 @@ def test_readme_configuration_example_is_a_valid_config():
     assert example, "README's Configuration section has no json example"
     cfg = config_from_dict(json.loads(example.group(1)))
     assert cfg.optimizer.rho == 0.1 and cfg.train.select == "final"
+
+
+def test_config_section_given_as_a_non_object_is_refused_by_name():
+    with pytest.raises(ValueError, match="'model' must be an object"):
+        config_from_dict({"model": 3})
+    with pytest.raises(ValueError, match="'data.synth' must be an object"):
+        config_from_dict({"data": {"synth": [1, 2]}})
+
+
+def _leaves(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(out_dir="x"), micro_config("x", rho=0.1)], ids=["default", "micro"])
+def test_cli_set_overrides_every_schema_leaf_on_an_empty_file(tmp_path, cfg):
+    cfg_path = tmp_path / "empty.json"
+    cfg_path.write_text("{}")
+
+    def load(assignments: list[str]) -> RunConfig:
+        sets = [arg for item in assignments for arg in ("--set", item)]
+        return cli._load_run_config(cli.build_parser().parse_args(["train", "--config", str(cfg_path), *sets]))
+
+    leaves = dict(_leaves(config_to_dict(cfg)))
+    assert len(leaves) > 30
+    for path, value in leaves.items():
+        decoded = dict(_leaves(config_to_dict(load([f"{path}={json.dumps(value)}"]))))
+        assert decoded[path] == value, path
+    assert load([f"{path}={json.dumps(value)}" for path, value in leaves.items()]) == cfg
+
+
+@pytest.mark.parametrize("content", ["{}", '{"optimizer": {"eta": 0.5}}'])
+def test_cli_set_overrides_a_leaf_the_file_omits(tmp_path, content):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(content)
+    out_json = tmp_path / "matched.json"
+    rc = cli.main(["match-compute", "--config", str(cfg_path), "--set", "optimizer.rho=0.1", "--out", str(out_json)])
+    assert rc == 0
+    matched = json.loads(out_json.read_text())
+    assert matched["train"]["method_label"] == "sast-rho0.1-matched-baseline"
+
+
+def test_cli_refuses_a_malformed_config_file_by_name(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"model": 3}')
+    assert cli.main(["train", "--config", str(cfg_path), "--set", "train.epochs=1"]) == 1
+    assert "'model' must be an object" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = "\n".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    lines = [line.split("#", 1)[0].strip() for line in blocks.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("spikesam ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_apply_overrides_paths_and_json_values():
