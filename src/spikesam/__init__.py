@@ -88,6 +88,7 @@ from .network import (
     forward,
     hard_step,
     init_network,
+    lif_layer,
     load_checkpoint,
     parameter_vector,
     replace_parameters,

@@ -229,7 +229,7 @@ def accuracy(
     params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray, labels: np.ndarray, mode: str
 ) -> float:
     """Classification accuracy under the requested spike rule."""
-    trace = forward(params, mode_spec(spec, mode), frames)
+    trace = forward(params, mode_spec(spec, mode), frames, keep_states=False)
     pred = trace.logits.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
 

@@ -332,8 +332,6 @@ def load_frames(path: str) -> Dataset:
         for name, size in (("n", n), ("n_steps", n_steps), ("width", width)):
             if size < 1:
                 raise ValueError(f"dataset field {name!r} must be at least 1")
-        labels = _read_declared(fh, 8 * n, "n", "dataset")
-        frames = _read_declared(fh, 8 * n * n_steps * width, "n/n_steps/width", "dataset")
-    labels = np.frombuffer(labels, dtype="<i8").astype(np.int64)
-    frames = np.frombuffer(frames, dtype="<f8").astype(np.float64)
-    return Dataset(frames.reshape(n, n_steps, width), labels, n_classes)
+        labels = _read_declared(fh, "<i8", n, "n", "dataset")
+        frames = _read_declared(fh, "<f8", n * n_steps * width, "n/n_steps/width", "dataset")
+    return Dataset(frames.reshape(n, n_steps, width), labels, n_classes)  # native dtypes, copied only if big-endian

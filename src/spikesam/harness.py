@@ -20,7 +20,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Sequence, get_origin, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .network import (
     SurrogateSpec,
     forward,
     init_network,
+    lif_layer,
     mode_spec,
     parameter_count,
     save_checkpoint,
@@ -152,7 +153,7 @@ class RunConfig:
     out_dir: str = "runs/run"
     model: ModelConfig = field(default_factory=ModelConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
-    optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(eta=0.5))
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
 
@@ -170,7 +171,25 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from nested plain dicts, typed by each dataclass's own fields."""
+    """Build a RunConfig from nested plain dicts, typed by each dataclass's own fields.
+
+    A leaf must have its field's type exactly, except that a float field
+    takes an int; a ``tuple[int, ...]`` field takes a list of ints.  A
+    mismatch is a ``ValueError`` naming the path.
+    """
+
+    def leaf(hint, value, path: str):
+        if get_origin(hint) is tuple:
+            item = get_args(hint)[0]
+            if isinstance(value, (list, tuple)) and all(type(v) is item for v in value):
+                return tuple(value)
+            got = type(value).__name__ if not isinstance(value, (list, tuple)) else "a list of other types"
+            raise ValueError(f"{path} must be a list of {item.__name__}, got {got}")
+        if hint is float and type(value) is int:
+            return float(value)
+        if type(value) is not hint:
+            raise ValueError(f"{path} must be {hint.__name__}, got {type(value).__name__}")
+        return value
 
     def build(cls, d, path: str):
         if not isinstance(d, dict):
@@ -179,12 +198,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
         hints = get_type_hints(cls)
-        kwargs = dict(d)
+        kwargs = {}
         for key, value in d.items():
-            if is_dataclass(hints[key]):
-                kwargs[key] = build(hints[key], value, f"{path}.{key}" if path else key)
-            elif get_origin(hints[key]) is tuple and isinstance(value, list):
-                kwargs[key] = tuple(value)
+            sub = f"{path}.{key}" if path else key
+            kwargs[key] = build(hints[key], value, sub) if is_dataclass(hints[key]) else leaf(hints[key], value, sub)
         return cls(**kwargs)
 
     return build(RunConfig, raw, "")
@@ -558,7 +575,7 @@ class EvalReport:
 def evaluate(params: NetworkParams, spec: SurrogateSpec, ds: Dataset, mode: str) -> EvalReport:
     """Accuracy (and, in smooth mode, mean loss) on a dataset, from one forward pass."""
     batch = Batch(ds.frames, ds.labels)
-    logits = forward(params, mode_spec(spec, mode), batch.inputs).logits
+    logits = forward(params, mode_spec(spec, mode), batch.inputs, keep_states=False).logits
     acc = float((logits.argmax(axis=1) == batch.labels).mean())
     loss = _softmax_loss_and_grad(logits, batch.labels)[0] if mode == SURROGATE_MODE else None
     return EvalReport(mode=mode, accuracy=acc, loss=loss)
@@ -682,35 +699,52 @@ def calibrate_thresholds(
     the scale closest to 1 (then the smaller scale), so with 1 in the grid
     the calibrated accuracy never falls below the uncalibrated one.  Every
     candidate evaluation increments the calibration instrumentation counter.
+    Per-layer mode computes the hard activity entering layer ``l`` once per
+    stage, under the scales already chosen, and runs each candidate from
+    layer ``l`` up; the accuracies are those of full forward passes.
     """
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("calibration grid is empty")
     base_acc = accuracy(params, spec, ds.frames, ds.labels, HARD_MODE)
+    hard = mode_spec(spec, HARD_MODE)
     n_evals = 0
 
-    def eval_scales(scales: list[float]) -> float:
+    def scaled_params(scales: list[float]) -> NetworkParams:
         nonlocal n_evals
-        scaled = apply_threshold_scale(params, scales)
         n_evals += 1
-        return accuracy(scaled, spec, ds.frames, ds.labels, HARD_MODE)
+        return apply_threshold_scale(params, scales)
 
-    def pick(cands: list[tuple[float, float]]) -> tuple[float, float]:
-        # (scale, acc): max acc, ties toward scale nearest 1 then smaller scale
+    def accuracy_from(scaled: NetworkParams, start: int, below: np.ndarray) -> float:
+        # ``below`` is the time-major hard activity entering layer ``start``
+        z = below
+        for layer in scaled.layers[start:]:
+            u, z = lif_layer(layer, scaled.alpha, hard, z, keep_states=False)
+            if not np.all(np.isfinite(u)):  # the full pass raises, naming the layer and step
+                return accuracy(scaled, spec, ds.frames, ds.labels, HARD_MODE)
+        logits = z.transpose(1, 0, 2).mean(axis=1) @ scaled.w_out.T + scaled.b_out
+        return float((logits.argmax(axis=1) == np.asarray(ds.labels)).mean())
+
+    def pick(cands: list[tuple]) -> tuple:
+        # (scale, acc, ...): max acc, ties toward scale nearest 1 then smaller scale
         return max(cands, key=lambda sa: (sa[1], -abs(sa[0] - 1.0), -sa[0]))
 
     if mode == GLOBAL_CALIBRATION:
-        best_lam, best_acc = pick([(lam, eval_scales([lam])) for lam in grid])
+        cands = [(lam, accuracy(scaled_params([lam]), spec, ds.frames, ds.labels, HARD_MODE)) for lam in grid]
+        best_lam, best_acc = pick(cands)
         lambdas = (best_lam,)
     elif mode == PER_LAYER_CALIBRATION:
         scales = [1.0] * params.n_layers
-        for layer_idx in range(params.n_layers):
-            cands = []
-            for lam in grid:
-                trial = list(scales)
-                trial[layer_idx] = lam
-                cands.append((lam, eval_scales(trial)))
-            scales[layer_idx], best_acc = pick(cands)
+        below = ds.frames.transpose(1, 0, 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises in accuracy_from
+            for layer_idx in range(params.n_layers):
+                if layer_idx:  # ``chosen`` ran this layer on ``below`` and passed the finiteness check
+                    below = lif_layer(chosen.layers[layer_idx - 1], params.alpha, hard, below, keep_states=False)[1]
+                cands = []
+                for lam in grid:
+                    scaled = scaled_params([lam if i == layer_idx else s for i, s in enumerate(scales)])
+                    cands.append((lam, accuracy_from(scaled, layer_idx, below), scaled))
+                scales[layer_idx], best_acc, chosen = pick(cands)
         lambdas = tuple(scales)
     else:
         raise ValueError(f"unknown calibration mode {mode!r}")
@@ -801,9 +835,10 @@ def measure_overhead(
     """Time matched single-pass and two-pass updates on identical batches.
 
     Both variants walk the same batch schedule from the same initial
-    parameters; reported times are medians over the timed steps.  Memory is
-    the analytic per-step estimate (the arrays are exact, allocator slack is
-    not modeled).
+    parameters; reported times are medians over the timed steps.  The two
+    variants' steps alternate, so a change in machine speed during the
+    measurement moves both medians alike.  Memory is the analytic per-step
+    estimate (the arrays are exact, allocator slack is not modeled).
     """
     if data is None:
         data = load_data(cfg.data)
@@ -825,23 +860,20 @@ def measure_overhead(
 
     rho = cfg.optimizer.rho if cfg.optimizer.rho > 0.0 else 0.05
 
-    def timed(two_pass: bool) -> float:
-        opt_cfg = replace(cfg.optimizer, rho=rho if two_pass else 0.0)
-        opt = SastOptimizer(opt_cfg)
-        params = params0.copy()
-        times = []
-        for i, (batch, second) in enumerate(batches):
-            t0 = time.perf_counter()
-            if two_pass:
-                params, _ = opt.sast_step(params, spec, batch, second)
-            else:
-                params, _ = opt.baseline_step(params, spec, batch)
-            if i >= warmup:
-                times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
-    t_single = timed(False)
-    t_double = timed(True)
+    single_opt = SastOptimizer(replace(cfg.optimizer, rho=0.0))
+    double_opt = SastOptimizer(replace(cfg.optimizer, rho=rho))
+    single = double = params0  # steps never write to the network they are given
+    single_times, double_times = [], []
+    for i, (batch, second) in enumerate(batches):
+        t0 = time.perf_counter()
+        single, _ = single_opt.baseline_step(single, spec, batch)
+        t1 = time.perf_counter()
+        double, _ = double_opt.sast_step(double, spec, batch, second)
+        if i >= warmup:
+            single_times.append(t1 - t0)
+            double_times.append(time.perf_counter() - t1)
+    t_single = float(np.median(single_times))
+    t_double = float(np.median(double_times))
     m_single = estimate_step_memory(params0, bs, data.train.frames.shape[1], False)
     m_double = estimate_step_memory(params0, bs, data.train.frames.shape[1], True)
     return OverheadReport(

@@ -299,7 +299,8 @@ class StateTrace:
 
     ``u[l]`` and ``z[l]`` have shape (n, T, d_l) for layer ``l`` (0-based
     list index for layer ``l + 1`` of the recursion); :func:`forward` makes
-    them views of time-major (T, n, d_l) buffers.  ``zbar`` is the
+    them views of time-major (T, n, d_l) buffers.  A forward run with
+    ``keep_states=False`` leaves both lists empty.  ``zbar`` is the
     time-averaged top-layer activity and ``logits`` the readout output.
     """
 
@@ -315,13 +316,50 @@ class StateTrace:
         return self.inputs.shape[1]
 
 
-def forward(params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray) -> StateTrace:
+def lif_layer(
+    layer: LayerParams, alpha: float, spec: SurrogateSpec, x: np.ndarray, *, keep_states: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one spiking layer over time-major inputs ``x`` (T, n, d_in).
+
+    Returns ``(u, z)``: the membrane states and activity, time-major
+    (T, n, d_out).  With ``keep_states=False`` only the activity is stored,
+    written over the drive buffer where it is contiguous, and ``u`` is the
+    last step's (n, d_out) state.  ``x`` may be the time-major view of
+    sample-major frames; the drive product then runs over the frames' own
+    rows.  Non-finite states are left for the caller to detect.
+    """
+    n_steps, n, d_in = x.shape
+    d, theta = layer.d_out, layer.threshold
+    spike = functools.partial(surrogate_value, spec) if spec.family != HARD else hard_step
+    time_major = x.flags.c_contiguous
+    rows = x.reshape(n_steps * n, d_in) if time_major else x.transpose(1, 0, 2).reshape(n * n_steps, d_in)
+    drive = rows @ layer.weight.T
+    drive += layer.bias
+    drive = drive.reshape(n_steps, n, d) if time_major else drive.reshape(n, n_steps, d).transpose(1, 0, 2)
+    # Without states, every step writes its membrane state over the same buffer.
+    u = np.empty((n_steps, n, d)) if keep_states else [np.zeros((n, d))] * n_steps
+    z = drive if not keep_states and drive.flags.c_contiguous else np.empty((n_steps, n, d))
+    a = np.empty((n, d))
+    u_t = z_t = np.zeros((n, d))
+    for t in range(n_steps):  # drive[t] is read before z[t] is written
+        u_t = np.multiply(alpha, u_t, out=u[t])
+        u_t += drive[t]
+        u_t -= np.multiply(theta, z_t, out=a)
+        z_t = spike(np.subtract(u_t, theta, out=a), out=z[t])
+    return (u if keep_states else u_t), z
+
+
+def forward(
+    params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray, *, keep_states: bool = True
+) -> StateTrace:
     """Run the unrolled dynamics on a batch of frame sequences.
 
     ``frames`` is (n, T, d_0) or a single (T, d_0) sequence.  Smooth specs
     produce graded activations; the hard spec produces binary spikes via the
     step rule.  Raises :class:`InstabilityError` if any membrane state goes
-    non-finite.
+    non-finite.  ``keep_states=False`` keeps only the layer below's activity
+    while each layer runs and returns a trace with empty ``u`` and ``z``; its
+    ``zbar`` and ``logits`` are bit-identical to the full pass's.
     """
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim == 2:
@@ -331,40 +369,25 @@ def forward(params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray) -> S
     d0 = params.layers[0].d_in
     if x.shape[2] != d0:
         raise ValueError(f"frame width {x.shape[2]} does not match input width {d0}")
-    n, n_steps, _ = x.shape
-    spike = functools.partial(surrogate_value, spec) if spec.family != HARD else hard_step
-    alpha = params.alpha
 
     # Layer buffers are time-major (T, n, d), so every step works on
     # contiguous (n, d) blocks; the trace holds their (n, T, d) views.
-    rows = x.reshape(n * n_steps, d0)  # the input frames' rows are sample-major
+    z = x.transpose(1, 0, 2)
     us: list[np.ndarray] = []
     zs: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
         for idx, layer in enumerate(params.layers):
-            d, theta = layer.d_out, layer.threshold
-            drive = rows @ layer.weight.T
-            drive += layer.bias
-            drive = drive.reshape(n, n_steps, d).transpose(1, 0, 2) if idx == 0 else drive.reshape(n_steps, n, d)
-            u = np.empty((n_steps, n, d))
-            z = np.empty_like(u)
-            a = np.empty((n, d))
-            u_t = z_t = np.zeros((n, d))
-            for t in range(n_steps):
-                u_t = np.multiply(alpha, u_t, out=u[t])
-                u_t += drive[t]
-                u_t -= np.multiply(theta, z_t, out=a)
-                z_t = spike(np.subtract(u_t, theta, out=a), out=z[t])
-            del drive
-            rows = z.reshape(n_steps * n, d)
-            u, z = u.transpose(1, 0, 2), z.transpose(1, 0, 2)
+            u, z = lif_layer(layer, params.alpha, spec, z, keep_states=keep_states)
             if not np.all(np.isfinite(u)):
-                bad = np.argwhere(~np.isfinite(u))[0]
+                if not keep_states:  # a non-finite state stays so to the last step; locate it
+                    forward(params, spec, frames)
+                bad = np.argwhere(~np.isfinite(u.transpose(1, 0, 2)))[0]
                 raise InstabilityError(f"non-finite membrane state at layer {idx + 1}, step {bad[1] + 1}")
-            us.append(u)
-            zs.append(z)
+            if keep_states:
+                us.append(u.transpose(1, 0, 2))
+                zs.append(z.transpose(1, 0, 2))
 
-    zbar = zs[-1].mean(axis=1)
+    zbar = z.transpose(1, 0, 2).mean(axis=1)
     logits = zbar @ params.w_out.T + params.b_out
     return StateTrace(inputs=x, u=us, z=zs, zbar=zbar, logits=logits, spec=spec)
 
@@ -529,13 +552,18 @@ def _read_container(path: str, magic: bytes, header: tuple, version: int, what: 
             raise ValueError(f"trailing bytes after {what} payload")
 
 
-def _read_declared(fh: BinaryIO, n_bytes: int, field_name: str, what: str) -> bytes:
-    """Read the ``n_bytes`` that header field ``field_name`` declares, checked against
-    the file length first, so that absurd declared sizes are never allocated."""
+def _read_declared(fh: BinaryIO, dtype: str, count: int, field_name: str, what: str) -> np.ndarray:
+    """Read the ``count`` items of ``dtype`` that header field ``field_name`` declares,
+    straight into a new array.  The size is checked against the file length first,
+    so that absurd declared sizes are never allocated."""
+    n_bytes = np.dtype(dtype).itemsize * count
     remaining = os.fstat(fh.fileno()).st_size - fh.tell()
     if n_bytes > remaining:
         raise ValueError(f"{what} truncated: {field_name} declares {n_bytes} bytes, {remaining} remain")
-    return fh.read(n_bytes)
+    out = np.empty(count, dtype=dtype)
+    if fh.readinto(out) != n_bytes:
+        raise ValueError(f"{what} truncated while reading {field_name}")
+    return out
 
 
 def save_checkpoint(path: str, params: NetworkParams, spec: SurrogateSpec) -> None:
@@ -560,12 +588,11 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, SurrogateSpec]:
             raise ValueError("checkpoint field 'L' must be at least 1")
         if n_classes < 1:
             raise ValueError("checkpoint field 'C' must be at least 1")
-        dims = struct.unpack(f"<{n_layers + 1}I", _read_declared(fh, 4 * (n_layers + 1), "L", "checkpoint"))
+        dims = tuple(_read_declared(fh, "<u4", n_layers + 1, "L", "checkpoint").tolist())
         if 0 in dims:
             raise ValueError(f"checkpoint field 'dims' must be positive, got {dims}")
         size = _layout(dims, n_classes)[2]
-        raw = _read_declared(fh, 8 * size, "dims/C", "checkpoint")
-    buffer = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        buffer = _read_declared(fh, "<f8", size, "dims/C", "checkpoint").astype(np.float64, copy=False)
     if not np.all(np.isfinite(buffer)):
         raise ValueError("checkpoint payload has non-finite entries")
     spec = SurrogateSpec(_CODE_FAMILIES[family_code], slope)

@@ -39,7 +39,7 @@ class OptimizerConfig:
     trained, as in the smoothness constant's parameter space.
     """
 
-    eta: float
+    eta: float = 0.5
     rho: float = 0.0
     second_batch: str = INDEPENDENT
     train_threshold: bool = True

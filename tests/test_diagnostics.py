@@ -7,6 +7,7 @@ duplicated-readout networks with exactly singular logit Jacobians.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from spikesam.diagnostics import (
     secant_smoothness_from_grad,
 )
 from spikesam.gradients import backward
+from spikesam.network import init_network
 
 # ---------------------------------------------------------------------------
 # Sample statistics
@@ -147,6 +149,23 @@ def test_accuracy_on_rigged_readout():
     assert acc == pytest.approx(float((batch.labels == 1).mean()))
     # Readout-only rigging makes both modes agree: the gap vanishes.
     assert accuracy(rigged, ARCTAN_PI, batch.inputs, batch.labels, HARD_MODE) == acc
+
+
+@pytest.mark.parametrize("mode", [SURROGATE_MODE, HARD_MODE])
+def test_accuracy_keeps_no_membrane_states(mode):
+    # The packaged 48->16->16->16 net on a 1024 x 8 x 48 split: one full
+    # state trace is 7.3 MiB there, the activity of two layers at a time 2 MiB.
+    params = init_network((48, 16, 16, 16), 2, alpha=0.6, theta=0.5, weight_scale=1.5, seed=3)
+    rng = np.random.default_rng(4)
+    frames = (rng.random((1024, 8, 48)) < 0.2).astype(np.float64)
+    labels = rng.integers(0, 2, size=1024)
+    tracemalloc.start()
+    try:
+        accuracy(params, ARCTAN_PI, frames, labels, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 1024
 
 
 def test_transfer_gap_sign_convention():

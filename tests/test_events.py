@@ -7,6 +7,7 @@ The binning oracle is a scalar loop over events; corruption edge cases
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,23 @@ def test_dataset_file_roundtrip_bit_identical(tmp_path):
     np.testing.assert_array_equal(loaded.frames, ds.frames)
     np.testing.assert_array_equal(loaded.labels, ds.labels)
     assert loaded.n_classes == ds.n_classes
+
+
+def test_load_frames_reads_the_payload_straight_into_its_arrays(tmp_path):
+    rng = np.random.default_rng(5)
+    ds = Dataset((rng.random((1024, 8, 48)) < 0.2).astype(np.float64), rng.integers(0, 4, size=1024), 4)
+    path = str(tmp_path / "split.bin")
+    save_dataset(path, ds)
+    tracemalloc.start()
+    try:
+        loaded = load_frames(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.frames, ds.frames)
+    np.testing.assert_array_equal(loaded.labels, ds.labels)
+    assert loaded.frames.dtype == np.float64 and loaded.labels.dtype == np.int64
+    assert peak < 1.25 * (ds.frames.nbytes + ds.labels.nbytes)
 
 
 def test_load_frames_rejects_garbage(tmp_path):

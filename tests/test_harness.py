@@ -128,6 +128,59 @@ def test_config_section_given_as_a_non_object_is_refused_by_name():
         config_from_dict({"data": {"synth": [1, 2]}})
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"train": {"epochs": "2"}}, "train.epochs must be int, got str"),
+        ({"train": {"epochs": 2.0}}, "train.epochs must be int, got float"),
+        ({"train": {"epochs": True}}, "train.epochs must be int, got bool"),
+        ({"data": {"synth": {"seed": "0"}}}, "data.synth.seed must be int, got str"),
+        ({"model": {"hidden_dims": 4}}, "model.hidden_dims must be a list of int, got int"),
+        ({"train": {"seeds": [0, 1.0]}}, "train.seeds must be a list of int, got a list of other types"),
+        ({"model": {"alpha": "0.5"}}, "model.alpha must be float, got str"),
+        ({"model": {"alpha": False}}, "model.alpha must be float, got bool"),
+        ({"optimizer": {"train_threshold": 1}}, "optimizer.train_threshold must be bool, got int"),
+        ({"surrogate": {"family": None}}, "surrogate.family must be str, got NoneType"),
+        ({"out_dir": 3}, "out_dir must be str, got int"),
+    ],
+)
+def test_config_refuses_a_mistyped_leaf_by_path(raw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(raw)
+
+
+def test_config_float_leaf_takes_a_json_int_as_a_float():
+    cfg = config_from_dict({"surrogate": {"slope": 3}, "optimizer": {"eta": 1}})
+    assert type(cfg.surrogate.slope) is float and cfg.surrogate.slope == 3.0
+    assert type(cfg.optimizer.eta) is float and cfg.optimizer.eta == 1.0
+
+
+def test_default_config_leaves_round_trip_through_json():
+    raw = json.loads(json.dumps(config_to_dict(RunConfig())))
+    assert config_from_dict(raw) == RunConfig()
+    assert config_to_dict(config_from_dict(raw)) == config_to_dict(RunConfig())
+
+
+def test_cli_refuses_a_mistyped_leaf_by_path(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"train": {"epochs": "2"}}')
+    assert cli.main(["train", "--config", str(cfg_path)]) == 1
+    assert "train.epochs must be int, got str" in capsys.readouterr().err
+
+
+def test_optimizer_section_without_eta_decodes_like_the_override(tmp_path):
+    def load(content: str, *sets: str) -> RunConfig:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(content)
+        argv = ["train", "--config", str(cfg_path), *(arg for item in sets for arg in ("--set", item))]
+        return cli._load_run_config(cli.build_parser().parse_args(argv))
+
+    from_file = load('{"optimizer": {"rho": 0.1}}')
+    assert from_file == load("{}", "optimizer.rho=0.1")
+    assert from_file.optimizer == OptimizerConfig(eta=0.5, rho=0.1)
+    assert RunConfig().optimizer == OptimizerConfig()
+
+
 def _leaves(node: dict, prefix: str = ""):
     for key, value in node.items():
         if isinstance(value, dict):
@@ -527,6 +580,37 @@ def test_calibration_guarantee_and_instrumentation(tmp_path):
     per_layer_res = calibrate_thresholds(params, spec, data.val, mode=PER_LAYER_CALIBRATION)
     assert per_layer_res.n_evals == n_layers * len(CALIBRATION_GRID)
     assert len(per_layer_res.lambdas) == n_layers
+
+
+def per_layer_reference(params, spec, ds, grid):
+    """Per-layer coordinate ascent scoring every candidate with a full ``accuracy`` call."""
+    scales, n_evals = [1.0] * params.n_layers, 0
+    for idx in range(params.n_layers):
+        cands = []
+        for lam in grid:
+            trial = list(scales)
+            trial[idx] = lam
+            n_evals += 1
+            scaled = harness.apply_threshold_scale(params, trial)
+            cands.append((lam, accuracy(scaled, spec, ds.frames, ds.labels, HARD_MODE)))
+        scales[idx], best = max(cands, key=lambda sa: (sa[1], -abs(sa[0] - 1.0), -sa[0]))
+    return tuple(scales), best, n_evals
+
+
+@pytest.mark.parametrize("dims", [(5, 4), (5, 6, 4), (5, 6, 4, 3)])
+@pytest.mark.parametrize("grid", [CALIBRATION_GRID, (0.8, 1.2, 0.5, 0.8, 1.5)], ids=["default", "ties"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_layer_calibration_equals_full_pass_scoring(dims, grid, seed):
+    rng = np.random.default_rng(seed)
+    params = init_network(dims, 3, alpha=0.6, theta=0.4, weight_scale=1.5, seed=rng)
+    ds = events.Dataset((rng.random((40, 5, dims[0])) < 0.4).astype(np.float64), rng.integers(0, 3, size=40), 3)
+    spec = SurrogateConfig(slope=2.0).spec()
+    lambdas, val_acc, n_evals = per_layer_reference(params, spec, ds, grid)
+    before = calibration_ops()
+    result = calibrate_thresholds(params, spec, ds, mode=PER_LAYER_CALIBRATION, grid=grid)
+    assert calibration_ops() - before == n_evals == result.n_evals
+    assert (result.lambdas, result.val_acc) == (lambdas, val_acc)
+    assert result.uncalibrated_val_acc == accuracy(params, spec, ds.frames, ds.labels, HARD_MODE)
 
 
 def test_apply_threshold_scale_leaves_its_input_alone():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -244,6 +245,38 @@ def test_forward_flags_instability():
                 forward(params, spec, frames)
 
 
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID, HARD])
+@pytest.mark.parametrize("batched", [True, False], ids=["3d", "2d"])
+def test_forward_without_states_keeps_the_logits_and_drops_the_states(family, batched):
+    params = tiny_net(dims=(6, 5, 4, 3), seed=11, weight_scale=1.5)
+    frames = spike_batch(params, n_samples=7, n_steps=5, seed=12).inputs
+    frames = frames if batched else frames[2]
+    spec = SurrogateSpec(family, 2.5)
+    full = forward(params, spec, frames)
+    lean = forward(params, spec, frames, keep_states=False)
+    assert lean.logits.tobytes() == full.logits.tobytes()
+    assert lean.zbar.tobytes() == full.zbar.tobytes()
+    assert lean.u == [] and lean.z == []
+    assert lean.inputs.shape == full.inputs.shape and lean.spec == spec
+
+
+@pytest.mark.parametrize("spec", [ARCTAN_PI, SurrogateSpec(HARD, 1.0)], ids=["smooth", "hard"])
+@pytest.mark.parametrize("layer, step", [(0, 0), (0, 2), (1, 1)])
+def test_forward_without_states_names_the_same_layer_and_step(spec, layer, step):
+    params = tiny_net(dims=(6, 5, 4), seed=8)
+    params.layers[layer].weight[:] = 1e200 if layer == 0 else 1e308  # the drive overflows
+    frames = np.full((3, 4, params.dims[0]), 1e-300)
+    frames[1, step:] = 1e200 if layer == 0 else 1.0
+    messages = []
+    for keep_states in (True, False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError) as err:
+                forward(params, spec, frames, keep_states=keep_states)
+        messages.append(str(err.value))
+    assert messages == [f"non-finite membrane state at layer {layer + 1}, step {step + 1}"] * 2
+
+
 def test_hard_spike_counts_track_drive_over_threshold():
     # With subtraction reset, steady drive above threshold fires every step.
     params = tiny_net(dims=(4, 3), n_classes=2, alpha=0.5, theta=0.5, seed=9)
@@ -444,6 +477,21 @@ def test_property_every_proper_prefix_of_a_checkpoint_is_refused(tmp_path_factor
     cut_path.write_bytes(data + bytes(1))
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(str(cut_path))
+
+
+def test_checkpoint_load_reads_the_payload_straight_into_the_buffer(tmp_path):
+    params = tiny_net(dims=(256, 256, 256), n_classes=10, seed=22)
+    path = str(tmp_path / "big.bin")
+    save_checkpoint(path, params, ARCTAN_PI)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.buffer, params.buffer)
+    assert loaded.buffer.dtype == np.float64
+    assert peak < 1.25 * params.buffer.nbytes
 
 
 def _checkpoint_header(n_layers: int, n_classes: int, dims: tuple[int, ...]) -> bytes:
