@@ -279,9 +279,8 @@ def mechanism_check(
     loss gradient), so any violation beyond the slack falsifies the
     inequality itself rather than numerical bookkeeping.
     """
-    j_w, j_x = logit_jacobians(params, spec, frames)
-    trace = forward(params, spec, frames)
-    _, v, _ = cross_entropy(trace.logits[0], label)
+    j_w, j_x, logits = logit_jacobians(params, spec, frames)
+    _, v, _ = cross_entropy(logits, label)
     grad_w = j_w.T @ v
     grad_x = j_x.T @ v
     sigma_min = gram_min_singular(j_w)
@@ -451,7 +450,8 @@ def bound_battery(n_configs: int, n_probes: int = 64, seed: int = 77) -> dict[st
         for _ in range(3):
             x1, x2 = draw_frames(1), draw_frames(1)
             d_logits = float(np.linalg.norm(
-                forward(params, spec, x1).logits - forward(params, spec, x2).logits))
+                forward(params, spec, x1, keep_states=False).logits
+                - forward(params, spec, x2, keep_states=False).logits))
             dist = float(np.sqrt(((x1 - x2) ** 2).sum()))
             if d_logits > l_x * dist * (1 + 1e-9) + 1e-12:
                 counts["input_lip"] += 1

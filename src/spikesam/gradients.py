@@ -124,17 +124,21 @@ def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray, fl
     return loss, grad, hess_norm
 
 
-def _softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over a batch and the per-sample logit gradients."""
-    if np.any(labels >= logits.shape[1]):
+def _softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross entropy over a batch and the per-sample logit gradients.
+
+    Stacked logits (M, n, C) give one mean loss per model, an (M,) array.
+    """
+    if np.any(labels >= logits.shape[-1]):
         raise ValueError("label exceeds the network's class count")
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    rows = np.arange(logits.shape[0])
-    losses = lse[:, 0] - logits[rows, labels]
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    rows = np.arange(logits.shape[-2])
+    losses = lse[..., 0] - logits[..., rows, labels]
     v = np.exp(logits - lse)
-    v[rows, labels] -= 1.0
-    return float(losses.mean()), v
+    v[..., rows, labels] -= 1.0
+    loss = losses.mean(axis=-1)
+    return (float(loss) if logits.ndim == 2 else loss), v
 
 
 def _require_smooth(spec: SurrogateSpec) -> None:
@@ -150,12 +154,19 @@ def batch_loss(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> floa
     return loss
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A time-major (T, n, d) array as one (T n, d) matrix, or a stacked (T, n, M, d)
+    array as M strided (T n, d) matrices; a view."""
+    rows = a.reshape(-1, *a.shape[2:])
+    return rows.swapaxes(0, 1) if a.ndim == 4 else rows
+
+
 def _reverse_sweep(
     params: NetworkParams,
     trace: StateTrace,
     v: np.ndarray,
     per_sample: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Propagate logit cotangents ``v`` (n, C) back to parameters and inputs.
 
     Returns the canonical parameter gradient (P,), the leak gradient and
@@ -163,70 +174,88 @@ def _reverse_sweep(
     is never summed over: the parameter gradient is (n, P) and the leak
     gradient (n,), one row each per sample (the exact gradient of that
     sample's own scalar objective ``v_i @ o_i``).
+
+    Stacked ``params`` and trace (see :func:`network.stack`) take ``v`` as
+    (M, n, C) and give each model's parameter gradient as a row of an
+    (M, P) array, bit-identical to its lone sweep.  They skip the leak and
+    input gradients, which training does not read, and return ``None`` for
+    both.  A non-finite gradient in any model raises.  A stacked sweep is
+    its trace's last reader: it writes over each layer's ``u`` and drops
+    each layer's states from the trace once swept, so the working set
+    shrinks as it goes.
     """
     spec = trace.spec
+    stacked = params.buffer.ndim == 2
+    if stacked and per_sample:
+        raise ValueError("per-sample gradients take one parameter set, not a stack")
     n, n_steps, _ = trace.inputs.shape
+    models = params.buffer.shape[:-1]  # () or (M,)
     alpha = params.alpha
     n_layers = params.n_layers
     layer_slots, (w_out_slot, b_out_slot), size = _layout(params.dims, params.n_classes)
-    lead = (n,) if per_sample else ()
+    lead = (n,) if per_sample else models
     grads = np.empty((*lead, size))
 
     def put(slot: tuple[slice, tuple[int, ...]], value: np.ndarray) -> None:
         grads[..., slot[0]] = value.reshape(*lead, -1)
 
-    put(w_out_slot, v[:, :, None] * trace.zbar[:, None, :] if per_sample else v.T @ trace.zbar)
-    put(b_out_slot, v if per_sample else v.sum(axis=0))
+    put(w_out_slot, v[:, :, None] * trace.zbar[:, None, :] if per_sample else np.matmul(v.swapaxes(-1, -2), trace.zbar))
+    put(b_out_slot, v if per_sample else v.sum(axis=-2))
 
-    gzbar = v @ params.w_out  # (n, d_L)
+    gzbar = np.matmul(v, params.w_out)  # (n, d_L), or stacked (M, n, d_L)
     d_alpha = np.zeros(lead)
     axes = 0 if per_sample else (0, 1)  # the time (and batch) axes of time-major arrays
-    gu_above: np.ndarray | None = None
 
     for idx in range(n_layers - 1, -1, -1):
         layer = params.layers[idx]
         theta = layer.threshold
-        u = trace.u[idx].transpose(1, 0, 2)  # time-major (T, n, d) views
-        z = trace.z[idx].transpose(1, 0, 2)
+        u = trace.u[idx].swapaxes(0, -2)  # time-major (T, n, d) or (T, n, M, d) views
+        z = trace.z[idx].swapaxes(0, -2)
+        if stacked:  # the sweep is the trace's last reader: each layer's states go once swept
+            trace.u[idx] = trace.z[idx] = None
+        block = u.shape[1:]
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
-            sp = u - theta
+            sp = np.subtract(u, theta, out=u if stacked else None)  # a stacked sweep reads no u after this
             surrogate_derivative(spec, sp, out=sp)
             # gz starts as the cross-layer term; each step subtracts the reset term
             # and then scales by sigma', which leaves the threshold's
             # spike-argument contribution sigma' * gz in place.
             if idx == n_layers - 1:
-                gz = np.broadcast_to(gzbar / n_steps, u.shape).copy()
-            else:
-                above = params.layers[idx + 1]
-                gz = (gu_above.reshape(n_steps * n, above.d_out) @ above.weight).reshape(u.shape)
-            gu = np.empty_like(gz)
-            tmp = np.empty((n, layer.d_out))
-            gu_t = np.zeros((n, layer.d_out))
+                gz = np.broadcast_to((gzbar / n_steps).swapaxes(0, -2), u.shape).copy()
+            else:  # ``gu`` is still the layer above's
+                gz = np.empty(u.shape)
+                np.matmul(_rows(gu), params.layers[idx + 1].weight, out=_rows(gz))
+            # Once spent, the layer above's cotangents give their buffer to this layer's, if it fits.
+            gu = gu if idx < n_layers - 1 and gu.shape == gz.shape else np.empty_like(gz)
+            tmp = np.empty(block)
+            gu_t = np.zeros(block)
             for t in range(n_steps - 1, -1, -1):
                 gz_t = np.subtract(gz[t], np.multiply(theta, gu_t, out=tmp), out=gz[t])
                 gz_t *= sp[t]
                 gu_t = np.add(gz_t, np.multiply(alpha, gu_t, out=tmp), out=gu[t])
         if not np.all(np.isfinite(gu)):
-            bad_t = int(np.argwhere(~np.isfinite(gu).all(axis=(1, 2)))[-1][0])
+            bad_t = int(np.argwhere(~np.isfinite(gu.reshape(n_steps, -1)).all(axis=1))[-1][0])
             raise InstabilityError(
                 f"non-finite gradient first appears at layer {idx + 1}, step {bad_t + 1}"
             )
 
-        z_prev = trace.z[idx - 1] if idx > 0 else trace.inputs  # (n, T, d_in)
-        gu_rows = gu.reshape(n_steps * n, layer.d_out)
         w_slot, b_slot, th_slot = layer_slots[idx]
         if per_sample:  # one (d, T) @ (T, d_in) product per sample
-            put(w_slot, np.matmul(gu.transpose(1, 2, 0), z_prev))
-        else:  # one product over all (t, sample) rows; only the input frames are copied to time-major
-            put(w_slot, gu_rows.T @ z_prev.transpose(1, 0, 2).reshape(n_steps * n, layer.d_in))
+            put(w_slot, np.matmul(gu.transpose(1, 2, 0), trace.z[idx - 1] if idx > 0 else trace.inputs))
+        else:  # one product over all (t, sample) rows per model; only the input frames are copied to time-major
+            below = trace.z[idx - 1].swapaxes(0, -2) if idx > 0 else trace.inputs.transpose(1, 0, 2)
+            put(w_slot, np.matmul(_rows(gu).swapaxes(-1, -2), _rows(below)))
         put(b_slot, gu.sum(axis=axes))
-        put(th_slot, -(gz.sum(axis=axes) + (z[:-1] * gu[1:]).sum(axis=axes)))
+        reset = np.multiply(z[:-1], gu[1:], out=sp[1:]).sum(axis=axes)  # sigma' is spent
+        put(th_slot, -(gz.sum(axis=axes) + reset))
+        if stacked:
+            continue
         d_alpha += (u[:-1] * gu[1:]).sum(axis=(0, 2) if per_sample else None)
-
-        gu_above = gu
         if idx == 0:
-            input_grads = (gu_rows @ layer.weight).reshape(n_steps, n, layer.d_in).transpose(1, 0, 2)
+            input_grads = (_rows(gu) @ layer.weight).reshape(n_steps, n, layer.d_in).transpose(1, 0, 2)
 
+    if stacked:
+        return grads, None, None
     return grads, d_alpha, input_grads
 
 
@@ -238,6 +267,20 @@ def backward(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> Gradie
     v /= batch.n_samples  # mean reduction
     grads, d_alpha, input_grads = _reverse_sweep(params, trace, v)
     return GradientBundle(loss=loss, grads=ParamGrads(grads, float(d_alpha)), input_grads=input_grads)
+
+
+def stacked_backward(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross entropy and its parameter gradient for each of M stacked networks on one batch.
+
+    ``params`` come from :func:`network.stack`.  Returns the losses (M,) and
+    the canonical gradients (M, P), each model's bit-identical to its lone
+    :func:`backward`; leak and input gradients are not computed.
+    """
+    _require_smooth(spec)
+    trace = forward(params, spec, batch.inputs)
+    losses, v = _softmax_loss_and_grad(trace.logits, batch.labels)
+    v /= batch.n_samples  # mean reduction
+    return losses, _reverse_sweep(params, trace, v)[0]
 
 
 def per_sample_gradients(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> GradientBundle:
@@ -262,13 +305,15 @@ def per_sample_gradients(params: NetworkParams, spec: SurrogateSpec, batch: Batc
 
 def logit_jacobians(
     params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of one sample's logits w.r.t. parameters and inputs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobians of one sample's logits w.r.t. parameters and inputs, and the logits.
 
-    Returns ``(j_w, j_x)`` with shapes (C, P) and (C, T * d0), alpha
-    excluded from the parameter axis.  Implemented as one per-sample sweep
-    on the sample tiled C times with identity cotangents, which yields one
-    Jacobian row per copy.
+    Returns ``(j_w, j_x, logits)`` with shapes (C, P), (C, T * d0) and (C,),
+    alpha excluded from the parameter axis.  Implemented as one per-sample
+    sweep on the sample tiled C times with identity cotangents, which yields
+    one Jacobian row per copy; the logits are the first copy's.  They may
+    differ from a lone forward's in the last bit, since the readout product
+    then has one row instead of C.
     """
     _require_smooth(spec)
     x = np.asarray(frames, dtype=np.float64)
@@ -279,7 +324,7 @@ def logit_jacobians(
     trace = forward(params, spec, tiled)
     v = np.eye(n_classes)
     vectors, _, input_grads = _reverse_sweep(params, trace, v, per_sample=True)
-    return vectors, input_grads.reshape(n_classes, -1)
+    return vectors, input_grads.reshape(n_classes, -1), trace.logits[0]
 
 
 def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:

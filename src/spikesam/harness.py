@@ -20,12 +20,12 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Generator, Sequence, TextIO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import events
-from .bounds import assumptions_from, compute_constants, save_constants
+from .bounds import TheoryConstants, assumptions_from, compute_constants, save_constants
 from .diagnostics import HARD_MODE, SURROGATE_MODE, SampleStats, accuracy, diagnose
 from .events import (
     CORRUPTION_FAMILIES,
@@ -38,7 +38,7 @@ from .events import (
     load_frames,
     synth_task,
 )
-from .gradients import Batch, _softmax_loss_and_grad
+from .gradients import Batch, _softmax_loss_and_grad, stacked_backward
 from .network import (
     InstabilityError,
     NetworkParams,
@@ -49,8 +49,9 @@ from .network import (
     mode_spec,
     parameter_count,
     save_checkpoint,
+    stack,
 )
-from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer
+from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer, StepReport
 
 METRICS_COLUMNS = (
     "seed",
@@ -293,17 +294,6 @@ class TrainResult:
         return [seed_record(s) for s in self.seeds]
 
 
-def _epoch_batches(
-    n: int, batch_size: int, rng: np.random.Generator, paired: bool
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Index batches for one epoch; paired mode yields disjoint (B, B') pairs."""
-    order = rng.permutation(n)
-    chunks = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
-    if not paired:
-        return [(c, None) for c in chunks]
-    return [(chunks[i], chunks[i + 1]) for i in range(0, len(chunks) - 1, 2)]
-
-
 def planned_passes(cfg: RunConfig, n_train: int) -> int:
     """Forward+reverse passes one seed will consume under the schedule."""
     n_chunks = n_train // cfg.train.batch_size
@@ -337,159 +327,296 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
     ``rho = 0`` trains with single-pass updates; ``rho > 0`` with two-pass
     sharpness-aware updates (second batch per the optimizer's policy).  Data
     is built once and shared across seeds, so compared methods trained with
-    the same data config see identical splits.
+    the same data config see identical splits.  This is the lockstep
+    driver of :func:`run_transfer_study` with one run.
     """
     if data is None:
         data = load_data(cfg.data)
-    spec = cfg.surrogate.spec()
-    run_dir = cfg.out_dir
-    os.makedirs(run_dir, exist_ok=True)
-    save_config(os.path.join(run_dir, "config.json"), cfg)
+    return _train_lockstep([cfg], data)[0]
 
-    use_sast = cfg.optimizer.rho > 0.0
-    paired = use_sast and cfg.optimizer.second_batch == INDEPENDENT
-    budget = cfg.train.pass_budget
 
-    results = []
-    for seed in cfg.train.seeds:
-        seed_dir = os.path.join(run_dir, f"seed_{seed}")
-        ckpt_dir = os.path.join(seed_dir, "checkpoints")
-        os.makedirs(ckpt_dir, exist_ok=True)
+@dataclass(eq=False)
+class _Arm:
+    """One configuration's run of one seed: its iterate, records and open files."""
 
-        params = _initial_network(cfg, data, seed)
-        r_x = events.measured_input_bound(data.train.frames)
-        save_constants(
-            os.path.join(seed_dir, "constants.json"),
-            compute_constants(
-                assumptions_from(params, spec, r_x, data.train.frames.shape[1], margin=2.0)
-            ),
-        )
+    cfg: RunConfig
+    seed: int
+    val: Dataset  # the diagnostics rows read its first 64 samples
+    params: NetworkParams
+    files: contextlib.ExitStack  # holds the open CSV files
+    metrics: TextIO
+    best: tuple[float, int, NetworkParams]  # (val surrogate acc, epoch, params)
+    passes: int = 0
+    steps: int = 0
+    diverged_reason: str | None = None  # the error message, or "non-finite loss"
+    diagnostics: TextIO | None = None
+    losses: list[float] = field(default_factory=list)  # this epoch's first-pass losses
 
-        opt = SastOptimizer(cfg.optimizer)
-        rng = np.random.default_rng([seed, 202])
-        best = (-1.0, 0, params.copy())  # (val surrogate acc, epoch, params)
-        passes = steps = 0
-        diverged = False
-        diverged_reason: str | None = None
-        metrics_path = os.path.join(seed_dir, "metrics.csv")
-        diag_path = os.path.join(seed_dir, "diagnostics.csv")
-        diag_writer = None
+    @classmethod
+    def start(
+        cls,
+        cfg: RunConfig,
+        seed: int,
+        val: Dataset,
+        params: NetworkParams,
+        constants: TheoryConstants,
+        files: contextlib.ExitStack,
+    ) -> _Arm:
+        seed_dir = os.path.join(cfg.out_dir, f"seed_{seed}")
+        os.makedirs(os.path.join(seed_dir, "checkpoints"), exist_ok=True)
+        save_constants(os.path.join(seed_dir, "constants.json"), constants)
+        metrics = files.enter_context(open(os.path.join(seed_dir, "metrics.csv"), "w", newline=""))
+        csv.DictWriter(metrics, fieldnames=METRICS_COLUMNS).writeheader()
+        return cls(cfg, seed, val, params, files, metrics, best=(-1.0, 0, params.copy()))
 
-        with contextlib.ExitStack() as files:
-            fh = files.enter_context(open(metrics_path, "w", newline=""))
-            writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
-            writer.writeheader()
-            for epoch in range(1, cfg.train.epochs + 1):
-                t0 = time.perf_counter()
-                losses = []
-                for idx, idx2 in _epoch_batches(
-                    data.train.n_samples, cfg.train.batch_size, rng, paired
-                ):
-                    if budget and passes >= budget:
-                        break
-                    batch = Batch(data.train.frames[idx], data.train.labels[idx])
-                    try:
-                        if use_sast:
-                            second = (
-                                Batch(data.train.frames[idx2], data.train.labels[idx2])
-                                if idx2 is not None
-                                else None
-                            )
-                            params, rep = opt.sast_step(params, spec, batch, second)
-                        else:
-                            params, rep = opt.baseline_step(params, spec, batch)
-                    except (InstabilityError, FloatingPointError) as exc:
-                        diverged, diverged_reason = True, str(exc)
-                        break
-                    if not np.isfinite(rep.loss_first):
-                        diverged, diverged_reason = True, "non-finite loss"
-                        break
-                    losses.append(rep.loss_first)
-                    passes += rep.n_passes
-                    steps += 1
+    def path(self, *parts: str) -> str:
+        return os.path.join(self.cfg.out_dir, f"seed_{self.seed}", *parts)
 
-                acc_s = accuracy(params, spec, data.val.frames, data.val.labels, SURROGATE_MODE)
-                acc_h = accuracy(params, spec, data.val.frames, data.val.labels, HARD_MODE)
-                writer.writerow(
-                    {
-                        "seed": seed,
-                        "epoch": epoch,
-                        "steps": steps,
-                        "passes": passes,
-                        "train_loss": float(np.mean(losses)) if losses else math.nan,
-                        "val_acc_surrogate": acc_s,
-                        "val_acc_hard": acc_h,
-                        "val_transfer_gap": acc_s - acc_h,
-                        "diverged": int(diverged),
-                        "wall_clock_s": time.perf_counter() - t0,
-                    }
-                )
-                # Ties go to the most-trained checkpoint, so a plateaued run
-                # reports its converged iterate rather than the first epoch
-                # that happened to touch the plateau.
-                if not diverged and acc_s >= best[0]:
-                    best = (acc_s, epoch, params.copy())
-                if cfg.train.checkpoint_every and epoch % cfg.train.checkpoint_every == 0:
-                    save_checkpoint(os.path.join(ckpt_dir, f"epoch_{epoch:03d}.bin"), params, spec)
-                if (
-                    cfg.train.diagnostics_every
-                    and not diverged
-                    and epoch % cfg.train.diagnostics_every == 0
-                ):
-                    report = diagnose(
-                        params,
-                        spec,
-                        data.val.frames[:64],
-                        data.val.labels[:64],
-                        rho=cfg.optimizer.rho if cfg.optimizer.rho > 0.0 else 0.1,
-                    )
-                    row = {"seed": seed, "epoch": epoch, **report.to_row()}
-                    if diag_writer is None:
-                        diag_fh = files.enter_context(open(diag_path, "w", newline=""))
-                        diag_writer = csv.DictWriter(diag_fh, fieldnames=list(row))
-                        diag_writer.writeheader()
-                    diag_writer.writerow(row)
-                if diverged or (budget and passes >= budget):
-                    break
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_reason is not None
 
-        _, best_epoch, best_params = best
-        save_checkpoint(os.path.join(ckpt_dir, "best.bin"), best_params, spec)
-        save_checkpoint(os.path.join(ckpt_dir, "final.bin"), params, spec)
-        # A diverged run has a junk final iterate, so fall back to best.
-        if cfg.train.select == "final" and not diverged:
-            selected, selected_name = params, "final.bin"
+    def epoch(self, n_chunks: int) -> Generator[tuple[NetworkParams, int], tuple[float, np.ndarray], None]:
+        """One epoch's steps as the passes they request.
+
+        Yields ``(network, k)``: the network to evaluate on chunk ``k`` of the
+        epoch's permutation.  Takes back the pass's loss and gradient, or
+        the ``InstabilityError`` or ``FloatingPointError`` that the pass
+        raised, thrown in.  Pass ``i`` of the epoch reads chunk ``i``,
+        except under the reused second-batch policy.
+        """
+        self.losses = []
+        opt = self.cfg.optimizer
+        if opt.rho == 0.0:
+            plan = [(k,) for k in range(n_chunks)]
+        elif opt.second_batch == INDEPENDENT:
+            plan = [(k, k + 1) for k in range(0, n_chunks - 1, 2)]
         else:
-            selected, selected_name = best_params, "best.bin"
-        ckpt_path = os.path.join(ckpt_dir, selected_name)
-        results.append(
-            SeedResult(
-                seed=seed,
-                best_epoch=best_epoch,
-                best_params=best_params,
-                final_params=params,
-                passes=passes,
-                steps=steps,
-                val_acc_surrogate=accuracy(
-                    selected, spec, data.val.frames, data.val.labels, SURROGATE_MODE
-                ),
-                val_acc_hard=accuracy(selected, spec, data.val.frames, data.val.labels, HARD_MODE),
-                test_acc_surrogate=accuracy(
-                    selected, spec, data.test.frames, data.test.labels, SURROGATE_MODE
-                ),
-                test_acc_hard=accuracy(
-                    selected, spec, data.test.frames, data.test.labels, HARD_MODE
-                ),
-                diverged=diverged,
-                diverged_reason=diverged_reason,
-                diverged_step=steps + 1 if diverged else None,
-                metrics_path=metrics_path,
-                checkpoint_path=ckpt_path,
+            plan = [(k, k) for k in range(n_chunks)]
+        budget = self.cfg.train.pass_budget
+        for chunks in plan:
+            if budget and self.passes >= budget:
+                return
+            update = SastOptimizer(opt).requests(self.params, len(chunks) == 2)
+            try:
+                net = next(update)
+                for k in chunks:
+                    net = update.send((yield net, k))
+            except StopIteration as done:
+                self.after_step(*done.value)
+            except (InstabilityError, FloatingPointError) as exc:
+                self.diverged_reason = str(exc)
+            if self.diverged:
+                return
+
+    def after_step(self, params: NetworkParams, report: StepReport) -> None:
+        self.params = params
+        if not np.isfinite(report.loss_first):
+            self.diverged_reason = "non-finite loss"
+            return
+        self.losses.append(report.loss_first)
+        self.passes += report.n_passes
+        self.steps += 1
+
+    def end_epoch(self, epoch: int, acc_s: float, acc_h: float, wall_s: float) -> bool:
+        """Record the epoch; whether the arm trains another one."""
+        train = self.cfg.train
+        _write_row(
+            self.metrics,
+            {
+                "seed": self.seed,
+                "epoch": epoch,
+                "steps": self.steps,
+                "passes": self.passes,
+                "train_loss": float(np.mean(self.losses)) if self.losses else math.nan,
+                "val_acc_surrogate": acc_s,
+                "val_acc_hard": acc_h,
+                "val_transfer_gap": acc_s - acc_h,
+                "diverged": int(self.diverged),
+                "wall_clock_s": wall_s,
+            },
+        )
+        # Ties go to the most-trained checkpoint, so a plateaued run
+        # reports its converged iterate rather than the first epoch
+        # that happened to touch the plateau.
+        if not self.diverged and acc_s >= self.best[0]:
+            self.best = (acc_s, epoch, self.params.copy())
+        if train.checkpoint_every and epoch % train.checkpoint_every == 0:
+            save_checkpoint(self.path("checkpoints", f"epoch_{epoch:03d}.bin"), self.params, self.cfg.surrogate.spec())
+        if train.diagnostics_every and not self.diverged and epoch % train.diagnostics_every == 0:
+            report = diagnose(
+                self.params,
+                self.cfg.surrogate.spec(),
+                self.val.frames[:64],
+                self.val.labels[:64],
+                rho=self.cfg.optimizer.rho if self.cfg.optimizer.rho > 0.0 else 0.1,
             )
+            row = {"seed": self.seed, "epoch": epoch, **report.to_row()}
+            if self.diagnostics is None:
+                self.diagnostics = self.files.enter_context(open(self.path("diagnostics.csv"), "w", newline=""))
+                csv.DictWriter(self.diagnostics, fieldnames=list(row)).writeheader()
+            _write_row(self.diagnostics, row)
+        exhausted = train.pass_budget and self.passes >= train.pass_budget
+        return not (self.diverged or exhausted) and epoch < train.epochs
+
+    def selected(self) -> NetworkParams:
+        """The checkpoint reported metrics come from; a diverged run's junk final iterate falls back to best."""
+        return self.params if self.cfg.train.select == "final" and not self.diverged else self.best[2]
+
+    def finish(self, val_s: float, val_h: float, test_s: float, test_h: float) -> SeedResult:
+        """Write the best and final checkpoints; the seed's result, with the selected checkpoint's accuracies."""
+        spec = self.cfg.surrogate.spec()
+        save_checkpoint(self.path("checkpoints", "best.bin"), self.best[2], spec)
+        save_checkpoint(self.path("checkpoints", "final.bin"), self.params, spec)
+        selected_final = self.selected() is self.params
+        return SeedResult(
+            seed=self.seed,
+            best_epoch=self.best[1],
+            best_params=self.best[2],
+            final_params=self.params,
+            passes=self.passes,
+            steps=self.steps,
+            val_acc_surrogate=val_s,
+            val_acc_hard=val_h,
+            test_acc_surrogate=test_s,
+            test_acc_hard=test_h,
+            diverged=self.diverged,
+            diverged_reason=self.diverged_reason,
+            diverged_step=self.steps + 1 if self.diverged else None,
+            metrics_path=self.path("metrics.csv"),
+            checkpoint_path=self.path("checkpoints", "final.bin" if selected_final else "best.bin"),
         )
 
-    result = TrainResult(run_dir=run_dir, config=cfg, seeds=results)
-    _write_summary(result)
-    return result
+
+def _write_row(fh: TextIO, row: dict) -> None:
+    """Append one CSV row.  The writer lives for the row only: each keeps a
+    128 KiB buffer once it has written, and a study holds a file per arm."""
+    csv.DictWriter(fh, fieldnames=list(row)).writerow(row)
+
+
+def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[TrainResult]:
+    """Train every configuration, one seed at a time, with the seed's runs in lockstep.
+
+    The runs of a seed start from the same network and draw the same
+    permutation each epoch, so pass ``i`` of the baseline and pass ``i`` of
+    every independent-batch radius read the same chunk: one stacked pass
+    answers them all, and each run's slice of it is bit-identical to its
+    lone pass.  The configurations must share the model, surrogate, seeds
+    and batch size.
+    """
+    first = cfgs[0]
+    shared = [(c.model, c.surrogate, c.train.seeds, c.train.batch_size) for c in cfgs]
+    if any(key != shared[0] for key in shared):
+        raise ValueError("lockstep runs must share model, surrogate, seeds and batch size")
+    spec = first.surrogate.spec()
+    for cfg in cfgs:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
+    r_x = events.measured_input_bound(data.train.frames)
+    per_run: list[list[SeedResult]] = [[] for _ in cfgs]
+    for seed in first.train.seeds:
+        params = _initial_network(first, data, seed)
+        constants = compute_constants(assumptions_from(params, spec, r_x, data.train.frames.shape[1], margin=2.0))
+        with contextlib.ExitStack() as files:
+            arms = [_Arm.start(cfg, seed, data.val, params, constants, files) for cfg in cfgs]
+            _run_epochs(arms, spec, data, np.random.default_rng([seed, 202]))
+        selected = [arm.selected() for arm in arms]
+        accs = [
+            _accuracies(selected, spec, split, mode)
+            for split in (data.val, data.test)
+            for mode in (SURROGATE_MODE, HARD_MODE)
+        ]
+        for results, arm, arm_accs in zip(per_run, arms, zip(*accs)):
+            results.append(arm.finish(*arm_accs))
+    runs = [TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=results) for cfg, results in zip(cfgs, per_run)]
+    for run in runs:
+        _write_summary(run)
+    return runs
+
+
+def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: np.random.Generator) -> None:
+    """Train a seed's arms epoch by epoch and validate them with stacked forwards.
+
+    ``wall_clock_s`` is the wall time of the shared epoch.
+    """
+    n, batch_size = data.train.n_samples, arms[0].cfg.train.batch_size
+    live = [arm for arm in arms if arm.cfg.train.epochs > 0]
+    epoch = 0
+    while live:
+        epoch += 1
+        t0 = time.perf_counter()
+        order = rng.permutation(n)
+        chunks = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
+        _run_steps(live, spec, data.train, chunks)
+        nets = [arm.params for arm in live]
+        acc_s = _accuracies(nets, spec, data.val, SURROGATE_MODE)
+        acc_h = _accuracies(nets, spec, data.val, HARD_MODE)
+        wall_s = time.perf_counter() - t0
+        live = [arm for arm, s, h in zip(live, acc_s, acc_h) if arm.end_epoch(epoch, s, h, wall_s)]
+
+
+def _run_steps(arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks: list[np.ndarray]) -> None:
+    """Run one epoch of every arm's steps.  Each round answers every arm's
+    next request, with one stacked pass per chunk the requests read."""
+    epochs = {arm: arm.epoch(len(chunks)) for arm in arms}
+    requests: dict[_Arm, tuple[NetworkParams, int]] = {}
+
+    def advance(arm: _Arm, answer) -> None:
+        try:
+            if isinstance(answer, Exception):
+                requests[arm] = epochs[arm].throw(answer)
+            else:
+                requests[arm] = epochs[arm].send(answer)
+        except StopIteration:
+            requests.pop(arm, None)
+
+    for arm in arms:
+        advance(arm, None)
+    while requests:
+        by_chunk: dict[int, list[_Arm]] = {}
+        for arm, (_, k) in requests.items():
+            by_chunk.setdefault(k, []).append(arm)
+        for k, group in by_chunk.items():
+            batch = Batch(train_set.frames[chunks[k]], train_set.labels[chunks[k]])
+            for arm, answer in zip(group, _passes([requests[arm][0] for arm in group], spec, batch)):
+                advance(arm, answer)
+
+
+def _passes(nets: list[NetworkParams], spec: SurrogateSpec, batch: Batch) -> list:
+    """Each network's loss and gradient on the batch, from one stacked pass.
+
+    If the stacked pass raises, each network's pass is rerun alone, so a
+    network gets an ``InstabilityError`` or ``FloatingPointError`` in place
+    of its answer only when its own pass raises it.
+    """
+    try:
+        losses, grads = stacked_backward(stack(nets), spec, batch)
+    except (InstabilityError, FloatingPointError) as exc:
+        if len(nets) == 1:
+            return [exc]
+        return [answer for net in nets for answer in _passes([net], spec, batch)]
+    return list(zip(losses.tolist(), grads))
+
+
+# Samples x models in one stacked evaluation forward.  At 128 samples a smooth
+# forward's time per model is flat from one model to four, while its working
+# set grows with every model; 256 keeps it at a lone 256-sample forward's.
+_EVAL_ROWS = 256
+
+
+def _accuracies(nets: list[NetworkParams], spec: SurrogateSpec, ds: Dataset, mode: str) -> list[float]:
+    """Each network's accuracy on ``ds``, equal to :func:`accuracy`, from stacked
+    lean forwards over groups of at most ``_EVAL_ROWS`` samples x models."""
+    group = max(1, _EVAL_ROWS // ds.n_samples)
+    if len(nets) > group:
+        return [acc for i in range(0, len(nets), group) for acc in _accuracies(nets[i : i + group], spec, ds, mode)]
+    try:
+        logits = forward(stack(nets), mode_spec(spec, mode), ds.frames, keep_states=False).logits
+    except InstabilityError:
+        if len(nets) == 1:
+            raise
+        return [acc for net in nets for acc in _accuracies([net], spec, ds, mode)]
+    return (logits.argmax(axis=-1) == ds.labels).mean(axis=-1).tolist()
 
 
 def seed_record(s: SeedResult) -> dict:
@@ -1002,7 +1129,9 @@ def run_transfer_study(
 ) -> TransferStudyResult:
     """Train a baseline and one two-pass run per radius; pick the best radius.
 
-    All runs share the seed list and the data splits.  The radius is chosen
+    All runs share the seed list and the data splits; each seed's runs
+    train in lockstep (see :func:`_train_lockstep`), with results
+    bit-identical to separate :func:`train` calls.  The radius is chosen
     by median validation hard accuracy (ties: smaller validation gap, then
     smaller radius); reported numbers are test metrics at each seed's
     selected checkpoint (``TrainSettings.select``).
@@ -1015,16 +1144,13 @@ def run_transfer_study(
         out_dir=f"{base_dir}/baseline",
         optimizer=replace(base_cfg.optimizer, rho=0.0),
     )
-    baseline = train(baseline_cfg, data)
-
-    by_rho: dict[float, TrainResult] = {}
-    for rho in rho_grid:
-        rho_cfg = replace(
-            base_cfg,
-            out_dir=f"{base_dir}/sast-rho{rho:g}",
-            optimizer=replace(base_cfg.optimizer, rho=float(rho)),
-        )
-        by_rho[float(rho)] = train(rho_cfg, data)
+    rhos = list(dict.fromkeys(float(rho) for rho in rho_grid))  # a repeated radius would share its files
+    rho_cfgs = [
+        replace(base_cfg, out_dir=f"{base_dir}/sast-rho{rho:g}", optimizer=replace(base_cfg.optimizer, rho=rho))
+        for rho in rhos
+    ]
+    baseline, *runs = _train_lockstep([baseline_cfg, *rho_cfgs], data)
+    by_rho = dict(zip(rhos, runs))
     stats = {rho: aggregate(run.records()) for rho, run in by_rho.items()}
     scores = {
         rho: (s["val_acc_hard"].median, s["val_transfer_gap"].median) for rho, s in stats.items()

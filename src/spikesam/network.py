@@ -188,11 +188,11 @@ class LayerParams:
 
     @property
     def d_in(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def d_out(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     def copy(self) -> "LayerParams":
         return LayerParams(self.weight.copy(), self.bias.copy(), self.threshold.copy())
@@ -207,6 +207,8 @@ class NetworkParams:
     and ``w_out``/``b_out`` are views into it, so an in-place edit of either
     shows in the other.  The constructor copies its inputs into a fresh
     buffer and leaves the given arrays and ``LayerParams`` objects alone.
+    :func:`stack` builds M parameter sets over one (M, P) buffer; every
+    view then has a leading model axis.
     """
 
     layers: list[LayerParams]
@@ -256,7 +258,7 @@ class NetworkParams:
 
     @property
     def n_classes(self) -> int:
-        return self.w_out.shape[0]
+        return self.w_out.shape[-2]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -301,7 +303,9 @@ class StateTrace:
     list index for layer ``l + 1`` of the recursion); :func:`forward` makes
     them views of time-major (T, n, d_l) buffers.  A forward run with
     ``keep_states=False`` leaves both lists empty.  ``zbar`` is the
-    time-averaged top-layer activity and ``logits`` the readout output.
+    time-averaged top-layer activity and ``logits`` the readout output.  A
+    stacked forward puts a model axis in front of ``u``, ``z``, ``zbar`` and
+    ``logits``; ``inputs`` are shared.
     """
 
     inputs: np.ndarray  # (n, T, d_0)
@@ -322,25 +326,36 @@ def lif_layer(
     """Run one spiking layer over time-major inputs ``x`` (T, n, d_in).
 
     Returns ``(u, z)``: the membrane states and activity, time-major
-    (T, n, d_out).  With ``keep_states=False`` only the activity is stored,
-    written over the drive buffer where it is contiguous, and ``u`` is the
-    last step's (n, d_out) state.  ``x`` may be the time-major view of
+    (T, n, d_out); the activity is written over the drive buffer where it
+    is contiguous.  With ``keep_states=False`` only the activity is stored,
+    and ``u`` is the last step's (n, d_out) state.  ``x`` may be the time-major view of
     sample-major frames; the drive product then runs over the frames' own
     rows.  Non-finite states are left for the caller to detect.
+
+    A layer of M stacked models (weight (M, d_out, d_in)) takes shared
+    inputs (T, n, d_in) or per-model inputs (T, n, M, d_in), and its states
+    are (T, n, M, d_out): one model's rows over (t, n) are then one strided
+    matrix, and its drive is the same product a lone model runs.
     """
-    n_steps, n, d_in = x.shape
-    d, theta = layer.d_out, layer.threshold
+    n_steps, n = x.shape[:2]
+    models, (d, d_in) = layer.weight.shape[:-2], layer.weight.shape[-2:]
+    block = (n, *models, d)  # one step's states
+    theta = layer.threshold
     spike = functools.partial(surrogate_value, spec) if spec.family != HARD else hard_step
-    time_major = x.flags.c_contiguous
-    rows = x.reshape(n_steps * n, d_in) if time_major else x.transpose(1, 0, 2).reshape(n * n_steps, d_in)
-    drive = rows @ layer.weight.T
+    time_major = x.ndim == 4 or x.flags.c_contiguous
+    if x.ndim == 4:  # per-model inputs: one strided (T n, d_in) matrix per model
+        rows = x.reshape(n_steps * n, *models, d_in).swapaxes(0, 1)
+    else:
+        rows = x.reshape(n_steps * n, d_in) if time_major else x.transpose(1, 0, 2).reshape(n * n_steps, d_in)
+    drive = np.empty((n_steps * n, *models, d))
+    np.matmul(rows, layer.weight.swapaxes(-1, -2), out=drive.swapaxes(0, 1) if models else drive)
     drive += layer.bias
-    drive = drive.reshape(n_steps, n, d) if time_major else drive.reshape(n, n_steps, d).transpose(1, 0, 2)
+    drive = drive.reshape(n_steps, *block) if time_major else drive.reshape(n, n_steps, *block[1:]).swapaxes(0, 1)
     # Without states, every step writes its membrane state over the same buffer.
-    u = np.empty((n_steps, n, d)) if keep_states else [np.zeros((n, d))] * n_steps
-    z = drive if not keep_states and drive.flags.c_contiguous else np.empty((n_steps, n, d))
-    a = np.empty((n, d))
-    u_t = z_t = np.zeros((n, d))
+    u = np.empty((n_steps, *block)) if keep_states else [np.zeros(block)] * n_steps
+    z = drive if drive.flags.c_contiguous else np.empty((n_steps, *block))
+    a = np.empty(block)
+    u_t = z_t = np.zeros(block)
     for t in range(n_steps):  # drive[t] is read before z[t] is written
         u_t = np.multiply(alpha, u_t, out=u[t])
         u_t += drive[t]
@@ -360,6 +375,10 @@ def forward(
     non-finite.  ``keep_states=False`` keeps only the layer below's activity
     while each layer runs and returns a trace with empty ``u`` and ``z``; its
     ``zbar`` and ``logits`` are bit-identical to the full pass's.
+
+    Stacked ``params`` (see :func:`stack`) run M models on the same frames
+    in one pass; each model's slice of the trace is bit-identical to its
+    lone forward, and a non-finite state in any model raises.
     """
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim == 2:
@@ -370,8 +389,9 @@ def forward(
     if x.shape[2] != d0:
         raise ValueError(f"frame width {x.shape[2]} does not match input width {d0}")
 
-    # Layer buffers are time-major (T, n, d), so every step works on
-    # contiguous (n, d) blocks; the trace holds their (n, T, d) views.
+    # Layer buffers are time-major, (T, n, d) or stacked (T, n, M, d), so every
+    # step works on contiguous blocks; swapping axes 0 and -2 gives the
+    # trace's (n, T, d) or (M, n, T, d) views.
     z = x.transpose(1, 0, 2)
     us: list[np.ndarray] = []
     zs: list[np.ndarray] = []
@@ -381,14 +401,15 @@ def forward(
             if not np.all(np.isfinite(u)):
                 if not keep_states:  # a non-finite state stays so to the last step; locate it
                     forward(params, spec, frames)
-                bad = np.argwhere(~np.isfinite(u.transpose(1, 0, 2)))[0]
-                raise InstabilityError(f"non-finite membrane state at layer {idx + 1}, step {bad[1] + 1}")
+                bad = np.argwhere(~np.isfinite(np.moveaxis(u, 0, -2)))[0]  # (sample, [model,] step, unit)
+                raise InstabilityError(f"non-finite membrane state at layer {idx + 1}, step {bad[-2] + 1}")
             if keep_states:
-                us.append(u.transpose(1, 0, 2))
-                zs.append(z.transpose(1, 0, 2))
+                us.append(u.swapaxes(0, -2))
+                zs.append(z.swapaxes(0, -2))
 
-    zbar = z.transpose(1, 0, 2).mean(axis=1)
-    logits = zbar @ params.w_out.T + params.b_out
+    zbar = z.mean(axis=0).swapaxes(0, -2)  # (n, d_L), or stacked (M, n, d_L)
+    logits = np.matmul(zbar, params.w_out.swapaxes(-1, -2))
+    logits += params.b_out[..., None, :]
     return StateTrace(inputs=x, u=us, z=zs, zbar=zbar, logits=logits, spec=spec)
 
 
@@ -425,8 +446,19 @@ def _layout(dims: tuple[int, ...], n_classes: int) -> tuple:
 
 
 def _view(buffer: np.ndarray, s: _Slot) -> np.ndarray:
-    """Block ``s`` of a 1-d canonical buffer, as a view of its shape."""
-    return buffer[s[0]].reshape(s[1])
+    """Block ``s`` of a canonical buffer, as a view of its shape after any leading model axis."""
+    return buffer[..., s[0]].reshape(*buffer.shape[:-1], *s[1])
+
+
+def stack(nets: Sequence[NetworkParams]) -> NetworkParams:
+    """The M networks' parameters in one (M, P) buffer, for a stacked :func:`forward`.
+
+    The networks must share their widths, class count and leak.
+    """
+    first = nets[0]
+    if any((net.dims, net.n_classes, net.alpha) != (first.dims, first.n_classes, first.alpha) for net in nets):
+        raise ValueError("stacked networks must share widths, class count and leak")
+    return NetworkParams._over(np.stack([net.buffer for net in nets]), first.dims, first.n_classes, first.alpha)
 
 
 def parameter_count(params: NetworkParams, include_alpha: bool = False) -> int:

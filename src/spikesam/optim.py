@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -81,20 +81,22 @@ def sam_perturbation(grad: np.ndarray, rho: float) -> np.ndarray:
 
 
 LossGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# An update as the gradient requests it makes: it yields each point to
+# evaluate, takes back that point's loss and gradient, and returns its result.
+Requests = Generator[Any, tuple[float, np.ndarray], Any]
 
 
-def _update(
-    w: np.ndarray,
-    loss_grad: LossGrad,
-    cfg: OptimizerConfig,
-    loss_grad_second: LossGrad | None,
-) -> tuple[np.ndarray, StepReport]:
-    """First pass; with ``loss_grad_second``, ascent and second pass; one SGD step."""
-    loss1, g1 = loss_grad(w)
+def _update(w: np.ndarray, cfg: OptimizerConfig, two_pass: bool) -> Requests:
+    """First pass at ``w``; with ``two_pass``, ascent and second pass; one SGD step.
+
+    Yields ``w``, then with ``two_pass`` the perturbed point ``w + eps``;
+    returns the new vector and the step's report.
+    """
+    loss1, g1 = yield w
     eps = loss2 = g2 = None
-    if loss_grad_second is not None:
+    if two_pass:
         eps = sam_perturbation(g1, cfg.rho)
-        loss2, g2 = loss_grad_second(w + eps)
+        loss2, g2 = yield w + eps
     step = g1 if g2 is None else g2
     report = StepReport(
         loss_first=loss1,
@@ -105,6 +107,17 @@ def _update(
         n_passes=1 if g2 is None else 2,
     )
     return w - cfg.eta * step, report
+
+
+def _answer(requests: Requests, *loss_grads: Callable[[Any], tuple[float, np.ndarray]]):
+    """Run an update, answering its i-th request with ``loss_grads[i]``; its result."""
+    point = next(requests)
+    try:
+        for loss_grad in loss_grads:
+            point = requests.send(loss_grad(point))
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError(f"the update requested more than {len(loss_grads)} passes")
 
 
 def two_pass_update(
@@ -119,12 +132,19 @@ def two_pass_update(
     (default: the same function) evaluates the second pass at the perturbed
     point.  Returns the new vector and a report.
     """
-    return _update(w, loss_grad, cfg, loss_grad_second or loss_grad)
+    return _answer(_update(w, cfg, True), loss_grad, loss_grad_second or loss_grad)
 
 
 def single_pass_update(w: np.ndarray, loss_grad: LossGrad, cfg: OptimizerConfig) -> tuple[np.ndarray, StepReport]:
     """One plain baseline update on a parameter vector."""
-    return _update(w, loss_grad, cfg, None)
+    return _answer(_update(w, cfg, False), loss_grad)
+
+
+def _freeze_thresholds(g: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """``g`` with its threshold entries zeroed in place."""
+    for sl in threshold_slices(params):
+        g[sl] = 0.0
+    return g
 
 
 def _trained_gradient(
@@ -133,10 +153,7 @@ def _trained_gradient(
     """Loss and canonical gradient, its frozen threshold entries zeroed in place."""
     bundle = backward(params, spec, batch)
     g = bundle.grads.buffer
-    if not train_threshold:
-        for sl in threshold_slices(params):
-            g[sl] = 0.0
-    return bundle.loss, g
+    return bundle.loss, g if train_threshold else _freeze_thresholds(g, params)
 
 
 def _network_at(params: NetworkParams, w: np.ndarray) -> NetworkParams:
@@ -151,6 +168,14 @@ def _network_at(params: NetworkParams, w: np.ndarray) -> NetworkParams:
     return NetworkParams._over(w, params.dims, params.n_classes, params.alpha)
 
 
+def _backward_pass(spec: SurrogateSpec, batch: Batch) -> Callable[[NetworkParams], tuple[float, np.ndarray]]:
+    def loss_grad(net: NetworkParams) -> tuple[float, np.ndarray]:
+        bundle = backward(net, spec, batch)
+        return bundle.loss, bundle.grads.buffer
+
+    return loss_grad
+
+
 class SastOptimizer:
     """The vector-level updates applied to networks.
 
@@ -163,12 +188,24 @@ class SastOptimizer:
     def __init__(self, cfg: OptimizerConfig):
         self.cfg = cfg
 
-    def _loss_grad(self, params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> LossGrad:
-        def fn(w: np.ndarray) -> tuple[float, np.ndarray]:
-            net = params if w is params.buffer else _network_at(params, w)
-            return _trained_gradient(net, spec, batch, self.cfg.train_threshold)
+    def requests(self, params: NetworkParams, two_pass: bool) -> Requests:
+        """One update of ``params`` as the gradient requests it makes.
 
-        return fn
+        Yields each network to evaluate (``params``, then with ``two_pass``
+        the perturbed network) and takes back its loss and raw gradient,
+        which it may write to; returns the updated network and the report.
+        A non-finite perturbed or updated point raises
+        :class:`InstabilityError`.
+        """
+        update = _update(params.buffer, self.cfg, two_pass)
+        w = next(update)
+        while True:
+            loss, g = yield params if w is params.buffer else _network_at(params, w)
+            try:
+                w = update.send((loss, g if self.cfg.train_threshold else _freeze_thresholds(g, params)))
+            except StopIteration as done:
+                w_new, report = done.value
+                return _network_at(params, w_new), report
 
     def sast_step(
         self,
@@ -180,17 +217,14 @@ class SastOptimizer:
         """One two-pass update; with ``rho = 0`` prefer :meth:`baseline_step`."""
         if self.cfg.second_batch == INDEPENDENT and second_batch is None:
             raise ValueError("independent second-batch policy needs a second batch")
-        first = self._loss_grad(params, spec, batch)
-        second = first if second_batch is None else self._loss_grad(params, spec, second_batch)
-        w_new, report = two_pass_update(params.buffer, first, self.cfg, second)
-        return _network_at(params, w_new), report
+        passes = (_backward_pass(spec, b) for b in (batch, second_batch or batch))
+        return _answer(self.requests(params, True), *passes)
 
     def baseline_step(
         self, params: NetworkParams, spec: SurrogateSpec, batch: Batch
     ) -> tuple[NetworkParams, StepReport]:
         """One single-pass update (ignores ``rho``)."""
-        w_new, report = single_pass_update(params.buffer, self._loss_grad(params, spec, batch), self.cfg)
-        return _network_at(params, w_new), report
+        return _answer(self.requests(params, False), _backward_pass(spec, batch))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from spikesam.gradients import (
     gradcheck,
     logit_jacobians,
     per_sample_gradients,
+    stacked_backward,
 )
 from spikesam.network import (
     FAST_SIGMOID,
@@ -40,6 +41,7 @@ from spikesam.network import (
     parameter_count,
     parameter_vector,
     replace_parameters,
+    stack,
     surrogate_derivative,
 )
 
@@ -257,10 +259,39 @@ def test_reverse_sweep_names_the_layer_and_step_of_a_non_finite_gradient():
             _reverse_sweep(params, trace, v)
 
 
+@pytest.mark.parametrize("spec", [ARCTAN_PI, SurrogateSpec(FAST_SIGMOID, 2.0)], ids=["arctan", "fast_sigmoid"])
+def test_stacked_reverse_sweep_equals_lone_sweeps_bit_for_bit(spec):
+    rng = np.random.default_rng(48)
+    nets = [init_network((48, 16, 16, 16), 2, alpha=0.6, theta=0.5, weight_scale=1.5, seed=rng) for _ in range(3)]
+    for net in nets:
+        for layer in net.layers:
+            layer.bias += 0.1 * rng.standard_normal(layer.bias.shape)
+            layer.threshold *= rng.uniform(0.8, 1.2, layer.threshold.shape)
+    batch = spike_batch(nets[0], n_samples=32, n_steps=8, rate=0.4, seed=49)
+    trace = forward(stack(nets), spec, batch.inputs)
+    v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
+    grads, d_alpha, input_grads = _reverse_sweep(stack(nets), trace, v)
+    assert grads.shape == (3, parameter_count(nets[0])) and d_alpha is None and input_grads is None
+    losses, mean_grads = stacked_backward(stack(nets), spec, batch)
+    for m, net in enumerate(nets):
+        lone = forward(net, spec, batch.inputs)
+        assert grads[m].tobytes() == _reverse_sweep(net, lone, _softmax_loss_and_grad(lone.logits, batch.labels)[1])[0].tobytes()
+        bundle = backward(net, spec, batch)
+        assert losses[m] == bundle.loss and mean_grads[m].tobytes() == bundle.grads.buffer.tobytes()
+
+
+def test_stacked_reverse_sweep_refuses_per_sample_mode():
+    nets = [tiny_net(seed=50), tiny_net(seed=51)]
+    batch = spike_batch(nets[0], seed=52)
+    trace = forward(stack(nets), ARCTAN_PI, batch.inputs)
+    with pytest.raises(ValueError, match="one parameter set"):
+        _reverse_sweep(stack(nets), trace, _softmax_loss_and_grad(trace.logits, batch.labels)[1], per_sample=True)
+
+
 def test_logit_jacobians_against_finite_difference():
     params = tiny_net(dims=(4, 3), n_classes=3, seed=30)
     frames = dense_batch(params, n_samples=1, n_steps=3, seed=31).inputs[0]
-    j_w, j_x = logit_jacobians(params, ARCTAN_PI, frames)
+    j_w, j_x, _ = logit_jacobians(params, ARCTAN_PI, frames)
     w0 = parameter_vector(params, include_alpha=False)
     assert j_w.shape == (3, w0.size)
     assert j_x.shape == (3, frames.size)
@@ -283,8 +314,9 @@ def test_logit_jacobians_compose_to_loss_gradient():
     params = tiny_net(dims=(5, 4), n_classes=3, seed=32)
     frames = dense_batch(params, n_samples=1, n_steps=4, seed=33).inputs[0]
     label = 1
-    j_w, j_x = logit_jacobians(params, ARCTAN_PI, frames)
+    j_w, j_x, logits = logit_jacobians(params, ARCTAN_PI, frames)
     trace = forward(params, ARCTAN_PI, frames)
+    np.testing.assert_allclose(logits, trace.logits[0], rtol=1e-15, atol=1e-15)  # the tiled forward's
     _, v, _ = cross_entropy(trace.logits[0], label)
     bundle = backward(params, ARCTAN_PI, Batch(frames[None], np.array([label])))
     np.testing.assert_allclose(j_w.T @ v, bundle.grads.vector(False), rtol=1e-11, atol=1e-13)

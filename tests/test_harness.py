@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikesam import diagnostics, events, gradients, harness, network
+from spikesam import diagnostics, events, gradients, harness, network, optim
 from spikesam.diagnostics import HARD_MODE, SURROGATE_MODE, accuracy
 from spikesam.gradients import Batch, batch_loss
 from spikesam.events import CORRUPTION_FAMILIES, EVENT_DROP, SynthTaskConfig, save_dataset
@@ -57,7 +57,6 @@ from spikesam.harness import (
     seed_record,
     train,
 )
-from spikesam import optim
 from spikesam.network import init_network, load_checkpoint, parameter_vector, threshold_slices
 from spikesam.optim import INDEPENDENT, REUSED, OptimizerConfig
 from spikesam import cli
@@ -419,7 +418,7 @@ def test_programming_errors_inside_a_step_propagate(tmp_path, monkeypatch):
     def broken_backward(*args, **kwargs):
         raise ValueError("shapes (8, 6) and (5,) not aligned")
 
-    monkeypatch.setattr(optim, "backward", broken_backward)
+    monkeypatch.setattr(harness, "stacked_backward", broken_backward)  # the pass every training step makes
     with pytest.raises(ValueError, match="not aligned"):
         train(micro_config(str(tmp_path / "bug"), epochs=1, seeds=(0,)))
 
@@ -428,7 +427,7 @@ def test_diagnostics_rows_reach_disk_when_a_step_raises(tmp_path, monkeypatch):
     cfg = micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0,))
     cfg = replace(cfg, train=replace(cfg.train, diagnostics_every=1))
     steps_per_epoch = cfg.data.synth.n_train // cfg.train.batch_size
-    real_backward = optim.backward
+    real_backward = harness.stacked_backward
     calls = []
 
     def backward_failing_in_epoch_3(*args, **kwargs):
@@ -437,7 +436,7 @@ def test_diagnostics_rows_reach_disk_when_a_step_raises(tmp_path, monkeypatch):
             raise ValueError("shapes (8, 6) and (5,) not aligned")
         return real_backward(*args, **kwargs)
 
-    monkeypatch.setattr(optim, "backward", backward_failing_in_epoch_3)
+    monkeypatch.setattr(harness, "stacked_backward", backward_failing_in_epoch_3)
     with pytest.raises(ValueError, match="not aligned") as excinfo:
         train(cfg)
     # excinfo still holds train()'s frames, so a file they left open is unflushed here.
@@ -492,6 +491,81 @@ def test_study_rows_carry_method_label(tmp_path):
         )
     assert study.baseline_gap_median == float(np.median([r["test_transfer_gap"] for r in rows[:2]]))
     assert study.best_surrogate_median == float(np.median([r["test_acc_surrogate"] for r in rows[2:]]))
+
+
+BLOWN_UP_RHO = 0.3
+
+
+def blow_up_one_radius(monkeypatch) -> None:
+    """Make the ascent step of radius ``BLOWN_UP_RHO`` overflow the next forward's drive."""
+    real = optim.sam_perturbation
+
+    def perturbation(grad, rho):
+        return np.sign(grad) * 1e308 if rho == BLOWN_UP_RHO else real(grad, rho)
+
+    monkeypatch.setattr(optim, "sam_perturbation", perturbation)
+
+
+def run_files(root: Path) -> dict[str, Path]:
+    return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("policy", [INDEPENDENT, REUSED])
+def test_lockstep_study_matches_separate_train_runs(tmp_path, monkeypatch, policy):
+    blow_up_one_radius(monkeypatch)
+    base = micro_config(str(tmp_path / "lockstep"), epochs=4, seeds=(0, 1))
+    base = replace(
+        base,
+        optimizer=replace(base.optimizer, second_batch=policy),
+        train=replace(base.train, pass_budget=10, checkpoint_every=1, diagnostics_every=2),
+    )
+    data = load_data(base.data)
+    rho_grid = (0.05, BLOWN_UP_RHO, 0.2)
+    study = run_transfer_study(base, rho_grid=rho_grid, data=data)
+    for run in [study.baseline, *study.by_rho.values()]:  # each arm again, alone
+        sub = os.path.relpath(run.run_dir, base.out_dir)
+        train(replace(run.config, out_dir=str(tmp_path / "separate" / sub)), data)
+
+    lockstep, separate = run_files(tmp_path / "lockstep"), run_files(tmp_path / "separate")
+    assert set(separate) == set(lockstep) - {"study.json"}
+    assert sum(name.endswith(".bin") for name in separate) >= 4 * 2 * 3  # per arm-seed: epoch 1, best, final
+    for name, path in separate.items():
+        if name.endswith("metrics.csv"):
+            assert metrics_equal(str(lockstep[name]), str(path)), name
+        elif not name.endswith("config.json"):  # which differs by out_dir only
+            assert lockstep[name].read_bytes() == path.read_bytes(), name
+
+    blown = study.by_rho[BLOWN_UP_RHO].seeds
+    assert all(s.diverged and s.diverged_step == 1 for s in blown)
+    assert all(re.fullmatch(r"non-finite membrane state at layer 1, step \d+", s.diverged_reason) for s in blown)
+    healthy = [s for run in (study.baseline, study.by_rho[0.05], study.by_rho[0.2]) for s in run.seeds]
+    assert not any(s.diverged for s in healthy)
+    # the budget stops each arm after the step that reaches it, in its own epoch
+    passes = {run.config.method_label: run.seeds[0].passes for run in (study.baseline, study.by_rho[0.2])}
+    assert passes == {"baseline": 10, "sast-rho0.2": 10}
+    epochs = {label: len(lockstep[f"{label}/seed_0/metrics.csv"].read_text().splitlines()) - 1 for label in passes}
+    assert epochs == {"baseline": 3, "sast-rho0.2": 2 if policy == REUSED else 3}
+
+
+def test_a_programming_error_in_one_lockstep_arm_propagates_and_closes_every_file(tmp_path, monkeypatch):
+    real = optim.sam_perturbation
+    calls = []
+
+    def perturbation(grad, rho):
+        calls.append(rho)
+        if calls.count(0.2) > 2:  # the first step of epoch 2
+            raise ValueError("shapes (8, 6) and (5,) not aligned")
+        return real(grad, rho)
+
+    monkeypatch.setattr(optim, "sam_perturbation", perturbation)
+    cfg = micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0,))
+    with pytest.raises(ValueError, match="not aligned") as excinfo:
+        run_transfer_study(cfg, rho_grid=(0.1, 0.2))
+    # excinfo still holds the driver's frames, so a file they left open is unflushed here.
+    for arm in ("baseline", "sast-rho0.1", "sast-rho0.2"):
+        with open(tmp_path / "bug" / arm / "seed_0" / "metrics.csv", newline="") as fh:
+            assert [row["epoch"] for row in csv.DictReader(fh)] == ["1"], arm
+    assert excinfo.value is not None
 
 
 # ---------------------------------------------------------------------------

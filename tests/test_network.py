@@ -37,6 +37,7 @@ from spikesam.network import (
     parameter_vector,
     replace_parameters,
     save_checkpoint,
+    stack,
     surrogate_derivative,
     surrogate_second_derivative,
     surrogate_value,
@@ -275,6 +276,53 @@ def test_forward_without_states_names_the_same_layer_and_step(spec, layer, step)
                 forward(params, spec, frames, keep_states=keep_states)
         messages.append(str(err.value))
     assert messages == [f"non-finite membrane state at layer {layer + 1}, step {step + 1}"] * 2
+
+
+def three_study_nets() -> list[NetworkParams]:
+    """Three packaged 48-16-16-16 nets with distinct weights, biases and thresholds."""
+    rng = np.random.default_rng(45)
+    nets = [init_network((48, 16, 16, 16), 2, alpha=0.6, theta=0.5, weight_scale=1.5, seed=rng) for _ in range(3)]
+    for net in nets:
+        for layer in net.layers:
+            layer.bias += 0.1 * rng.standard_normal(layer.bias.shape)
+            layer.threshold *= rng.uniform(0.8, 1.2, layer.threshold.shape)
+    return nets
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID, HARD])
+@pytest.mark.parametrize("keep_states", [True, False], ids=["states", "lean"])
+def test_stacked_forward_equals_lone_forwards_bit_for_bit(family, keep_states):
+    nets = three_study_nets()
+    frames = spike_batch(nets[0], n_samples=32, n_steps=8, rate=0.4, seed=46).inputs
+    spec = SurrogateSpec(family, 0.7)
+    stacked = forward(stack(nets), spec, frames, keep_states=keep_states)
+    assert stacked.logits.shape == (3, 32, 2) and len(stacked.u) == (3 if keep_states else 0)
+    for m, net in enumerate(nets):
+        lone = forward(net, spec, frames, keep_states=keep_states)
+        assert stacked.logits[m].tobytes() == lone.logits.tobytes()
+        assert stacked.zbar[m].tobytes() == lone.zbar.tobytes()
+        for got, want in zip(stacked.u + stacked.z, lone.u + lone.z):
+            assert got[m].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_stacked_forward_raises_for_one_blown_up_model():
+    nets = three_study_nets()
+    nets[1].layers[0].weight[:] = 1e308  # the drive overflows in the middle model only
+    frames = spike_batch(nets[0], n_samples=4, n_steps=3, rate=0.9, seed=47).inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="at layer 1, step 1$"):
+            forward(stack(nets), ARCTAN_PI, frames, keep_states=False)
+    forward(stack(nets[::2]), ARCTAN_PI, frames)  # the other two run
+
+
+def test_stack_refuses_networks_of_different_shapes_or_leaks():
+    nets = three_study_nets()
+    with pytest.raises(ValueError, match="share"):
+        stack([nets[0], tiny_net()])
+    with pytest.raises(ValueError, match="share"):
+        stack([nets[0], init_network((48, 16, 16, 16), 2, alpha=0.5)])
+    assert stack(nets).buffer.shape == (3, parameter_count(nets[0]))
 
 
 def test_hard_spike_counts_track_drive_over_threshold():
