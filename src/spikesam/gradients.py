@@ -166,6 +166,7 @@ def _reverse_sweep(
     trace: StateTrace,
     v: np.ndarray,
     per_sample: bool = False,
+    params_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Propagate logit cotangents ``v`` (n, C) back to parameters and inputs.
 
@@ -175,19 +176,18 @@ def _reverse_sweep(
     gradient (n,), one row each per sample (the exact gradient of that
     sample's own scalar objective ``v_i @ o_i``).
 
-    Stacked ``params`` and trace (see :func:`network.stack`) take ``v`` as
-    (M, n, C) and give each model's parameter gradient as a row of an
-    (M, P) array, bit-identical to its lone sweep.  They skip the leak and
-    input gradients, which training does not read, and return ``None`` for
-    both.  A non-finite gradient in any model raises.  A stacked sweep is
-    its trace's last reader: it writes over each layer's ``u`` and drops
-    each layer's states from the trace once swept, so the working set
-    shrinks as it goes.
+    ``params_only=True`` skips the leak and input gradients, which training
+    does not read, and returns ``None`` for both.  Such a sweep is its
+    trace's last reader: it writes over each layer's ``u`` and drops each
+    layer's states from the trace once swept, so the working set shrinks as
+    it goes.  Stacked ``params`` and trace (see :func:`network.stack`) need
+    it: they take ``v`` as (M, n, C) and give each model's parameter
+    gradient as a row of an (M, P) array, bit-identical to its lone sweep.
+    A non-finite gradient in any model raises.
     """
     spec = trace.spec
-    stacked = params.buffer.ndim == 2
-    if stacked and per_sample:
-        raise ValueError("per-sample gradients take one parameter set, not a stack")
+    if params.buffer.ndim == 2 and (per_sample or not params_only):
+        raise ValueError("a stacked sweep gives batch parameter gradients only (params_only=True)")
     n, n_steps, _ = trace.inputs.shape
     models = params.buffer.shape[:-1]  # () or (M,)
     alpha = params.alpha
@@ -211,11 +211,11 @@ def _reverse_sweep(
         theta = layer.threshold
         u = trace.u[idx].swapaxes(0, -2)  # time-major (T, n, d) or (T, n, M, d) views
         z = trace.z[idx].swapaxes(0, -2)
-        if stacked:  # the sweep is the trace's last reader: each layer's states go once swept
+        if params_only:  # the sweep is the trace's last reader: each layer's states go once swept
             trace.u[idx] = trace.z[idx] = None
         block = u.shape[1:]
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
-            sp = np.subtract(u, theta, out=u if stacked else None)  # a stacked sweep reads no u after this
+            sp = np.subtract(u, theta, out=u if params_only else None)  # read no more without the leak gradient
             surrogate_derivative(spec, sp, out=sp)
             # gz starts as the cross-layer term; each step subtracts the reset term
             # and then scales by sigma', which leaves the threshold's
@@ -248,13 +248,13 @@ def _reverse_sweep(
         put(b_slot, gu.sum(axis=axes))
         reset = np.multiply(z[:-1], gu[1:], out=sp[1:]).sum(axis=axes)  # sigma' is spent
         put(th_slot, -(gz.sum(axis=axes) + reset))
-        if stacked:
+        if params_only:
             continue
         d_alpha += (u[:-1] * gu[1:]).sum(axis=(0, 2) if per_sample else None)
         if idx == 0:
             input_grads = (_rows(gu) @ layer.weight).reshape(n_steps, n, layer.d_in).transpose(1, 0, 2)
 
-    if stacked:
+    if params_only:
         return grads, None, None
     return grads, d_alpha, input_grads
 
@@ -269,18 +269,20 @@ def backward(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> Gradie
     return GradientBundle(loss=loss, grads=ParamGrads(grads, float(d_alpha)), input_grads=input_grads)
 
 
-def stacked_backward(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    """Mean cross entropy and its parameter gradient for each of M stacked networks on one batch.
+def training_pass(
+    params: NetworkParams, spec: SurrogateSpec, batch: Batch
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross entropy on the batch and its canonical parameter gradient, as :func:`backward`
+    gives them, without the leak and input gradients that training does not read.
 
-    ``params`` come from :func:`network.stack`.  Returns the losses (M,) and
-    the canonical gradients (M, P), each model's bit-identical to its lone
-    :func:`backward`; leak and input gradients are not computed.
+    For M networks stacked by :func:`network.stack` the losses are (M,) and
+    the gradients (M, P), each model's bit-identical to its lone pass.
     """
     _require_smooth(spec)
     trace = forward(params, spec, batch.inputs)
     losses, v = _softmax_loss_and_grad(trace.logits, batch.labels)
     v /= batch.n_samples  # mean reduction
-    return losses, _reverse_sweep(params, trace, v)[0]
+    return losses, _reverse_sweep(params, trace, v, params_only=True)[0]
 
 
 def per_sample_gradients(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> GradientBundle:

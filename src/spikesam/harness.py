@@ -38,7 +38,7 @@ from .events import (
     load_frames,
     synth_task,
 )
-from .gradients import Batch, _softmax_loss_and_grad, stacked_backward
+from .gradients import Batch, _softmax_loss_and_grad, training_pass
 from .network import (
     InstabilityError,
     NetworkParams,
@@ -583,19 +583,20 @@ def _run_steps(arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks
 
 
 def _passes(nets: list[NetworkParams], spec: SurrogateSpec, batch: Batch) -> list:
-    """Each network's loss and gradient on the batch, from one stacked pass.
+    """Each network's loss and gradient on the batch, from one pass over them
+    stacked (a lone network runs unstacked).
 
     If the stacked pass raises, each network's pass is rerun alone, so a
     network gets an ``InstabilityError`` or ``FloatingPointError`` in place
     of its answer only when its own pass raises it.
     """
     try:
-        losses, grads = stacked_backward(stack(nets), spec, batch)
+        losses, grads = training_pass(nets[0] if len(nets) == 1 else stack(nets), spec, batch)
     except (InstabilityError, FloatingPointError) as exc:
         if len(nets) == 1:
             return [exc]
         return [answer for net in nets for answer in _passes([net], spec, batch)]
-    return list(zip(losses.tolist(), grads))
+    return list(zip(np.reshape(losses, -1).tolist(), grads.reshape(len(nets), -1)))
 
 
 # Samples x models in one stacked evaluation forward.  At 128 samples a smooth
@@ -611,12 +612,13 @@ def _accuracies(nets: list[NetworkParams], spec: SurrogateSpec, ds: Dataset, mod
     if len(nets) > group:
         return [acc for i in range(0, len(nets), group) for acc in _accuracies(nets[i : i + group], spec, ds, mode)]
     try:
-        logits = forward(stack(nets), mode_spec(spec, mode), ds.frames, keep_states=False).logits
+        params = nets[0] if len(nets) == 1 else stack(nets)
+        logits = forward(params, mode_spec(spec, mode), ds.frames, keep_states=False).logits
     except InstabilityError:
         if len(nets) == 1:
             raise
         return [acc for net in nets for acc in _accuracies([net], spec, ds, mode)]
-    return (logits.argmax(axis=-1) == ds.labels).mean(axis=-1).tolist()
+    return (logits.argmax(axis=-1) == ds.labels).reshape(len(nets), -1).mean(axis=-1).tolist()
 
 
 def seed_record(s: SeedResult) -> dict:

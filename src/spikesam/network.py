@@ -447,7 +447,7 @@ def _layout(dims: tuple[int, ...], n_classes: int) -> tuple:
 
 def _view(buffer: np.ndarray, s: _Slot) -> np.ndarray:
     """Block ``s`` of a canonical buffer, as a view of its shape after any leading model axis."""
-    return buffer[..., s[0]].reshape(*buffer.shape[:-1], *s[1])
+    return buffer[s[0]].reshape(s[1]) if buffer.ndim == 1 else buffer[:, s[0]].reshape(len(buffer), *s[1])
 
 
 def stack(nets: Sequence[NetworkParams]) -> NetworkParams:

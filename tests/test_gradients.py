@@ -27,7 +27,7 @@ from spikesam.gradients import (
     gradcheck,
     logit_jacobians,
     per_sample_gradients,
-    stacked_backward,
+    training_pass,
 )
 from spikesam.network import (
     FAST_SIGMOID,
@@ -270,22 +270,27 @@ def test_stacked_reverse_sweep_equals_lone_sweeps_bit_for_bit(spec):
     batch = spike_batch(nets[0], n_samples=32, n_steps=8, rate=0.4, seed=49)
     trace = forward(stack(nets), spec, batch.inputs)
     v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
-    grads, d_alpha, input_grads = _reverse_sweep(stack(nets), trace, v)
+    grads, d_alpha, input_grads = _reverse_sweep(stack(nets), trace, v, params_only=True)
     assert grads.shape == (3, parameter_count(nets[0])) and d_alpha is None and input_grads is None
-    losses, mean_grads = stacked_backward(stack(nets), spec, batch)
+    assert trace.u == [None] * 3 and trace.z == [None] * 3  # the sweep read the trace last
+    losses, mean_grads = training_pass(stack(nets), spec, batch)
     for m, net in enumerate(nets):
         lone = forward(net, spec, batch.inputs)
         assert grads[m].tobytes() == _reverse_sweep(net, lone, _softmax_loss_and_grad(lone.logits, batch.labels)[1])[0].tobytes()
         bundle = backward(net, spec, batch)
         assert losses[m] == bundle.loss and mean_grads[m].tobytes() == bundle.grads.buffer.tobytes()
+        loss, g = training_pass(net, spec, batch)  # a lone network, unstacked
+        assert loss == bundle.loss and g.tobytes() == bundle.grads.buffer.tobytes()
 
 
-def test_stacked_reverse_sweep_refuses_per_sample_mode():
+@pytest.mark.parametrize("per_sample, params_only", [(True, True), (False, False)])
+def test_stacked_reverse_sweep_gives_batch_parameter_gradients_only(per_sample, params_only):
     nets = [tiny_net(seed=50), tiny_net(seed=51)]
     batch = spike_batch(nets[0], seed=52)
     trace = forward(stack(nets), ARCTAN_PI, batch.inputs)
-    with pytest.raises(ValueError, match="one parameter set"):
-        _reverse_sweep(stack(nets), trace, _softmax_loss_and_grad(trace.logits, batch.labels)[1], per_sample=True)
+    v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
+    with pytest.raises(ValueError, match="batch parameter gradients only"):
+        _reverse_sweep(stack(nets), trace, v, per_sample=per_sample, params_only=params_only)
 
 
 def test_logit_jacobians_against_finite_difference():

@@ -418,7 +418,7 @@ def test_programming_errors_inside_a_step_propagate(tmp_path, monkeypatch):
     def broken_backward(*args, **kwargs):
         raise ValueError("shapes (8, 6) and (5,) not aligned")
 
-    monkeypatch.setattr(harness, "stacked_backward", broken_backward)  # the pass every training step makes
+    monkeypatch.setattr(harness, "training_pass", broken_backward)  # the pass every training step makes
     with pytest.raises(ValueError, match="not aligned"):
         train(micro_config(str(tmp_path / "bug"), epochs=1, seeds=(0,)))
 
@@ -427,7 +427,7 @@ def test_diagnostics_rows_reach_disk_when_a_step_raises(tmp_path, monkeypatch):
     cfg = micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0,))
     cfg = replace(cfg, train=replace(cfg.train, diagnostics_every=1))
     steps_per_epoch = cfg.data.synth.n_train // cfg.train.batch_size
-    real_backward = harness.stacked_backward
+    real_backward = harness.training_pass
     calls = []
 
     def backward_failing_in_epoch_3(*args, **kwargs):
@@ -436,7 +436,7 @@ def test_diagnostics_rows_reach_disk_when_a_step_raises(tmp_path, monkeypatch):
             raise ValueError("shapes (8, 6) and (5,) not aligned")
         return real_backward(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "stacked_backward", backward_failing_in_epoch_3)
+    monkeypatch.setattr(harness, "training_pass", backward_failing_in_epoch_3)
     with pytest.raises(ValueError, match="not aligned") as excinfo:
         train(cfg)
     # excinfo still holds train()'s frames, so a file they left open is unflushed here.
