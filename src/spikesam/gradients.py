@@ -215,7 +215,7 @@ def _reverse_sweep(
             trace.u[idx] = trace.z[idx] = None
         block = u.shape[1:]
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
-            sp = np.subtract(u, theta, out=u if params_only else None)  # read no more without the leak gradient
+            sp = np.subtract(u, theta, out=u if params_only else None)  # only the leak gradient reads u again
             surrogate_derivative(spec, sp, out=sp)
             # gz starts as the cross-layer term; each step subtracts the reset term
             # and then scales by sigma', which leaves the threshold's

@@ -583,15 +583,14 @@ def _run_steps(arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks
 
 
 def _passes(nets: list[NetworkParams], spec: SurrogateSpec, batch: Batch) -> list:
-    """Each network's loss and gradient on the batch, from one pass over them
-    stacked (a lone network runs unstacked).
+    """Each network's loss and gradient on the batch, from one pass over them stacked.
 
     If the stacked pass raises, each network's pass is rerun alone, so a
     network gets an ``InstabilityError`` or ``FloatingPointError`` in place
     of its answer only when its own pass raises it.
     """
     try:
-        losses, grads = training_pass(nets[0] if len(nets) == 1 else stack(nets), spec, batch)
+        losses, grads = training_pass(stack(nets), spec, batch)
     except (InstabilityError, FloatingPointError) as exc:
         if len(nets) == 1:
             return [exc]
@@ -612,8 +611,7 @@ def _accuracies(nets: list[NetworkParams], spec: SurrogateSpec, ds: Dataset, mod
     if len(nets) > group:
         return [acc for i in range(0, len(nets), group) for acc in _accuracies(nets[i : i + group], spec, ds, mode)]
     try:
-        params = nets[0] if len(nets) == 1 else stack(nets)
-        logits = forward(params, mode_spec(spec, mode), ds.frames, keep_states=False).logits
+        logits = forward(stack(nets), mode_spec(spec, mode), ds.frames, keep_states=False).logits
     except InstabilityError:
         if len(nets) == 1:
             raise

@@ -328,9 +328,10 @@ def lif_layer(
     Returns ``(u, z)``: the membrane states and activity, time-major
     (T, n, d_out); the activity is written over the drive buffer where it
     is contiguous.  With ``keep_states=False`` only the activity is stored,
-    and ``u`` is the last step's (n, d_out) state.  ``x`` may be the time-major view of
-    sample-major frames; the drive product then runs over the frames' own
-    rows.  Non-finite states are left for the caller to detect.
+    and ``u`` is the last step's (n, d_out) state.  ``x`` may be the
+    time-major view of sample-major frames; the drive product then runs
+    over the frames' own rows.  Non-finite states are left for the caller
+    to detect.
 
     A layer of M stacked models (weight (M, d_out, d_in)) takes shared
     inputs (T, n, d_in) or per-model inputs (T, n, M, d_in), and its states
@@ -453,9 +454,12 @@ def _view(buffer: np.ndarray, s: _Slot) -> np.ndarray:
 def stack(nets: Sequence[NetworkParams]) -> NetworkParams:
     """The M networks' parameters in one (M, P) buffer, for a stacked :func:`forward`.
 
-    The networks must share their widths, class count and leak.
+    The networks must share their widths, class count and leak.  A lone
+    network is returned as it is: its passes need no model axis.
     """
     first = nets[0]
+    if len(nets) == 1:
+        return first
     if any((net.dims, net.n_classes, net.alpha) != (first.dims, first.n_classes, first.alpha) for net in nets):
         raise ValueError("stacked networks must share widths, class count and leak")
     return NetworkParams._over(np.stack([net.buffer for net in nets]), first.dims, first.n_classes, first.alpha)

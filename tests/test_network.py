@@ -323,6 +323,7 @@ def test_stack_refuses_networks_of_different_shapes_or_leaks():
     with pytest.raises(ValueError, match="share"):
         stack([nets[0], init_network((48, 16, 16, 16), 2, alpha=0.5)])
     assert stack(nets).buffer.shape == (3, parameter_count(nets[0]))
+    assert stack(nets[:1]) is nets[0]
 
 
 def test_hard_spike_counts_track_drive_over_threshold():
