@@ -157,8 +157,7 @@ def batch_loss(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> floa
 def _rows(a: np.ndarray) -> np.ndarray:
     """A time-major (T, n, d) array as one (T n, d) matrix, or a stacked (T, n, M, d)
     array as M strided (T n, d) matrices; a view."""
-    rows = a.reshape(-1, *a.shape[2:])
-    return rows.swapaxes(0, 1) if a.ndim == 4 else rows
+    return a.reshape(-1, a.shape[2]) if a.ndim == 3 else a.reshape(-1, *a.shape[2:]).swapaxes(0, 1)
 
 
 def _reverse_sweep(
