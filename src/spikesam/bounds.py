@@ -242,12 +242,8 @@ def compute_constants(assume: AssumptionSet) -> TheoryConstants:
 
 
 def constants_to_dict(constants: TheoryConstants) -> dict:
-    """Flat, JSON-ready view of an evaluated constant chain."""
-    out = asdict(constants)
-    out["assume"]["dims"] = list(constants.assume.dims)
-    out["r_u"] = list(constants.r_u)
-    out["max_stable_step"] = constants.max_stable_step
-    return out
+    """JSON-ready view of an evaluated constant chain, with its ``max_stable_step``."""
+    return {**asdict(constants), "max_stable_step": constants.max_stable_step}
 
 
 def save_constants(path: str, constants: TheoryConstants) -> None:

@@ -56,8 +56,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
 def _cmd_eval(args: argparse.Namespace) -> None:
     params, spec = load_checkpoint(args.checkpoint)
     ds = load_frames(args.data)
-    report = harness.evaluate(params, spec, ds, args.mode)
-    _emit({"mode": report.mode, "accuracy": report.accuracy, "loss": report.loss}, args.out)
+    _emit(dataclasses.asdict(harness.evaluate(params, spec, ds, args.mode)), args.out)
 
 
 def _cmd_sweep_robustness(args: argparse.Namespace) -> None:
@@ -74,7 +73,7 @@ def _cmd_sweep_robustness(args: argparse.Namespace) -> None:
         severities=args.severities,
         corruption_seed=args.seed,
     )
-    _emit(result.to_dict(), args.out)
+    _emit(dataclasses.asdict(result), args.out)
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> None:

@@ -9,7 +9,7 @@ parameter-space and input-space gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -317,34 +317,22 @@ class DiagnosticsReport:
     surrogate_acc: float
     hard_acc: float
     transfer_gap: float
-    param_grad_norms: SampleStats
-    input_grad_norms: SampleStats
-    sigma_min: SampleStats
     n_unconditioned: int
     mechanism_violations: int
+    param_grad_norm: SampleStats
+    input_grad_norm: SampleStats
+    sigma_min: SampleStats
 
     def to_row(self) -> dict[str, float | int]:
-        """Flat mapping for one CSV row."""
-        row: dict[str, float | int] = {
-            "m_theta_hat": self.m_theta_hat,
-            "gamma_hat": self.gamma_hat,
-            "beta_sec": self.beta_sec,
-            "sam_gap": self.sam_gap,
-            "surrogate_acc": self.surrogate_acc,
-            "hard_acc": self.hard_acc,
-            "transfer_gap": self.transfer_gap,
-            "n_unconditioned": self.n_unconditioned,
-            "mechanism_violations": self.mechanism_violations,
-        }
-        for name, stats in (
-            ("param_grad_norm", self.param_grad_norms),
-            ("input_grad_norm", self.input_grad_norms),
-            ("sigma_min", self.sigma_min),
-        ):
-            row[f"{name}_mean"] = stats.mean
-            row[f"{name}_std"] = stats.std
-            row[f"{name}_median"] = stats.median
-            row[f"{name}_iqr"] = stats.iqr
+        """Flat mapping for one CSV row: the fields in order, each statistic
+        as four ``<field>_<stat>`` columns."""
+        row: dict[str, float | int] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, SampleStats):
+                row.update({f"{f.name}_{stat}": v for stat, v in asdict(value).items()})
+            else:
+                row[f.name] = value
         return row
 
 
@@ -389,11 +377,11 @@ def diagnose(
         surrogate_acc=acc_s,
         hard_acc=acc_h,
         transfer_gap=acc_s - acc_h,
-        param_grad_norms=SampleStats.from_values(bundle.per_sample_grad_norms),
-        input_grad_norms=SampleStats.from_values(input_norms),
-        sigma_min=SampleStats.from_values(sigma_mins),
         n_unconditioned=unconditioned,
         mechanism_violations=violations,
+        param_grad_norm=SampleStats.from_values(bundle.per_sample_grad_norms),
+        input_grad_norm=SampleStats.from_values(input_norms),
+        sigma_min=SampleStats.from_values(sigma_mins),
     )
 
 

@@ -166,7 +166,7 @@ class Dataset:
             raise ValueError(f"frames must be (n, n_steps, width), got shape {self.frames.shape}")
         if self.labels.shape != (self.frames.shape[0],):
             raise ValueError("need one label per sequence")
-        if self.frames.size and (self.frames.min() < 0.0 or self.frames.max() > 1.0):
+        if self.frames.size and not (self.frames.min() >= 0.0 and self.frames.max() <= 1.0):  # NaN fails too
             raise ValueError("frame values must lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ValueError("labels out of range")

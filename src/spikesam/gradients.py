@@ -149,9 +149,8 @@ def _require_smooth(spec: SurrogateSpec) -> None:
 def batch_loss(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> float:
     """Mean cross entropy of the smooth forward pass on the batch."""
     _require_smooth(spec)
-    trace = forward(params, spec, batch.inputs)
-    loss, _ = _softmax_loss_and_grad(trace.logits, batch.labels)
-    return loss
+    logits = forward(params, spec, batch.inputs, keep_states=False).logits
+    return _softmax_loss_and_grad(logits, batch.labels)[0]
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Generator, Sequence, TextIO, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -51,7 +51,7 @@ from .network import (
     save_checkpoint,
     stack,
 )
-from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer, StepReport
+from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer, StepReport, step_plan
 
 METRICS_COLUMNS = (
     "seed",
@@ -296,13 +296,7 @@ class TrainResult:
 
 def planned_passes(cfg: RunConfig, n_train: int) -> int:
     """Forward+reverse passes one seed will consume under the schedule."""
-    n_chunks = n_train // cfg.train.batch_size
-    if cfg.optimizer.rho == 0.0:
-        per_epoch = n_chunks
-    elif cfg.optimizer.second_batch == INDEPENDENT:
-        per_epoch = (n_chunks // 2) * 2
-    else:
-        per_epoch = n_chunks * 2
+    per_epoch = sum(map(len, step_plan(cfg.optimizer, n_train // cfg.train.batch_size)))
     total = per_epoch * cfg.train.epochs
     if cfg.train.pass_budget:
         total = min(total, cfg.train.pass_budget)
@@ -382,19 +376,12 @@ class _Arm:
         Yields ``(network, k)``: the network to evaluate on chunk ``k`` of the
         epoch's permutation.  Takes back the pass's loss and gradient, or
         the ``InstabilityError`` or ``FloatingPointError`` that the pass
-        raised, thrown in.  Pass ``i`` of the epoch reads chunk ``i``,
-        except under the reused second-batch policy.
+        raised, thrown in.  The chunks follow :func:`optim.step_plan`.
         """
         self.losses = []
         opt = self.cfg.optimizer
-        if opt.rho == 0.0:
-            plan = [(k,) for k in range(n_chunks)]
-        elif opt.second_batch == INDEPENDENT:
-            plan = [(k, k + 1) for k in range(0, n_chunks - 1, 2)]
-        else:
-            plan = [(k, k) for k in range(n_chunks)]
         budget = self.cfg.train.pass_budget
-        for chunks in plan:
+        for chunks in step_plan(opt, n_chunks):
             if budget and self.passes >= budget:
                 return
             update = SastOptimizer(opt).requests(self.params, len(chunks) == 2)
@@ -619,24 +606,18 @@ def _accuracies(nets: list[NetworkParams], spec: SurrogateSpec, ds: Dataset, mod
     return (logits.argmax(axis=-1) == ds.labels).reshape(len(nets), -1).mean(axis=-1).tolist()
 
 
+_UNRECORDED = ("best_params", "final_params", "metrics_path", "checkpoint_path")
+
+
 def seed_record(s: SeedResult) -> dict:
     """One seed's results: ``summary.json``'s ``per_seed`` entry, and the row
-    that ``spikesam train`` and ``spikesam study`` emit."""
-    return {
-        "seed": s.seed,
-        "best_epoch": s.best_epoch,
-        "passes": s.passes,
-        "steps": s.steps,
-        "val_acc_surrogate": s.val_acc_surrogate,
-        "val_acc_hard": s.val_acc_hard,
-        "val_transfer_gap": s.val_acc_surrogate - s.val_acc_hard,
-        "test_acc_surrogate": s.test_acc_surrogate,
-        "test_acc_hard": s.test_acc_hard,
-        "test_transfer_gap": s.test_acc_surrogate - s.test_acc_hard,
-        "diverged": s.diverged,
-        "diverged_reason": s.diverged_reason,
-        "diverged_step": s.diverged_step,
-    }
+    that ``spikesam train`` and ``spikesam study`` emit.  It is the seed's
+    :class:`SeedResult` without its networks and paths, plus the two
+    transfer gaps."""
+    record = {f.name: getattr(s, f.name) for f in fields(s) if f.name not in _UNRECORDED}
+    record["val_transfer_gap"] = s.val_acc_surrogate - s.val_acc_hard
+    record["test_transfer_gap"] = s.test_acc_surrogate - s.test_acc_hard
+    return record
 
 
 AGGREGATE_KEYS = (
@@ -701,10 +682,9 @@ class EvalReport:
 
 def evaluate(params: NetworkParams, spec: SurrogateSpec, ds: Dataset, mode: str) -> EvalReport:
     """Accuracy (and, in smooth mode, mean loss) on a dataset, from one forward pass."""
-    batch = Batch(ds.frames, ds.labels)
-    logits = forward(params, mode_spec(spec, mode), batch.inputs, keep_states=False).logits
-    acc = float((logits.argmax(axis=1) == batch.labels).mean())
-    loss = _softmax_loss_and_grad(logits, batch.labels)[0] if mode == SURROGATE_MODE else None
+    logits = forward(params, mode_spec(spec, mode), ds.frames, keep_states=False).logits
+    acc = float((logits.argmax(axis=1) == ds.labels).mean())
+    loss = _softmax_loss_and_grad(logits, ds.labels)[0] if mode == SURROGATE_MODE else None
     return EvalReport(mode=mode, accuracy=acc, loss=loss)
 
 
@@ -716,14 +696,6 @@ class RobustnessResult:
     curves: dict[str, dict[str, list[float]]]  # family -> mode -> accuracy list
     auc: dict[str, dict[str, float]]
     corruption_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "severities": list(self.severities),
-            "curves": self.curves,
-            "auc": self.auc,
-            "corruption_seed": self.corruption_seed,
-        }
 
 
 def corrupted_copy(frames: np.ndarray, family: str, severity: float, base_seed: int) -> np.ndarray:

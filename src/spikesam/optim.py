@@ -75,9 +75,24 @@ def sam_perturbation(grad: np.ndarray, rho: float) -> np.ndarray:
         raise ValueError("perturbation radius must be non-negative")
     if rho == 0.0:
         return np.zeros_like(grad)
-    eps = grad * (rho / (float(np.linalg.norm(grad)) + DELTA))
-    assert float(np.linalg.norm(eps)) <= rho * (1.0 + 1e-12)
-    return eps
+    grad_norm = float(np.linalg.norm(grad))
+    scale = rho / (grad_norm + DELTA)
+    assert grad_norm * scale <= rho * (1.0 + 1e-12)  # ||eps||, with no entry of eps squared
+    return grad * scale
+
+
+def step_plan(cfg: OptimizerConfig, n_chunks: int) -> list[tuple[int, ...]]:
+    """The chunks each step of an epoch over ``n_chunks`` chunks reads, in order.
+
+    One chunk per step at ``rho = 0``; the pair ``(k, k + 1)`` under the
+    independent second-batch policy, so an odd last chunk goes unread; and
+    ``(k, k)`` under the reused policy.
+    """
+    if cfg.rho == 0.0:
+        return [(k,) for k in range(n_chunks)]
+    if cfg.second_batch == INDEPENDENT:
+        return [(k, k + 1) for k in range(0, n_chunks - 1, 2)]
+    return [(k, k) for k in range(n_chunks)]
 
 
 LossGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -93,15 +108,15 @@ def _update(w: np.ndarray, cfg: OptimizerConfig, two_pass: bool) -> Requests:
     returns the new vector and the step's report.
     """
     loss1, g1 = yield w
-    eps = loss2 = g2 = None
+    loss2 = g2 = None
     if two_pass:
-        eps = sam_perturbation(g1, cfg.rho)
-        loss2, g2 = yield w + eps
+        loss2, g2 = yield w + sam_perturbation(g1, cfg.rho)
     step = g1 if g2 is None else g2
+    grad_norm = float(np.linalg.norm(g1))
     report = StepReport(
         loss_first=loss1,
-        grad_norm_first=float(np.linalg.norm(g1)),
-        epsilon_norm=0.0 if eps is None else float(np.linalg.norm(eps)),
+        grad_norm_first=grad_norm,
+        epsilon_norm=grad_norm * (cfg.rho / (grad_norm + DELTA)) if two_pass else 0.0,
         loss_second=loss2,
         grad_norm_second=None if g2 is None else float(np.linalg.norm(g2)),
         n_passes=1 if g2 is None else 2,
@@ -214,10 +229,16 @@ class SastOptimizer:
         batch: Batch,
         second_batch: Batch | None = None,
     ) -> tuple[NetworkParams, StepReport]:
-        """One two-pass update; with ``rho = 0`` prefer :meth:`baseline_step`."""
-        if self.cfg.second_batch == INDEPENDENT and second_batch is None:
+        """One two-pass update; with ``rho = 0`` prefer :meth:`baseline_step`.
+
+        The second pass reads ``second_batch`` under the independent policy
+        and ``batch`` under the reused one, which ignores ``second_batch``.
+        """
+        if self.cfg.second_batch == REUSED:
+            second_batch = batch
+        elif second_batch is None:
             raise ValueError("independent second-batch policy needs a second batch")
-        passes = (_backward_pass(spec, b) for b in (batch, second_batch or batch))
+        passes = (_backward_pass(spec, b) for b in (batch, second_batch))
         return _answer(self.requests(params, True), *passes)
 
     def baseline_step(

@@ -275,6 +275,8 @@ def test_dataset_validation_and_subset():
         Dataset(frames, labels, n_classes=1)
     with pytest.raises(ValueError):
         Dataset(frames, np.array([0, 1, 2, 1]), n_classes=2)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Dataset(np.where(np.arange(5) == 3, np.nan, frames), labels, n_classes=2)
 
 
 def test_measured_input_bound():

@@ -11,7 +11,7 @@ import json
 import os
 import re
 import shlex
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +406,12 @@ def assert_divergence_recorded(res, reason: str, step: int) -> None:
     assert (row["diverged_reason"], row["diverged_step"]) == (seed.diverged_reason, step)
 
 
+def test_a_huge_radius_trains_or_records_divergence(tmp_path):
+    res = train(micro_config(str(tmp_path / "huge"), rho=1e200, epochs=2))
+    for seed in res.seeds:  # 2 epochs of 2 two-pass steps, or a divergence that says why
+        assert seed.passes == 2 * 2 * 2 or (seed.diverged and seed.diverged_reason)
+
+
 def test_healthy_seeds_record_no_divergence_reason(tmp_path):
     res = train(micro_config(str(tmp_path / "ok"), epochs=1, seeds=(0,)))
     with open(os.path.join(res.run_dir, "summary.json")) as fh:
@@ -473,6 +479,31 @@ def test_diagnostics_every_epoch_writes_one_row_per_epoch(tmp_path):
     assert [(r["seed"], r["epoch"]) for r in rows] == [("0", "1"), ("0", "2"), ("0", "3")]
     for r in rows:
         assert float(r["transfer_gap"]) == float(r["surrogate_acc"]) - float(r["hard_acc"])
+
+
+DIAGNOSTICS_HEADER = (
+    "seed", "epoch",
+    "m_theta_hat", "gamma_hat", "beta_sec", "sam_gap", "surrogate_acc", "hard_acc", "transfer_gap",
+    "n_unconditioned", "mechanism_violations",
+    *(f"{name}_{stat}" for name in ("param_grad_norm", "input_grad_norm", "sigma_min")
+      for stat in ("mean", "std", "median", "iqr")),
+)
+PER_SEED_KEYS = {
+    "seed", "best_epoch", "passes", "steps",
+    "val_acc_surrogate", "val_acc_hard", "val_transfer_gap",
+    "test_acc_surrogate", "test_acc_hard", "test_transfer_gap",
+    "diverged", "diverged_reason", "diverged_step",
+}
+
+
+def test_run_records_keep_their_schemas(tmp_path):
+    cfg = micro_config(str(tmp_path / "d"), rho=0.05, epochs=1, seeds=(0,))
+    res = train(replace(cfg, train=replace(cfg.train, diagnostics_every=1)))
+    with open(os.path.join(res.run_dir, "seed_0", "diagnostics.csv"), newline="") as fh:
+        assert tuple(next(csv.reader(fh))) == DIAGNOSTICS_HEADER
+    with open(os.path.join(res.run_dir, "summary.json")) as fh:
+        assert set(json.load(fh)["per_seed"][0]) == PER_SEED_KEYS
+    assert set(seed_record(res.seeds[0])) == PER_SEED_KEYS
 
 
 def test_study_rows_carry_method_label(tmp_path):
@@ -759,7 +790,7 @@ def test_robustness_severity_zero_is_clean_accuracy(tmp_path):
             assert curves[mode][0] == pytest.approx(clean, abs=0.0), family
     again = robustness_sweep(params, spec, data.test, severities=(0.0, 0.3))
     assert again.curves == result.curves
-    payload = json.dumps(result.to_dict())
+    payload = json.dumps(asdict(result))
     assert "auc" in payload
 
 
@@ -859,7 +890,10 @@ def test_cli_end_to_end(tmp_path):
     assert cli.main(["eval", "--checkpoint", ckpt, "--data", val_path,
                      "--mode", "hard", "--out", eval_json]) == 0
     with open(eval_json) as fh:
-        assert 0.0 <= json.load(fh)["accuracy"] <= 1.0
+        evaluated = json.load(fh)
+    assert set(evaluated) == {"mode", "accuracy", "loss"}
+    assert evaluated["mode"] == "hard" and evaluated["loss"] is None
+    assert 0.0 <= evaluated["accuracy"] <= 1.0
 
     test_path = str(tmp_path / "test.bin")
     save_dataset(test_path, data.test)

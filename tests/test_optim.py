@@ -28,6 +28,7 @@ from spikesam.optim import (
     convergence_trial,
     sam_perturbation,
     single_pass_update,
+    step_plan,
     two_pass_update,
 )
 
@@ -179,6 +180,31 @@ def test_sast_step_requires_second_batch_when_independent():
     stepped, report = opt.sast_step(params, ARCTAN_PI, batch, spike_batch(params, seed=57))
     assert report.n_passes == 2
     assert report.epsilon_norm <= 0.1 + 1e-12
+
+
+def test_sast_step_under_reused_policy_ignores_a_second_batch():
+    params = tiny_net(seed=55)
+    batch = spike_batch(params, seed=56)
+    opt = SastOptimizer(OptimizerConfig(eta=0.1, rho=0.1, second_batch=REUSED))
+    alone, rep_alone = opt.sast_step(params, ARCTAN_PI, batch)
+    given, rep_given = opt.sast_step(params, ARCTAN_PI, batch, spike_batch(params, seed=57))
+    np.testing.assert_array_equal(given.buffer, alone.buffer)
+    assert rep_given == rep_alone
+
+
+def test_step_plan_per_policy():
+    assert step_plan(OptimizerConfig(rho=0.0, second_batch=INDEPENDENT), 3) == [(0,), (1,), (2,)]
+    assert step_plan(OptimizerConfig(rho=0.1, second_batch=INDEPENDENT), 5) == [(0, 1), (2, 3)]
+    assert step_plan(OptimizerConfig(rho=0.1, second_batch=REUSED), 2) == [(0, 0), (1, 1)]
+    assert step_plan(OptimizerConfig(rho=0.1, second_batch=INDEPENDENT), 1) == []
+
+
+def test_a_huge_radius_perturbs_without_overflow():
+    g = np.array([3.0, 4.0])
+    eps = sam_perturbation(g, 1e200)
+    np.testing.assert_allclose(eps, [0.6e200, 0.8e200], rtol=1e-12)
+    _, report = two_pass_update(np.zeros(2), lambda w: (0.0, g.copy()), OptimizerConfig(eta=0.1, rho=1e200))
+    assert report.epsilon_norm == pytest.approx(1e200, rel=1e-12)
 
 
 def test_threshold_floor_projection_after_update():
