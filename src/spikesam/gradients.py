@@ -188,7 +188,7 @@ def _reverse_sweep(
         raise ValueError("a stacked sweep gives batch parameter gradients only (params_only=True)")
     n, n_steps, _ = trace.inputs.shape
     models = params.buffer.shape[:-1]  # () or (M,)
-    alpha = params.alpha
+    alpha = np.array(params.alpha, dtype=np.float64)  # 0-d: the cheapest ufunc scalar
     n_layers = params.n_layers
     layer_slots, (w_out_slot, b_out_slot), size = _layout(params.dims, params.n_classes)
     lead = (n,) if per_sample else models
@@ -206,12 +206,13 @@ def _reverse_sweep(
 
     for idx in range(n_layers - 1, -1, -1):
         layer = params.layers[idx]
-        theta = layer.threshold
         u = trace.u[idx].swapaxes(0, -2)  # time-major (T, n, d) or (T, n, M, d) views
         z = trace.z[idx].swapaxes(0, -2)
         if params_only:  # the sweep is the trace's last reader: each layer's states go once swept
             trace.u[idx] = trace.z[idx] = None
         block = u.shape[1:]
+        theta = np.empty(block)  # one contiguous block per step
+        theta[...] = layer.threshold
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
             sp = np.subtract(u, theta, out=u if params_only else None)  # only the leak gradient reads u again
             surrogate_derivative(spec, sp, out=sp)

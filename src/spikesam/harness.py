@@ -45,9 +45,11 @@ from .network import (
     SurrogateSpec,
     forward,
     init_network,
+    layer_drive,
     lif_layer,
     mode_spec,
     parameter_count,
+    readout,
     save_checkpoint,
     stack,
 )
@@ -798,15 +800,22 @@ def calibrate_thresholds(
     the scale closest to 1 (then the smaller scale), so with 1 in the grid
     the calibrated accuracy never falls below the uncalibrated one.  Every
     candidate evaluation increments the calibration instrumentation counter.
-    Per-layer mode computes the hard activity entering layer ``l`` once per
-    stage, under the scales already chosen, and runs each candidate from
-    layer ``l`` up; the accuracies are those of full forward passes.
+
+    A layer's drive ``W z + b`` does not depend on the thresholds, so each
+    stage computes the drive of the layer it scales once and every candidate
+    runs over it: layer 1's drive serves the uncalibrated pass and every
+    global candidate, and per-layer stage ``l`` also computes the hard
+    activity entering layer ``l`` once, under the scales already chosen.  A
+    candidate runs from the stage's layer up; the accuracies are those of
+    full forward passes.
     """
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("calibration grid is empty")
-    base_acc = accuracy(params, spec, ds.frames, ds.labels, HARD_MODE)
+    if mode not in (GLOBAL_CALIBRATION, PER_LAYER_CALIBRATION):
+        raise ValueError(f"unknown calibration mode {mode!r}")
     hard = mode_spec(spec, HARD_MODE)
+    labels = np.asarray(ds.labels)
     n_evals = 0
 
     def scaled_params(scales: list[float]) -> NetworkParams:
@@ -814,39 +823,40 @@ def calibrate_thresholds(
         n_evals += 1
         return apply_threshold_scale(params, scales)
 
-    def accuracy_from(scaled: NetworkParams, start: int, below: np.ndarray) -> float:
-        # ``below`` is the time-major hard activity entering layer ``start``
+    def accuracy_from(net: NetworkParams, start: int, below: np.ndarray, drive: np.ndarray) -> float:
+        # ``below`` is the time-major hard activity entering layer ``start``, ``drive`` that layer's drive
         z = below
-        for layer in scaled.layers[start:]:
-            u, z = lif_layer(layer, scaled.alpha, hard, z, keep_states=False)
+        for layer in net.layers[start:]:
+            u, z = lif_layer(layer, net.alpha, hard, z, keep_states=False, drive=drive)
             if not np.all(np.isfinite(u)):  # the full pass raises, naming the layer and step
-                return accuracy(scaled, spec, ds.frames, ds.labels, HARD_MODE)
-        logits = z.transpose(1, 0, 2).mean(axis=1) @ scaled.w_out.T + scaled.b_out
-        return float((logits.argmax(axis=1) == np.asarray(ds.labels)).mean())
+                return accuracy(net, spec, ds.frames, ds.labels, HARD_MODE)
+            drive = None  # the layers above compute their own
+        return float((readout(net, z)[1].argmax(axis=1) == labels).mean())
 
     def pick(cands: list[tuple]) -> tuple:
         # (scale, acc, ...): max acc, ties toward scale nearest 1 then smaller scale
         return max(cands, key=lambda sa: (sa[1], -abs(sa[0] - 1.0), -sa[0]))
 
-    if mode == GLOBAL_CALIBRATION:
-        cands = [(lam, accuracy(scaled_params([lam]), spec, ds.frames, ds.labels, HARD_MODE)) for lam in grid]
-        best_lam, best_acc = pick(cands)
-        lambdas = (best_lam,)
-    elif mode == PER_LAYER_CALIBRATION:
-        scales = [1.0] * params.n_layers
-        below = ds.frames.transpose(1, 0, 2)
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises in accuracy_from
+    below = ds.frames.transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises in accuracy_from
+        drive = layer_drive(params.layers[0], below)
+        base_acc = accuracy_from(params, 0, below, drive)
+        if mode == GLOBAL_CALIBRATION:
+            best_lam, best_acc = pick([(lam, accuracy_from(scaled_params([lam]), 0, below, drive)) for lam in grid])
+            lambdas = (best_lam,)
+        else:
+            scales = [1.0] * params.n_layers
             for layer_idx in range(params.n_layers):
-                if layer_idx:  # ``chosen`` ran this layer on ``below`` and passed the finiteness check
-                    below = lif_layer(chosen.layers[layer_idx - 1], params.alpha, hard, below, keep_states=False)[1]
+                if layer_idx:  # ``chosen`` ran over this drive and passed the finiteness check
+                    prev = chosen.layers[layer_idx - 1]
+                    below = lif_layer(prev, params.alpha, hard, below, keep_states=False, drive=drive)[1]
+                    drive = layer_drive(params.layers[layer_idx], below)
                 cands = []
                 for lam in grid:
                     scaled = scaled_params([lam if i == layer_idx else s for i, s in enumerate(scales)])
-                    cands.append((lam, accuracy_from(scaled, layer_idx, below), scaled))
+                    cands.append((lam, accuracy_from(scaled, layer_idx, below, drive), scaled))
                 scales[layer_idx], best_acc, chosen = pick(cands)
-        lambdas = tuple(scales)
-    else:
-        raise ValueError(f"unknown calibration mode {mode!r}")
+            lambdas = tuple(scales)
     return CalibrationResult(
         mode=mode,
         lambdas=lambdas,

@@ -320,29 +320,20 @@ class StateTrace:
         return self.inputs.shape[1]
 
 
-def lif_layer(
-    layer: LayerParams, alpha: float, spec: SurrogateSpec, x: np.ndarray, *, keep_states: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run one spiking layer over time-major inputs ``x`` (T, n, d_in).
+def layer_drive(layer: LayerParams, x: np.ndarray) -> np.ndarray:
+    """A layer's drive ``W z + b`` over time-major inputs ``x`` (T, n, d_in), time-major.
 
-    Returns ``(u, z)``: the membrane states and activity, time-major
-    (T, n, d_out); the activity is written over the drive buffer where it
-    is contiguous.  With ``keep_states=False`` only the activity is stored,
-    and ``u`` is the last step's (n, d_out) state.  ``x`` may be the
-    time-major view of sample-major frames; the drive product then runs
-    over the frames' own rows.  Non-finite states are left for the caller
-    to detect.
-
-    A layer of M stacked models (weight (M, d_out, d_in)) takes shared
-    inputs (T, n, d_in) or per-model inputs (T, n, M, d_in), and its states
-    are (T, n, M, d_out): one model's rows over (t, n) are then one strided
-    matrix, and its drive is the same product a lone model runs.
+    One matrix product over every (t, sample) row.  When ``x`` is the
+    time-major view of sample-major frames the product runs over the frames'
+    own rows, and the drive is a strided view.  A layer of M stacked models
+    (weight (M, d_out, d_in)) takes shared inputs (T, n, d_in) or per-model
+    inputs (T, n, M, d_in) and gives (T, n, M, d_out): one model's rows over
+    (t, n) are then one strided matrix, and its drive is the same product a
+    lone model runs.  The thresholds do not enter, so several threshold
+    settings can share one drive.
     """
     n_steps, n = x.shape[:2]
     models, (d, d_in) = layer.weight.shape[:-2], layer.weight.shape[-2:]
-    block = (n, *models, d)  # one step's states
-    theta = layer.threshold
-    spike = functools.partial(surrogate_value, spec) if spec.family != HARD else hard_step
     time_major = x.ndim == 4 or x.flags.c_contiguous
     if x.ndim == 4:  # per-model inputs: one strided (T n, d_in) matrix per model
         rows = x.reshape(n_steps * n, *models, d_in).swapaxes(0, 1)
@@ -351,18 +342,72 @@ def lif_layer(
     drive = np.empty((n_steps * n, *models, d))
     np.matmul(rows, layer.weight.swapaxes(-1, -2), out=drive.swapaxes(0, 1) if models else drive)
     drive += layer.bias
-    drive = drive.reshape(n_steps, *block) if time_major else drive.reshape(n, n_steps, *block[1:]).swapaxes(0, 1)
+    if time_major:
+        return drive.reshape(n_steps, n, *models, d)
+    return drive.reshape(n, n_steps, *models, d).swapaxes(0, 1)
+
+
+def lif_layer(
+    layer: LayerParams,
+    alpha: float,
+    spec: SurrogateSpec,
+    x: np.ndarray,
+    *,
+    keep_states: bool = True,
+    drive: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one spiking layer over time-major inputs ``x`` (T, n, d_in).
+
+    Returns ``(u, z)``: the membrane states and activity, time-major
+    (T, n, d_out), or (T, n, M, d_out) for M stacked models (see
+    :func:`layer_drive`).  With ``keep_states=False`` only the activity is
+    stored, and ``u`` is the last step's state.  Non-finite states are left
+    for the caller to detect.
+
+    ``drive`` is :func:`layer_drive` of this layer over ``x``, for a caller
+    that runs several thresholds over one drive; the recursion only reads it.
+    Without it the layer computes its own drive and writes the activity over
+    it where it is contiguous.  Hard spikes are the comparison ``u >= theta``,
+    which for finite thresholds equals ``hard_step(u - theta)`` on every
+    float64 state.  Each step's ufuncs take operands of one shape, the
+    thresholds as a contiguous per-step block and the leak as a 0-d array,
+    since a broadcast or Python-float operand costs more per call.
+    """
+    own = drive is None
+    if own:
+        drive = layer_drive(layer, x)
+    n_steps, block = drive.shape[0], drive.shape[1:]  # one step's states
+    theta = np.empty(block)  # a filled buffer: cheaper to build than a copied broadcast
+    theta[...] = layer.threshold
+    alpha = np.array(alpha, dtype=np.float64)
+    hard = spec.family == HARD
     # Without states, every step writes its membrane state over the same buffer.
     u = np.empty((n_steps, *block)) if keep_states else [np.zeros(block)] * n_steps
-    z = drive if drive.flags.c_contiguous else np.empty((n_steps, *block))
+    z = drive if own and drive.flags.c_contiguous else np.empty((n_steps, *block))
     a = np.empty(block)
     u_t = z_t = np.zeros(block)
     for t in range(n_steps):  # drive[t] is read before z[t] is written
         u_t = np.multiply(alpha, u_t, out=u[t])
         u_t += drive[t]
         u_t -= np.multiply(theta, z_t, out=a)
-        z_t = spike(np.subtract(u_t, theta, out=a), out=z[t])
+        if hard:
+            z_t = np.greater_equal(u_t, theta, out=z[t])
+        else:
+            z_t = surrogate_value(spec, np.subtract(u_t, theta, out=a), out=z[t])
     return (u if keep_states else u_t), z
+
+
+def readout(params: NetworkParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time-averaged top-layer activity and logits from its time-major activity.
+
+    ``z`` is (T, n, d_L), or (T, n, M, d_L) for stacked ``params``; returns
+    ``zbar`` (n, d_L) and ``logits`` (n, n_classes), or each with a leading
+    model axis.
+    """
+    zbar = z.mean(axis=0).swapaxes(0, -2)
+    logits = np.matmul(zbar, params.w_out.swapaxes(-1, -2))
+    logits += params.b_out[..., None, :]
+    return zbar, logits
 
 
 def forward(
@@ -408,9 +453,7 @@ def forward(
                 us.append(u.swapaxes(0, -2))
                 zs.append(z.swapaxes(0, -2))
 
-    zbar = z.mean(axis=0).swapaxes(0, -2)  # (n, d_L), or stacked (M, n, d_L)
-    logits = np.matmul(zbar, params.w_out.swapaxes(-1, -2))
-    logits += params.b_out[..., None, :]
+    zbar, logits = readout(params, z)
     return StateTrace(inputs=x, u=us, z=zs, zbar=zbar, logits=logits, spec=spec)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import assumptions_from, check_caps, compute_constants, convergence_rhs
 from .events import measured_input_bound
-from .gradients import Batch, backward
+from .gradients import Batch, training_pass
 from .network import InstabilityError, NetworkParams, SurrogateSpec, threshold_slices
 
 REUSED = "reused"
@@ -166,9 +166,8 @@ def _trained_gradient(
     params: NetworkParams, spec: SurrogateSpec, batch: Batch, train_threshold: bool
 ) -> tuple[float, np.ndarray]:
     """Loss and canonical gradient, its frozen threshold entries zeroed in place."""
-    bundle = backward(params, spec, batch)
-    g = bundle.grads.buffer
-    return bundle.loss, g if train_threshold else _freeze_thresholds(g, params)
+    loss, g = training_pass(params, spec, batch)
+    return loss, g if train_threshold else _freeze_thresholds(g, params)
 
 
 def _network_at(params: NetworkParams, w: np.ndarray) -> NetworkParams:
@@ -184,11 +183,8 @@ def _network_at(params: NetworkParams, w: np.ndarray) -> NetworkParams:
 
 
 def _backward_pass(spec: SurrogateSpec, batch: Batch) -> Callable[[NetworkParams], tuple[float, np.ndarray]]:
-    def loss_grad(net: NetworkParams) -> tuple[float, np.ndarray]:
-        bundle = backward(net, spec, batch)
-        return bundle.loss, bundle.grads.buffer
-
-    return loss_grad
+    """One network's loss and parameter gradient on ``batch``: the pass the lockstep driver makes."""
+    return lambda net: training_pass(net, spec, batch)
 
 
 class SastOptimizer:
@@ -392,8 +388,8 @@ def convergence_trial(
                 else:
                     second = batch
             params, _ = opt.sast_step(params, task.spec, batch, second)
-        final = backward(params, task.spec, data)
-        loss_star = min(loss_star, final.loss)
+        final_loss, _ = training_pass(params, task.spec, data)
+        loss_star = min(loss_star, final_loss)
         if not check_caps(params, assume):
             caps_held = False
         grad_traces.append(tuple(grads_sq))

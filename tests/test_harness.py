@@ -718,6 +718,59 @@ def test_per_layer_calibration_equals_full_pass_scoring(dims, grid, seed):
     assert result.uncalibrated_val_acc == accuracy(params, spec, ds.frames, ds.labels, HARD_MODE)
 
 
+def global_reference(params, spec, ds, grid):
+    """Global calibration scoring every candidate with a full ``accuracy`` call."""
+    cands = [
+        (lam, accuracy(harness.apply_threshold_scale(params, [lam]), spec, ds.frames, ds.labels, HARD_MODE))
+        for lam in grid
+    ]
+    lam, best = max(cands, key=lambda sa: (sa[1], -abs(sa[0] - 1.0), -sa[0]))
+    return (lam,), best, len(grid)
+
+
+@pytest.mark.parametrize("dims", [(5, 4), (5, 6, 4), (5, 6, 4, 3)])
+@pytest.mark.parametrize("grid", [CALIBRATION_GRID, (0.8, 1.2, 0.5, 0.8, 1.5)], ids=["default", "ties"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_global_calibration_equals_full_pass_scoring(dims, grid, seed):
+    rng = np.random.default_rng(seed)
+    params = init_network(dims, 3, alpha=0.6, theta=0.4, weight_scale=1.5, seed=rng)
+    ds = events.Dataset((rng.random((40, 5, dims[0])) < 0.4).astype(np.float64), rng.integers(0, 3, size=40), 3)
+    spec = SurrogateConfig(slope=2.0).spec()
+    lambdas, val_acc, n_evals = global_reference(params, spec, ds, grid)
+    before = calibration_ops()
+    result = calibrate_thresholds(params, spec, ds, mode=GLOBAL_CALIBRATION, grid=grid)
+    assert calibration_ops() - before == n_evals == result.n_evals
+    assert (result.lambdas, result.val_acc) == (lambdas, val_acc)
+    assert result.uncalibrated_val_acc == accuracy(params, spec, ds.frames, ds.labels, HARD_MODE)
+
+
+@pytest.mark.parametrize("mode", [GLOBAL_CALIBRATION, PER_LAYER_CALIBRATION])
+def test_calibration_computes_each_stage_drive_once(mode, monkeypatch):
+    # Widths differ per layer, so a drive's weight shape names its layer.
+    rng = np.random.default_rng(3)
+    params = init_network((5, 6, 4, 3), 3, alpha=0.6, theta=0.4, weight_scale=1.5, seed=rng)
+    ds = events.Dataset((rng.random((40, 5, 5)) < 0.4).astype(np.float64), rng.integers(0, 3, size=40), 3)
+    calls = []
+    real = network.layer_drive
+
+    def counted(layer, x):
+        calls.append(layer.weight.shape)
+        return real(layer, x)
+
+    monkeypatch.setattr(network, "layer_drive", counted)  # the drives lif_layer computes for itself
+    monkeypatch.setattr(harness, "layer_drive", counted)  # the shared drives
+    calibrate_thresholds(params, SurrogateConfig(slope=2.0).spec(), ds, mode=mode)
+    g = len(CALIBRATION_GRID)
+    # Layer 1's drive is shared by the uncalibrated pass and every candidate.  A
+    # layer above runs its own drive once in the uncalibrated pass, then once per
+    # candidate of each stage below it; in per-layer mode, once more for its own stage.
+    if mode == GLOBAL_CALIBRATION:
+        want = [1] + [1 + g] * (params.n_layers - 1)
+    else:
+        want = [1] + [1 + g * idx + 1 for idx in range(1, params.n_layers)]
+    assert [calls.count(layer.weight.shape) for layer in params.layers] == want
+
+
 def test_apply_threshold_scale_leaves_its_input_alone():
     params = init_network((4, 3, 2), 2, alpha=0.5, theta=0.5, seed=np.random.default_rng(6))
     before = parameter_vector(params, True)

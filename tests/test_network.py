@@ -31,6 +31,8 @@ from spikesam.network import (
     forward,
     hard_step,
     init_network,
+    layer_drive,
+    lif_layer,
     load_checkpoint,
     mode_spec,
     parameter_count,
@@ -334,6 +336,131 @@ def test_hard_spike_counts_track_drive_over_threshold():
     layer.bias[:] = 1.2
     trace = forward(params, SurrogateSpec(HARD, 1.0), np.zeros((1, 8, 4)))
     assert trace.z[0].sum(axis=1).min() == 8.0
+
+
+# ---------------------------------------------------------------------------
+# Hard spikes by comparison, and drives shared between thresholds
+# ---------------------------------------------------------------------------
+
+HUGE = float(np.finfo(np.float64).max)
+TINY = float(np.nextafter(0.0, 1.0))  # the smallest subnormal
+
+
+def comparison_spikes(states: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The hard layer's first-step spikes when its drive is ``states``: the state is then the drive."""
+    d = states.size
+    layer = LayerParams(np.zeros((d, 1)), np.zeros(d), thresholds)
+    x = np.zeros((1, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, z = lif_layer(layer, 0.5, SurrogateSpec(HARD, 1.0), x, keep_states=False, drive=states.reshape(1, 1, d))
+    return z[0, 0]
+
+
+def subtracted_spikes(states: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # -HUGE - HUGE overflows to -inf
+        return hard_step(states - thresholds)
+
+
+def adversarial_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """Every threshold against every state where ``u >= theta`` and ``u - theta >= 0`` could part.
+
+    Thresholds are positive and finite, as the model admits: subnormal,
+    normal and huge.  States are each threshold, its ``nextafter``
+    neighbours and nearby scalings, plus +-0, +-inf, NaN and the extremes.
+    """
+    rng = np.random.default_rng(60)
+    thetas = np.concatenate(
+        [
+            [TINY, 2 * TINY, 3 * TINY, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 3.0, 1e300, HUGE],
+            rng.uniform(0.01, 2.0, 40),
+            np.exp(rng.uniform(-700.0, 700.0, 40)),
+        ]
+    )
+    with np.errstate(over="ignore"):  # past HUGE lies inf, one more state to try
+        near = [thetas, -thetas, 2 * thetas, thetas / 2, thetas * (1 + 1e-16), thetas * (1 - 1e-16)]
+        for direction in (np.inf, -np.inf):
+            step = thetas
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                near.append(step)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, TINY, -TINY, HUGE, -HUGE]
+    states = np.unique(np.concatenate([*near, specials]))  # NaN kept once
+    u, theta = np.meshgrid(states, thetas)
+    return u.ravel(), theta.ravel()
+
+
+def test_comparison_spike_equals_hard_step_of_the_difference_on_adversarial_pairs():
+    u, theta = adversarial_pairs()
+    assert u.size > 80_000 and np.isnan(u).any() and np.isinf(u).any() and (u == theta).any()
+    got = comparison_spikes(u, theta)
+    assert got.tobytes() == subtracted_spikes(u, theta).tobytes()
+    assert got.dtype == np.float64 and set(np.unique(got)) == {0.0, 1.0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0, TINY, HUGE])),
+            st.floats(min_value=TINY, max_value=HUGE, allow_subnormal=True),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    ulps=st.integers(-2, 2),
+)
+def test_property_comparison_spike_equals_hard_step_of_the_difference(pairs, ulps):
+    u, theta = (np.array(col) for col in zip(*pairs))
+    u = np.concatenate([u, theta])  # ties, and their neighbours ``ulps`` steps away
+    theta = np.concatenate([theta, theta])
+    with np.errstate(over="ignore"):  # past HUGE lies inf
+        for _ in range(abs(ulps)):
+            u[len(pairs) :] = np.nextafter(u[len(pairs) :], np.sign(ulps) * np.inf)
+    assert comparison_spikes(u, theta).tobytes() == subtracted_spikes(u, theta).tobytes()
+
+
+@pytest.mark.parametrize("n_samples", [32, 1024])
+def test_hard_forward_equals_the_naive_unroll_bit_for_bit(n_samples):
+    # The packaged 48-16-16-16 net at the study batch and at the benchmark's
+    # evaluation batch.  The naive unroll's readout is one product per sample,
+    # which may round differently from a batched one, so its time-averaged
+    # activity goes through the batched readout.
+    params = init_network((48, 16, 16, 16), 10, alpha=0.5, theta=0.5, seed=np.random.default_rng(41))
+    frames = spike_batch(params, n_samples=n_samples, n_steps=8, rate=0.3, seed=42).inputs
+    spec = SurrogateSpec(HARD, math.pi)
+    _, want_activity = naive_forward(params, spec, frames)
+    want_logits = want_activity[-1].mean(axis=1) @ params.w_out.T + params.b_out
+    for keep_states in (True, False):
+        trace = forward(params, spec, frames, keep_states=keep_states)
+        assert trace.logits.tobytes() == want_logits.tobytes()
+    assert all(np.array_equal(got, want) for got, want in zip(forward(params, spec, frames).z, want_activity))
+
+
+def study_layer_inputs(layout: str) -> tuple[LayerParams, np.ndarray]:
+    """A layer of the packaged net and its time-major inputs in one of the layouts forward passes."""
+    nets = three_study_nets()
+    frames = spike_batch(nets[0], n_samples=32, n_steps=8, rate=0.4, seed=61).inputs
+    if layout == "frames":  # the time-major view of sample-major frames: a strided drive
+        return nets[0].layers[0], frames.transpose(1, 0, 2)
+    if layout == "time_major":  # a contiguous time-major activity: a contiguous drive
+        return nets[0].layers[1], np.ascontiguousarray(frames[:, :, :16].transpose(1, 0, 2))
+    return stack(nets).layers[0], frames.transpose(1, 0, 2)  # three stacked models
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID, HARD])
+@pytest.mark.parametrize("keep_states", [True, False], ids=["states", "lean"])
+@pytest.mark.parametrize("layout", ["frames", "time_major", "stacked"])
+def test_a_shared_drive_is_read_and_left_unchanged(family, keep_states, layout):
+    layer, x = study_layer_inputs(layout)
+    spec = SurrogateSpec(family, 0.7)
+    drive = layer_drive(layer, x)
+    before = drive.copy()
+    shared = [lif_layer(layer, 0.6, spec, x, keep_states=keep_states, drive=drive) for _ in range(2)]
+    own = lif_layer(layer, 0.6, spec, x, keep_states=keep_states)
+    assert drive.tobytes() == before.tobytes()
+    for u, z in shared:
+        assert u.tobytes() == own[0].tobytes() and z.tobytes() == own[1].tobytes()
+        assert not np.shares_memory(z, drive)
 
 
 # ---------------------------------------------------------------------------
