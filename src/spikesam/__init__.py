@@ -88,7 +88,6 @@ from .network import (
     forward,
     hard_step,
     init_network,
-    layer_drive,
     lif_layer,
     load_checkpoint,
     parameter_vector,

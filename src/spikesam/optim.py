@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import assumptions_from, check_caps, compute_constants, convergence_rhs
 from .events import measured_input_bound
-from .gradients import Batch, training_pass
+from .gradients import Batch, backward
 from .network import InstabilityError, NetworkParams, SurrogateSpec, threshold_slices
 
 REUSED = "reused"
@@ -166,8 +166,9 @@ def _trained_gradient(
     params: NetworkParams, spec: SurrogateSpec, batch: Batch, train_threshold: bool
 ) -> tuple[float, np.ndarray]:
     """Loss and canonical gradient, its frozen threshold entries zeroed in place."""
-    loss, g = training_pass(params, spec, batch)
-    return loss, g if train_threshold else _freeze_thresholds(g, params)
+    bundle = backward(params, spec, batch)
+    g = bundle.grads.buffer
+    return bundle.loss, g if train_threshold else _freeze_thresholds(g, params)
 
 
 def _network_at(params: NetworkParams, w: np.ndarray) -> NetworkParams:
@@ -183,8 +184,11 @@ def _network_at(params: NetworkParams, w: np.ndarray) -> NetworkParams:
 
 
 def _backward_pass(spec: SurrogateSpec, batch: Batch) -> Callable[[NetworkParams], tuple[float, np.ndarray]]:
-    """One network's loss and parameter gradient on ``batch``: the pass the lockstep driver makes."""
-    return lambda net: training_pass(net, spec, batch)
+    def loss_grad(net: NetworkParams) -> tuple[float, np.ndarray]:
+        bundle = backward(net, spec, batch)
+        return bundle.loss, bundle.grads.buffer
+
+    return loss_grad
 
 
 class SastOptimizer:
@@ -388,8 +392,8 @@ def convergence_trial(
                 else:
                     second = batch
             params, _ = opt.sast_step(params, task.spec, batch, second)
-        final_loss, _ = training_pass(params, task.spec, data)
-        loss_star = min(loss_star, final_loss)
+        final = backward(params, task.spec, data)
+        loss_star = min(loss_star, final.loss)
         if not check_caps(params, assume):
             caps_held = False
         grad_traces.append(tuple(grads_sq))

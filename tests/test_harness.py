@@ -687,10 +687,14 @@ def test_calibration_guarantee_and_instrumentation(tmp_path):
     assert len(per_layer_res.lambdas) == n_layers
 
 
-def per_layer_reference(params, spec, ds, grid):
-    """Per-layer coordinate ascent scoring every candidate with a full ``accuracy`` call."""
-    scales, n_evals = [1.0] * params.n_layers, 0
-    for idx in range(params.n_layers):
+def full_pass_reference(params, spec, ds, grid, mode):
+    """Calibration scoring every candidate with a full ``accuracy`` call.
+
+    Global mode is one stage over one scale; per-layer mode is coordinate ascent
+    over one scale per layer.
+    """
+    scales, n_evals = [1.0] * (params.n_layers if mode == PER_LAYER_CALIBRATION else 1), 0
+    for idx in range(len(scales)):
         cands = []
         for lam in grid:
             trial = list(scales)
@@ -702,46 +706,34 @@ def per_layer_reference(params, spec, ds, grid):
     return tuple(scales), best, n_evals
 
 
-@pytest.mark.parametrize("dims", [(5, 4), (5, 6, 4), (5, 6, 4, 3)])
-@pytest.mark.parametrize("grid", [CALIBRATION_GRID, (0.8, 1.2, 0.5, 0.8, 1.5)], ids=["default", "ties"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
+def full_pass_cases(test):
+    """Parametrize ``test`` over the nets, grids and seeds both calibration modes are checked on."""
+    test = pytest.mark.parametrize("seed", [0, 1, 2])(test)
+    test = pytest.mark.parametrize("grid", [CALIBRATION_GRID, (0.8, 1.2, 0.5, 0.8, 1.5)], ids=["default", "ties"])(test)
+    return pytest.mark.parametrize("dims", [(5, 4), (5, 6, 4), (5, 6, 4, 3)])(test)
+
+
+def check_full_pass_scoring(mode, dims, grid, seed):
+    rng = np.random.default_rng(seed)
+    params = init_network(dims, 3, alpha=0.6, theta=0.4, weight_scale=1.5, seed=rng)
+    ds = events.Dataset((rng.random((40, 5, dims[0])) < 0.4).astype(np.float64), rng.integers(0, 3, size=40), 3)
+    spec = SurrogateConfig(slope=2.0).spec()
+    lambdas, val_acc, n_evals = full_pass_reference(params, spec, ds, grid, mode)
+    before = calibration_ops()
+    result = calibrate_thresholds(params, spec, ds, mode=mode, grid=grid)
+    assert calibration_ops() - before == n_evals == result.n_evals
+    assert (result.lambdas, result.val_acc) == (lambdas, val_acc)
+    assert result.uncalibrated_val_acc == accuracy(params, spec, ds.frames, ds.labels, HARD_MODE)
+
+
+@full_pass_cases
 def test_per_layer_calibration_equals_full_pass_scoring(dims, grid, seed):
-    rng = np.random.default_rng(seed)
-    params = init_network(dims, 3, alpha=0.6, theta=0.4, weight_scale=1.5, seed=rng)
-    ds = events.Dataset((rng.random((40, 5, dims[0])) < 0.4).astype(np.float64), rng.integers(0, 3, size=40), 3)
-    spec = SurrogateConfig(slope=2.0).spec()
-    lambdas, val_acc, n_evals = per_layer_reference(params, spec, ds, grid)
-    before = calibration_ops()
-    result = calibrate_thresholds(params, spec, ds, mode=PER_LAYER_CALIBRATION, grid=grid)
-    assert calibration_ops() - before == n_evals == result.n_evals
-    assert (result.lambdas, result.val_acc) == (lambdas, val_acc)
-    assert result.uncalibrated_val_acc == accuracy(params, spec, ds.frames, ds.labels, HARD_MODE)
+    check_full_pass_scoring(PER_LAYER_CALIBRATION, dims, grid, seed)
 
 
-def global_reference(params, spec, ds, grid):
-    """Global calibration scoring every candidate with a full ``accuracy`` call."""
-    cands = [
-        (lam, accuracy(harness.apply_threshold_scale(params, [lam]), spec, ds.frames, ds.labels, HARD_MODE))
-        for lam in grid
-    ]
-    lam, best = max(cands, key=lambda sa: (sa[1], -abs(sa[0] - 1.0), -sa[0]))
-    return (lam,), best, len(grid)
-
-
-@pytest.mark.parametrize("dims", [(5, 4), (5, 6, 4), (5, 6, 4, 3)])
-@pytest.mark.parametrize("grid", [CALIBRATION_GRID, (0.8, 1.2, 0.5, 0.8, 1.5)], ids=["default", "ties"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@full_pass_cases
 def test_global_calibration_equals_full_pass_scoring(dims, grid, seed):
-    rng = np.random.default_rng(seed)
-    params = init_network(dims, 3, alpha=0.6, theta=0.4, weight_scale=1.5, seed=rng)
-    ds = events.Dataset((rng.random((40, 5, dims[0])) < 0.4).astype(np.float64), rng.integers(0, 3, size=40), 3)
-    spec = SurrogateConfig(slope=2.0).spec()
-    lambdas, val_acc, n_evals = global_reference(params, spec, ds, grid)
-    before = calibration_ops()
-    result = calibrate_thresholds(params, spec, ds, mode=GLOBAL_CALIBRATION, grid=grid)
-    assert calibration_ops() - before == n_evals == result.n_evals
-    assert (result.lambdas, result.val_acc) == (lambdas, val_acc)
-    assert result.uncalibrated_val_acc == accuracy(params, spec, ds.frames, ds.labels, HARD_MODE)
+    check_full_pass_scoring(GLOBAL_CALIBRATION, dims, grid, seed)
 
 
 @pytest.mark.parametrize("mode", [GLOBAL_CALIBRATION, PER_LAYER_CALIBRATION])

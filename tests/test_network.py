@@ -397,28 +397,6 @@ def test_comparison_spike_equals_hard_step_of_the_difference_on_adversarial_pair
     assert got.dtype == np.float64 and set(np.unique(got)) == {0.0, 1.0}
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(
-            st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0, TINY, HUGE])),
-            st.floats(min_value=TINY, max_value=HUGE, allow_subnormal=True),
-        ),
-        min_size=1,
-        max_size=20,
-    ),
-    ulps=st.integers(-2, 2),
-)
-def test_property_comparison_spike_equals_hard_step_of_the_difference(pairs, ulps):
-    u, theta = (np.array(col) for col in zip(*pairs))
-    u = np.concatenate([u, theta])  # ties, and their neighbours ``ulps`` steps away
-    theta = np.concatenate([theta, theta])
-    with np.errstate(over="ignore"):  # past HUGE lies inf
-        for _ in range(abs(ulps)):
-            u[len(pairs) :] = np.nextafter(u[len(pairs) :], np.sign(ulps) * np.inf)
-    assert comparison_spikes(u, theta).tobytes() == subtracted_spikes(u, theta).tobytes()
-
-
 @pytest.mark.parametrize("n_samples", [32, 1024])
 def test_hard_forward_equals_the_naive_unroll_bit_for_bit(n_samples):
     # The packaged 48-16-16-16 net at the study batch and at the benchmark's

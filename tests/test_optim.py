@@ -16,7 +16,7 @@ import pytest
 
 from conftest import ARCTAN_PI, spike_batch, tiny_net
 from spikesam import optim
-from spikesam.gradients import backward, training_pass
+from spikesam.gradients import backward
 from spikesam.network import parameter_vector, threshold_slices
 from spikesam.optim import (
     INDEPENDENT,
@@ -310,9 +310,9 @@ def test_convergence_trial_computes_each_full_data_gradient_once(monkeypatch):
 
     def counted(params, spec, batch):
         calls.append(batch.n_samples)
-        return training_pass(params, spec, batch)
+        return backward(params, spec, batch)
 
-    monkeypatch.setattr(optim, "training_pass", counted)
+    monkeypatch.setattr(optim, "backward", counted)
     convergence_trial(task, OptimizerConfig(eta=1e-6, rho=1e-3), n_updates=8, seeds=(0,))
     assert calls.count(task.data.n_samples) == 9
 
