@@ -83,11 +83,6 @@ def reset_calibration_ops() -> None:
     _CALIBRATION_OPS = 0
 
 
-def _count_calibration_op() -> None:
-    global _CALIBRATION_OPS
-    _CALIBRATION_OPS += 1
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -657,13 +652,13 @@ def _write_summary(result: TrainResult) -> None:
         fh.write("\n")
 
 
-def metrics_equal(path_a: str, path_b: str, ignore: Sequence[str] = NONDETERMINISTIC_COLUMNS) -> bool:
+def metrics_equal(path_a: str, path_b: str) -> bool:
     """Whether two metrics tables agree outside the wall-clock columns."""
 
     def rows(path: str) -> list[dict]:
         with open(path, newline="") as fh:
             return [
-                {k: v for k, v in row.items() if k not in ignore}
+                {k: v for k, v in row.items() if k not in NONDETERMINISTIC_COLUMNS}
                 for row in csv.DictReader(fh)
             ]
 
@@ -720,15 +715,15 @@ def robustness_sweep(
     ds: Dataset,
     families: Sequence[str] = CORRUPTION_FAMILIES,
     severities: Sequence[float] = SEVERITY_GRID,
-    modes: Sequence[str] = (SURROGATE_MODE, HARD_MODE),
     corruption_seed: int = 0,
 ) -> RobustnessResult:
-    """Accuracy under each corruption family across the severity grid.
+    """Accuracy under each corruption family across the severity grid, in both modes.
 
     Severity 0 leaves frames unchanged, so every family's severity-0 point
     is the clean accuracy, evaluated once per mode.  The summary reports
     the trapezoidal area under each accuracy-severity curve.
     """
+    modes = (SURROGATE_MODE, HARD_MODE)
     curves: dict[str, dict[str, list[float]]] = {}
     auc: dict[str, dict[str, float]] = {}
     sev = [float(s) for s in severities]
@@ -770,18 +765,26 @@ class CalibrationResult:
     n_evals: int
 
 
+def _threshold_scales(lambdas: Sequence[float]) -> list[float]:
+    """The scales as floats, refusing by value any that is not positive and finite."""
+    scales = [float(lam) for lam in lambdas]
+    for lam in scales:
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"threshold scale {lam!r} is not a positive finite number")
+    return scales
+
+
 def apply_threshold_scale(params: NetworkParams, lambdas: Sequence[float]) -> NetworkParams:
-    """Scaled-threshold copy; counts as a calibration operation."""
-    _count_calibration_op()
-    scales = list(lambdas)
+    """Scaled-threshold copy from one scale, or one per layer; counts once the scales are accepted."""
+    global _CALIBRATION_OPS
+    scales = _threshold_scales(lambdas)
     if len(scales) == 1:
         scales = scales * params.n_layers
     if len(scales) != params.n_layers:
         raise ValueError("need one scale, or one per layer")
+    _CALIBRATION_OPS += 1
     out = params.copy()
     for layer, lam in zip(out.layers, scales):
-        if lam <= 0.0:
-            raise ValueError("threshold scales must be positive")
         layer.threshold *= lam  # in place: the threshold is a view of out.buffer
     return out
 
@@ -795,33 +798,29 @@ def calibrate_thresholds(
 ) -> CalibrationResult:
     """Grid-search threshold scales for hard-mode validation accuracy.
 
-    Global mode scans one shared scale; per-layer mode runs one pass of
-    coordinate ascent in layer order starting from all-ones.  Ties prefer
-    the scale closest to 1 (then the smaller scale), so with 1 in the grid
-    the calibrated accuracy never falls below the uncalibrated one.  Every
-    candidate evaluation increments the calibration instrumentation counter.
+    One pass of coordinate ascent from all-ones over stages, each scanning
+    one scale for a run of layers: global mode is one stage over every layer,
+    per-layer mode one stage per layer in layer order.  Ties prefer the scale
+    closest to 1 (then the smaller scale), so with 1 in the grid the
+    calibrated accuracy never falls below the uncalibrated one.  Every
+    candidate evaluation increments the calibration instrumentation counter;
+    a grid scale that is not positive and finite is refused before any.
 
     A layer's drive ``W z + b`` does not depend on the thresholds, so each
-    stage computes the drive of the layer it scales once and every candidate
-    runs over it: layer 1's drive serves the uncalibrated pass and every
-    global candidate, and per-layer stage ``l`` also computes the hard
-    activity entering layer ``l`` once, under the scales already chosen.  A
-    candidate runs from the stage's layer up; the accuracies are those of
-    full forward passes.
+    stage computes the drive of its lowest layer once and every candidate
+    runs over it: layer 1's drive also serves the uncalibrated pass, and a
+    later stage computes the hard activity entering its lowest layer once,
+    under the scales already chosen.  A candidate runs from that layer up;
+    the accuracies are those of full forward passes.
     """
-    grid = [float(g) for g in grid]
+    grid = _threshold_scales(grid)
     if not grid:
         raise ValueError("calibration grid is empty")
     if mode not in (GLOBAL_CALIBRATION, PER_LAYER_CALIBRATION):
         raise ValueError(f"unknown calibration mode {mode!r}")
+    n_layers = params.n_layers
+    stages = [range(n_layers)] if mode == GLOBAL_CALIBRATION else [range(idx, idx + 1) for idx in range(n_layers)]
     hard = mode_spec(spec, HARD_MODE)
-    labels = np.asarray(ds.labels)
-    n_evals = 0
-
-    def scaled_params(scales: list[float]) -> NetworkParams:
-        nonlocal n_evals
-        n_evals += 1
-        return apply_threshold_scale(params, scales)
 
     def accuracy_from(net: NetworkParams, start: int, below: np.ndarray, drive: np.ndarray) -> float:
         # ``below`` is the time-major hard activity entering layer ``start``, ``drive`` that layer's drive
@@ -831,38 +830,31 @@ def calibrate_thresholds(
             if not np.all(np.isfinite(u)):  # the full pass raises, naming the layer and step
                 return accuracy(net, spec, ds.frames, ds.labels, HARD_MODE)
             drive = None  # the layers above compute their own
-        return float((readout(net, z)[1].argmax(axis=1) == labels).mean())
+        return float((readout(net, z)[1].argmax(axis=1) == ds.labels).mean())
 
-    def pick(cands: list[tuple]) -> tuple:
-        # (scale, acc, ...): max acc, ties toward scale nearest 1 then smaller scale
-        return max(cands, key=lambda sa: (sa[1], -abs(sa[0] - 1.0), -sa[0]))
-
+    # One scale per stage: apply_threshold_scale spreads a lone scale over every layer.
+    lambdas = [1.0] * len(stages)
     below = ds.frames.transpose(1, 0, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises in accuracy_from
         drive = layer_drive(params.layers[0], below)
         base_acc = accuracy_from(params, 0, below, drive)
-        if mode == GLOBAL_CALIBRATION:
-            best_lam, best_acc = pick([(lam, accuracy_from(scaled_params([lam]), 0, below, drive)) for lam in grid])
-            lambdas = (best_lam,)
-        else:
-            scales = [1.0] * params.n_layers
-            for layer_idx in range(params.n_layers):
-                if layer_idx:  # ``chosen`` ran over this drive and passed the finiteness check
-                    prev = chosen.layers[layer_idx - 1]
-                    below = lif_layer(prev, params.alpha, hard, below, keep_states=False, drive=drive)[1]
-                    drive = layer_drive(params.layers[layer_idx], below)
-                cands = []
-                for lam in grid:
-                    scaled = scaled_params([lam if i == layer_idx else s for i, s in enumerate(scales)])
-                    cands.append((lam, accuracy_from(scaled, layer_idx, below, drive), scaled))
-                scales[layer_idx], best_acc, chosen = pick(cands)
-            lambdas = tuple(scales)
+        for k, stage in enumerate(stages):
+            if stage.start:  # the stage below is layer ``stage.start - 1``: ``chosen`` ran finite over its drive
+                prev = chosen.layers[stage.start - 1]
+                below = lif_layer(prev, params.alpha, hard, below, keep_states=False, drive=drive)[1]
+                drive = layer_drive(params.layers[stage.start], below)
+            cands = []
+            for lam in grid:
+                scaled = apply_threshold_scale(params, lambdas[:k] + [lam] + lambdas[k + 1:])
+                cands.append((lam, accuracy_from(scaled, stage.start, below, drive), scaled))
+            # max accuracy; ties toward the scale nearest 1, then the smaller scale
+            lambdas[k], best_acc, chosen = max(cands, key=lambda c: (c[1], -abs(c[0] - 1.0), -c[0]))
     return CalibrationResult(
         mode=mode,
-        lambdas=lambdas,
+        lambdas=tuple(lambdas),
         val_acc=best_acc,
         uncalibrated_val_acc=base_acc,
-        n_evals=n_evals,
+        n_evals=len(grid) * len(stages),
     )
 
 

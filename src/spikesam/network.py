@@ -142,10 +142,10 @@ def surrogate_second_derivative(spec: SurrogateSpec, x: np.ndarray) -> np.ndarra
     raise ValueError("hard step has no second derivative")
 
 
-def hard_step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Heaviside step with the tie rule step(0) = 1, into a float64 ``out`` if given."""
+def hard_step(x: np.ndarray) -> np.ndarray:
+    """Heaviside step with the tie rule step(0) = 1, as float64."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.greater_equal(x, 0.0, out=np.empty_like(x) if out is None else out)
+    y = np.greater_equal(x, 0.0, out=np.empty_like(x))
     return y if y.ndim else y[()]
 
 
@@ -193,9 +193,6 @@ class LayerParams:
     @property
     def d_out(self) -> int:
         return self.weight.shape[-2]
-
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weight.copy(), self.bias.copy(), self.threshold.copy())
 
 
 @dataclass
@@ -314,10 +311,6 @@ class StateTrace:
     zbar: np.ndarray  # (n, d_L)
     logits: np.ndarray  # (n, n_classes)
     spec: SurrogateSpec
-
-    @property
-    def n_steps(self) -> int:
-        return self.inputs.shape[1]
 
 
 def layer_drive(layer: LayerParams, x: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ REUSED = "reused"
 INDEPENDENT = "independent"
 DELTA = 1e-12  # floor on the gradient norm in the ascent normalization
 THETA_FLOOR = 1e-3  # thresholds are clamped here, so they stay strictly positive
+CAP_CHECK_EVERY = 10  # convergence trials check the caps every this many updates, and at the end
 
 
 @dataclass(frozen=True)
@@ -327,7 +328,6 @@ def convergence_trial(
     cfg: OptimizerConfig,
     n_updates: int,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    cap_check_every: int = 10,
 ) -> ConvergenceReport:
     """Run sharpness-aware training and assemble the convergence inequality.
 
@@ -374,7 +374,7 @@ def convergence_trial(
             grads_sq.append(float(np.sum(g_full**2)))
             losses.append(loss)
             loss_star = min(loss_star, loss)
-            if k % cap_check_every == 0 and not check_caps(params, assume):
+            if k % CAP_CHECK_EVERY == 0 and not check_caps(params, assume):
                 caps_held = False
             if full_batch:
                 batch = second = data

@@ -57,7 +57,17 @@ from spikesam.harness import (
     seed_record,
     train,
 )
-from spikesam.network import init_network, load_checkpoint, parameter_vector, threshold_slices
+from spikesam.network import (
+    InstabilityError,
+    LayerParams,
+    NetworkParams,
+    forward,
+    init_network,
+    load_checkpoint,
+    mode_spec,
+    parameter_vector,
+    threshold_slices,
+)
 from spikesam.optim import INDEPENDENT, REUSED, OptimizerConfig
 from spikesam import cli
 
@@ -772,6 +782,52 @@ def test_apply_threshold_scale_leaves_its_input_alone():
     for layer, sl, lam in zip(scaled.layers, threshold_slices(scaled), (2.0, 0.5)):
         np.testing.assert_array_equal(layer.threshold, vec[sl])
         np.testing.assert_array_equal(layer.threshold, before[sl] * lam)
+
+
+def test_refused_threshold_scales_count_no_calibration_op():
+    params = init_network((4, 3, 3, 2), 2, seed=np.random.default_rng(6))
+    before = calibration_ops()
+    for scales in ([0.0], [-1.0], [np.nan], [np.inf], [2.0, 0.5]):  # the last gives two scales for three layers
+        with pytest.raises(ValueError):
+            harness.apply_threshold_scale(params, scales)
+    assert calibration_ops() == before
+
+
+@pytest.mark.parametrize("mode", [GLOBAL_CALIBRATION, PER_LAYER_CALIBRATION])
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_calibration_refuses_a_bad_grid_scale_by_value(mode, scale):
+    params, spec, ds = evaluation_fixture()
+    before = calibration_ops()
+    with pytest.raises(ValueError, match=re.escape(f"threshold scale {scale!r} ")):
+        calibrate_thresholds(params, spec, ds, mode=mode, grid=(1.0, scale))
+    assert calibration_ops() == before
+
+
+@pytest.mark.parametrize("mode", [GLOBAL_CALIBRATION, PER_LAYER_CALIBRATION])
+def test_calibration_reports_a_candidate_blow_up_as_the_full_pass_does(mode):
+    # Layer 1 gets drive 0.8 from step 2 on: silent at threshold 1 (leak 0.01), but
+    # both units fire at step 2 once scaled by 0.5, the grid's first scale, and
+    # layer 2's weights of 1e308 then overflow its drive.
+    params = NetworkParams(
+        [
+            LayerParams(np.full((2, 1), 0.8), np.zeros(2), np.ones(2)),
+            LayerParams(np.full((2, 2), 1e308), np.zeros(2), np.ones(2)),
+            LayerParams(np.eye(2), np.zeros(2), np.ones(2)),
+        ],
+        0.01, np.eye(2), np.zeros(2),
+    )
+    frames = np.ones((4, 3, 1))
+    frames[:, 0] = 0.0
+    ds = events.Dataset(frames, np.array([0, 1, 0, 1]), 2)
+    spec = SurrogateConfig(slope=2.0).spec()
+    hard = mode_spec(spec, HARD_MODE)
+    forward(params, hard, frames)  # the uncalibrated pass stays finite, or this raises
+    scaled = harness.apply_threshold_scale(params, [0.5] if mode == GLOBAL_CALIBRATION else [0.5, 1.0, 1.0])
+    with pytest.raises(InstabilityError) as full_pass:
+        forward(scaled, hard, frames)
+    assert str(full_pass.value) == "non-finite membrane state at layer 2, step 2"
+    with pytest.raises(InstabilityError, match=f"^{re.escape(str(full_pass.value))}$"):
+        calibrate_thresholds(params, spec, ds, mode=mode)
 
 
 def test_calibration_tie_break_prefers_identity():

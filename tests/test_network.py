@@ -448,12 +448,11 @@ def test_a_shared_drive_is_read_and_left_unchanged(family, keep_states, layout):
 
 def test_validation_rules():
     params = tiny_net(seed=10)
-    bad = params.copy()
-    bad_layers = [l.copy() for l in bad.layers]
-    bad_layers[0].threshold = bad_layers[0].threshold.copy()
-    bad_layers[0].threshold[0] = 0.0
+    layer = params.layers[0]
+    threshold = layer.threshold.copy()
+    threshold[0] = 0.0
     with pytest.raises(ValueError):
-        LayerParams(bad_layers[0].weight, bad_layers[0].bias, bad_layers[0].threshold)
+        LayerParams(layer.weight, layer.bias, threshold)
     with pytest.raises(ValueError):
         NetworkParams(params.layers, 1.0, params.w_out, params.b_out)
     with pytest.raises(ValueError):
