@@ -15,8 +15,8 @@ layer.  Thresholds receive two contributions: through the spike argument
 Working set beyond the forward trace and the gradient buffer ((P,), or
 (n, P) per sample): three (T, n, d) arrays of the layer being swept
 (``sigma'``, ``gz`` and ``gu``) plus the ``gu`` of the layer above, held
-while this layer is swept; for the bottom layer also the (n, T, d0) input
-gradients and, in batch mode, a time-major copy of the input frames.
+while this layer is swept; for the bottom layer also a time-major copy of
+the input frames (batch) or the (n, T, d0) input gradients (per sample).
 """
 
 from __future__ import annotations
@@ -74,15 +74,18 @@ class Batch:
 class ParamGrads:
     """Gradients in canonical-vector order, one float64 ``buffer`` of P entries.
 
-    ``alpha`` is always computed; whether it enters the canonical vector is
+    ``alpha`` is the leak gradient, which only the per-sample sweep computes
+    (``None`` after a batch pass); whether it enters the canonical vector is
     the caller's choice (frozen by default, matching the direct
     parameterization of the leak).
     """
 
-    buffer: np.ndarray  # (P,)
-    alpha: float
+    buffer: np.ndarray  # (P,), or (M, P) for stacked networks
+    alpha: float | None = None
 
     def vector(self, include_alpha: bool = False) -> np.ndarray:
+        if include_alpha and self.alpha is None:
+            raise ValueError("a batch pass gives no leak gradient; take it from per_sample_gradients")
         return np.append(self.buffer, self.alpha) if include_alpha else self.buffer.copy()
 
 
@@ -90,9 +93,9 @@ class ParamGrads:
 class GradientBundle:
     """Loss value plus every gradient a training or analysis step needs."""
 
-    loss: float
+    loss: float | np.ndarray  # (M,) for stacked networks
     grads: ParamGrads
-    input_grads: np.ndarray  # (n, T, d0)
+    input_grads: np.ndarray | None = None  # (n, T, d0), per-sample sweeps only
     per_sample_grad_norms: np.ndarray | None = None
     per_sample_grad_vectors: np.ndarray | None = None  # (n, P), alpha excluded
 
@@ -164,28 +167,24 @@ def _reverse_sweep(
     trace: StateTrace,
     v: np.ndarray,
     per_sample: bool = False,
-    params_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Propagate logit cotangents ``v`` (n, C) back to parameters and inputs.
 
-    Returns the canonical parameter gradient (P,), the leak gradient and
-    the input gradients (n, T, d0).  With ``per_sample=True`` the batch axis
-    is never summed over: the parameter gradient is (n, P) and the leak
-    gradient (n,), one row each per sample (the exact gradient of that
-    sample's own scalar objective ``v_i @ o_i``).
-
-    ``params_only=True`` skips the leak and input gradients, which training
-    does not read, and returns ``None`` for both.  Such a sweep is its
-    trace's last reader: it writes over each layer's ``u`` and drops each
-    layer's states from the trace once swept, so the working set shrinks as
-    it goes.  Stacked ``params`` and trace (see :func:`network.stack`) need
-    it: they take ``v`` as (M, n, C) and give each model's parameter
+    Returns the canonical parameter gradient, the leak gradient and the
+    input gradients.  The batch sweep gives the parameter gradient (P,) and
+    ``None`` for the other two.  It is its trace's last reader: it writes
+    over each layer's ``u`` and drops each layer's states once swept, so
+    the working set shrinks as it goes.  Stacked ``params`` and trace (see
+    :func:`network.stack`) take ``v`` as (M, n, C) and give each model's
     gradient as a row of an (M, P) array, bit-identical to its lone sweep.
-    A non-finite gradient in any model raises.
+    With ``per_sample=True`` the batch axis is never summed over: the
+    parameter gradient is (n, P), the leak gradient (n,), one row each per
+    sample (the exact gradient of that sample's own objective ``v_i @ o_i``),
+    and the input gradients (n, T, d0).  A non-finite gradient raises.
     """
     spec = trace.spec
-    if params.buffer.ndim == 2 and (per_sample or not params_only):
-        raise ValueError("a stacked sweep gives batch parameter gradients only (params_only=True)")
+    if params.buffer.ndim == 2 and per_sample:
+        raise ValueError("a stacked sweep gives batch parameter gradients only")
     n, n_steps, _ = trace.inputs.shape
     models = params.buffer.shape[:-1]  # () or (M,)
     alpha = np.array(params.alpha, dtype=np.float64)  # 0-d: the cheapest ufunc scalar
@@ -201,20 +200,20 @@ def _reverse_sweep(
     put(b_out_slot, v if per_sample else v.sum(axis=-2))
 
     gzbar = np.matmul(v, params.w_out)  # (n, d_L), or stacked (M, n, d_L)
-    d_alpha = np.zeros(lead)
+    d_alpha = np.zeros(n)
     axes = 0 if per_sample else (0, 1)  # the time (and batch) axes of time-major arrays
 
     for idx in range(n_layers - 1, -1, -1):
         layer = params.layers[idx]
         u = trace.u[idx].swapaxes(0, -2)  # time-major (T, n, d) or (T, n, M, d) views
         z = trace.z[idx].swapaxes(0, -2)
-        if params_only:  # the sweep is the trace's last reader: each layer's states go once swept
+        if not per_sample:  # the batch sweep is the trace's last reader: each layer's states go once swept
             trace.u[idx] = trace.z[idx] = None
         block = u.shape[1:]
         theta = np.empty(block)  # one contiguous block per step
         theta[...] = layer.threshold
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
-            sp = np.subtract(u, theta, out=u if params_only else None)  # only the leak gradient reads u again
+            sp = np.subtract(u, theta, out=None if per_sample else u)  # only the leak gradient reads u again
             surrogate_derivative(spec, sp, out=sp)
             # gz starts as the cross-layer term; each step subtracts the reset term
             # and then scales by sigma', which leaves the threshold's
@@ -247,41 +246,27 @@ def _reverse_sweep(
         put(b_slot, gu.sum(axis=axes))
         reset = np.multiply(z[:-1], gu[1:], out=sp[1:]).sum(axis=axes)  # sigma' is spent
         put(th_slot, -(gz.sum(axis=axes) + reset))
-        if params_only:
-            continue
-        d_alpha += (u[:-1] * gu[1:]).sum(axis=(0, 2) if per_sample else None)
-        if idx == 0:
-            input_grads = (_rows(gu) @ layer.weight).reshape(n_steps, n, layer.d_in).transpose(1, 0, 2)
+        if per_sample:
+            d_alpha += (u[:-1] * gu[1:]).sum(axis=(0, 2))
+            if idx == 0:
+                input_grads = (_rows(gu) @ layer.weight).reshape(n_steps, n, layer.d_in).transpose(1, 0, 2)
 
-    if params_only:
-        return grads, None, None
-    return grads, d_alpha, input_grads
+    return (grads, d_alpha, input_grads) if per_sample else (grads, None, None)
 
 
 def backward(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> GradientBundle:
-    """Loss and exact gradients of the mean cross entropy over the batch."""
+    """Mean cross entropy on the batch and its exact canonical parameter gradient.
+
+    The leak and input gradients come from the per-sample sweep
+    (:func:`per_sample_gradients`); here ``grads.alpha`` and ``input_grads``
+    are ``None``.  For M networks stacked by :func:`network.stack` the loss
+    is (M,) and the buffer (M, P), each model's bit-identical to its lone pass.
+    """
     _require_smooth(spec)
     trace = forward(params, spec, batch.inputs)
     loss, v = _softmax_loss_and_grad(trace.logits, batch.labels)
     v /= batch.n_samples  # mean reduction
-    grads, d_alpha, input_grads = _reverse_sweep(params, trace, v)
-    return GradientBundle(loss=loss, grads=ParamGrads(grads, float(d_alpha)), input_grads=input_grads)
-
-
-def training_pass(
-    params: NetworkParams, spec: SurrogateSpec, batch: Batch
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross entropy on the batch and its canonical parameter gradient, as :func:`backward`
-    gives them, without the leak and input gradients that training does not read.
-
-    For M networks stacked by :func:`network.stack` the losses are (M,) and
-    the gradients (M, P), each model's bit-identical to its lone pass.
-    """
-    _require_smooth(spec)
-    trace = forward(params, spec, batch.inputs)
-    losses, v = _softmax_loss_and_grad(trace.logits, batch.labels)
-    v /= batch.n_samples  # mean reduction
-    return losses, _reverse_sweep(params, trace, v, params_only=True)[0]
+    return GradientBundle(loss, ParamGrads(_reverse_sweep(params, trace, v)[0]))
 
 
 def per_sample_gradients(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> GradientBundle:
@@ -370,14 +355,16 @@ def gradcheck(
     tol: float = 1e-5,
     include_alpha: bool = True,
 ) -> GradcheckResult:
-    """Compare the reverse sweep against the finite-difference oracle.
+    """Compare :func:`backward`, and the leak entry of :func:`per_sample_gradients`,
+    against the finite-difference oracle.
 
     Per-coordinate error is ``|a - b| / max(1, |a|, |b|)`` — relative where
     the gradient is appreciable and absolute near zero, where a pure ratio
     would amplify finite-difference noise.
     """
-    bundle = backward(params, spec, batch)
-    analytic = bundle.grads.vector(include_alpha)
+    analytic = backward(params, spec, batch).grads.buffer
+    if include_alpha:
+        analytic = np.append(analytic, per_sample_gradients(params, spec, batch).grads.alpha)
     numeric = finite_difference_oracle(params, spec, batch, h=h, include_alpha=include_alpha)
     scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     err = float(np.max(np.abs(analytic - numeric) / scale))

@@ -38,7 +38,7 @@ from .events import (
     load_frames,
     synth_task,
 )
-from .gradients import Batch, _softmax_loss_and_grad, training_pass
+from .gradients import Batch, _softmax_loss_and_grad, backward
 from .network import (
     InstabilityError,
     NetworkParams,
@@ -254,7 +254,13 @@ def load_data(cfg: DataConfig) -> SplitDataset:
     for name, path in paths.items():
         if not path:
             raise ValueError(f"file data source needs a {name}_path")
-    return SplitDataset(**{name: load_frames(path) for name, path in paths.items()})
+    splits = {name: load_frames(path) for name, path in paths.items()}
+    shapes = {name: {"n_classes": ds.n_classes, "width": ds.frames.shape[2]} for name, ds in splits.items()}
+    for name in ("val", "test"):
+        for field, want in shapes["train"].items():
+            if shapes[name][field] != want:
+                raise ValueError(f"{name} split has {field} {shapes[name][field]}, but the train split has {want}")
+    return SplitDataset(**splits)
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +580,12 @@ def _passes(nets: list[NetworkParams], spec: SurrogateSpec, batch: Batch) -> lis
     of its answer only when its own pass raises it.
     """
     try:
-        losses, grads = training_pass(stack(nets), spec, batch)
+        bundle = backward(stack(nets), spec, batch)
     except (InstabilityError, FloatingPointError) as exc:
         if len(nets) == 1:
             return [exc]
         return [answer for net in nets for answer in _passes([net], spec, batch)]
-    return list(zip(np.reshape(losses, -1).tolist(), grads.reshape(len(nets), -1)))
+    return list(zip(np.reshape(bundle.loss, -1).tolist(), bundle.grads.buffer.reshape(len(nets), -1)))
 
 
 # Samples x models in one stacked evaluation forward.  At 128 samples a smooth
@@ -721,12 +727,18 @@ def robustness_sweep(
 
     Severity 0 leaves frames unchanged, so every family's severity-0 point
     is the clean accuracy, evaluated once per mode.  The summary reports
-    the trapezoidal area under each accuracy-severity curve.
+    the trapezoidal area under each curve; a grid it cannot score is refused.
     """
+    for family in families:
+        if family not in CORRUPTION_FAMILIES:
+            raise ValueError(f"unknown corruption family {family!r}; expected one of {CORRUPTION_FAMILIES}")
+    sev = [float(s) for s in severities]
+    for prev, s in zip([-math.inf, *sev], sev):
+        if not (prev < s and 0.0 <= s <= 1.0):
+            raise ValueError(f"severity {s} breaks the grid {sev}: severities must increase strictly within [0, 1]")
     modes = (SURROGATE_MODE, HARD_MODE)
     curves: dict[str, dict[str, list[float]]] = {}
     auc: dict[str, dict[str, float]] = {}
-    sev = [float(s) for s in severities]
 
     def accuracies(frames: np.ndarray) -> dict[str, float]:
         return {m: accuracy(params, spec, frames, ds.labels, m) for m in modes}

@@ -27,8 +27,8 @@ from spikesam.gradients import (
     gradcheck,
     logit_jacobians,
     per_sample_gradients,
-    training_pass,
 )
+from spikesam import gradients
 from spikesam.network import (
     FAST_SIGMOID,
     HARD,
@@ -124,6 +124,31 @@ def test_gradcheck_dense_inputs():
     assert res.passed
 
 
+def test_gradcheck_catches_a_leak_gradient_off_by_1e_3(monkeypatch):
+    params = tiny_net(dims=(5, 4), n_classes=3, alpha=0.7, theta=0.3, seed=22)
+    batch = dense_batch(params, n_samples=4, n_steps=6, seed=23)
+    real = gradients.per_sample_gradients
+
+    def leak_off(*args):
+        bundle = real(*args)
+        bundle.grads.alpha += 1e-3
+        return bundle
+
+    monkeypatch.setattr(gradients, "per_sample_gradients", leak_off)
+    res = gradcheck(params, ARCTAN_PI, batch, include_alpha=True)
+    assert not res.passed and res.max_rel_err > 5e-4
+    assert gradcheck(params, ARCTAN_PI, batch, include_alpha=False).passed
+
+
+def test_batch_gradient_vector_with_the_leak_names_the_per_sample_sweep():
+    params = tiny_net(seed=24)
+    bundle = backward(params, ARCTAN_PI, spike_batch(params, seed=25))
+    assert bundle.grads.alpha is None and bundle.input_grads is None
+    assert bundle.grads.vector(False).shape == (parameter_count(params),)
+    with pytest.raises(ValueError, match="per_sample_gradients"):
+        bundle.grads.vector(True)
+
+
 def test_backward_loss_matches_batch_loss():
     params = tiny_net(seed=24)
     batch = spike_batch(params, seed=25)
@@ -134,28 +159,26 @@ def test_backward_loss_matches_batch_loss():
 def test_input_gradients_match_finite_difference():
     params = tiny_net(dims=(4, 3), n_classes=2, seed=26)
     batch = dense_batch(params, n_samples=2, n_steps=3, seed=27)
-    bundle = backward(params, ARCTAN_PI, batch)
+    bundle = per_sample_gradients(params, ARCTAN_PI, batch)
 
     def fn(flat: np.ndarray) -> float:
         return batch_loss(params, ARCTAN_PI, Batch(flat.reshape(batch.inputs.shape), batch.labels))
 
     want = central_difference(fn, batch.inputs.ravel()).reshape(batch.inputs.shape)
-    np.testing.assert_allclose(bundle.input_grads, want, rtol=1e-5, atol=1e-8)
+    # per-sample rows are each sample's own loss gradient; the batch loss is their mean
+    np.testing.assert_allclose(bundle.input_grads / batch.n_samples, want, rtol=1e-5, atol=1e-8)
 
 
 def test_per_sample_gradients_average_to_batch_gradient():
     params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=28)
     batch = spike_batch(params, n_samples=5, n_steps=4, seed=29)
-    whole = backward(params, ARCTAN_PI, batch).grads.vector(True)
+    whole = backward(params, ARCTAN_PI, batch).grads.vector(False)
     per = per_sample_gradients(params, ARCTAN_PI, batch)
-    singles = np.stack(
-        [
-            backward(params, ARCTAN_PI, Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1]))
-            .grads.vector(True)
-            for i in range(batch.n_samples)
-        ]
-    )
+    single_batches = [Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1]) for i in range(batch.n_samples)]
+    singles = np.stack([backward(params, ARCTAN_PI, b).grads.vector(False) for b in single_batches])
     np.testing.assert_allclose(singles.mean(axis=0), whole, rtol=1e-12, atol=1e-14)
+    single_leaks = [per_sample_gradients(params, ARCTAN_PI, b).grads.alpha for b in single_batches]
+    np.testing.assert_allclose(np.mean(single_leaks), per.grads.alpha, rtol=1e-12, atol=1e-14)
     assert per.per_sample_grad_norms.shape == (batch.n_samples,)
     # Norms consistent with the single-sample sweeps (alpha excluded there).
     want_norms = [
@@ -231,10 +254,10 @@ def test_backward_matches_einsum_reference_at_the_study_shape(spec):
     bundle = backward(params, spec, batch)
     trace = forward(params, spec, batch.inputs)
     v = _softmax_loss_and_grad(trace.logits, batch.labels)[1] / batch.n_samples
-    want, want_inputs = einsum_reverse_sweep(params, trace, v, per_sample=False)
-    # atol only covers entries that cancel to ~1e-19 against O(0.1) gradients
-    np.testing.assert_allclose(bundle.grads.vector(True), want, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(bundle.input_grads, want_inputs, rtol=1e-12, atol=1e-15)
+    want = einsum_reverse_sweep(params, trace, v, per_sample=False)[0]
+    # atol only covers entries that cancel to ~1e-19 against O(0.1) gradients; the
+    # per-sample test below pins the leak and input gradients
+    np.testing.assert_allclose(bundle.grads.buffer, want[:-1], rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("spec", [ARCTAN_PI, SurrogateSpec(FAST_SIGMOID, 2.0)], ids=["arctan", "fast_sigmoid"])
@@ -270,27 +293,25 @@ def test_stacked_reverse_sweep_equals_lone_sweeps_bit_for_bit(spec):
     batch = spike_batch(nets[0], n_samples=32, n_steps=8, rate=0.4, seed=49)
     trace = forward(stack(nets), spec, batch.inputs)
     v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
-    grads, d_alpha, input_grads = _reverse_sweep(stack(nets), trace, v, params_only=True)
+    grads, d_alpha, input_grads = _reverse_sweep(stack(nets), trace, v)
     assert grads.shape == (3, parameter_count(nets[0])) and d_alpha is None and input_grads is None
     assert trace.u == [None] * 3 and trace.z == [None] * 3  # the sweep read the trace last
-    losses, mean_grads = training_pass(stack(nets), spec, batch)
+    stacked = backward(stack(nets), spec, batch)
+    assert stacked.loss.shape == (3,) and stacked.grads.buffer.shape == grads.shape
     for m, net in enumerate(nets):
         lone = forward(net, spec, batch.inputs)
         assert grads[m].tobytes() == _reverse_sweep(net, lone, _softmax_loss_and_grad(lone.logits, batch.labels)[1])[0].tobytes()
-        bundle = backward(net, spec, batch)
-        assert losses[m] == bundle.loss and mean_grads[m].tobytes() == bundle.grads.buffer.tobytes()
-        loss, g = training_pass(net, spec, batch)  # a lone network, unstacked
-        assert loss == bundle.loss and g.tobytes() == bundle.grads.buffer.tobytes()
+        bundle = backward(net, spec, batch)  # a lone network, unstacked
+        assert stacked.loss[m] == bundle.loss and stacked.grads.buffer[m].tobytes() == bundle.grads.buffer.tobytes()
 
 
-@pytest.mark.parametrize("per_sample, params_only", [(True, True), (False, False)])
-def test_stacked_reverse_sweep_gives_batch_parameter_gradients_only(per_sample, params_only):
+def test_stacked_reverse_sweep_gives_batch_parameter_gradients_only():
     nets = [tiny_net(seed=50), tiny_net(seed=51)]
     batch = spike_batch(nets[0], seed=52)
     trace = forward(stack(nets), ARCTAN_PI, batch.inputs)
     v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
     with pytest.raises(ValueError, match="batch parameter gradients only"):
-        _reverse_sweep(stack(nets), trace, v, per_sample=per_sample, params_only=params_only)
+        _reverse_sweep(stack(nets), trace, v, per_sample=True)
 
 
 def test_logit_jacobians_against_finite_difference():
@@ -323,7 +344,7 @@ def test_logit_jacobians_compose_to_loss_gradient():
     trace = forward(params, ARCTAN_PI, frames)
     np.testing.assert_allclose(logits, trace.logits[0], rtol=1e-15, atol=1e-15)  # the tiled forward's
     _, v, _ = cross_entropy(trace.logits[0], label)
-    bundle = backward(params, ARCTAN_PI, Batch(frames[None], np.array([label])))
+    bundle = per_sample_gradients(params, ARCTAN_PI, Batch(frames[None], np.array([label])))
     np.testing.assert_allclose(j_w.T @ v, bundle.grads.vector(False), rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(j_x.T @ v, bundle.input_grads[0].ravel(), rtol=1e-11, atol=1e-13)
 

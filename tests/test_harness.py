@@ -20,7 +20,7 @@ import pytest
 from spikesam import diagnostics, events, gradients, harness, network, optim
 from spikesam.diagnostics import HARD_MODE, SURROGATE_MODE, accuracy
 from spikesam.gradients import Batch, batch_loss
-from spikesam.events import CORRUPTION_FAMILIES, EVENT_DROP, SynthTaskConfig, save_dataset
+from spikesam.events import CORRUPTION_FAMILIES, EVENT_DROP, Dataset, SynthTaskConfig, save_dataset
 from spikesam.harness import (
     AGGREGATE_KEYS,
     CALIBRATION_GRID,
@@ -434,7 +434,7 @@ def test_programming_errors_inside_a_step_propagate(tmp_path, monkeypatch):
     def broken_backward(*args, **kwargs):
         raise ValueError("shapes (8, 6) and (5,) not aligned")
 
-    monkeypatch.setattr(harness, "training_pass", broken_backward)  # the pass every training step makes
+    monkeypatch.setattr(harness, "backward", broken_backward)  # the pass every training step makes
     with pytest.raises(ValueError, match="not aligned"):
         train(micro_config(str(tmp_path / "bug"), epochs=1, seeds=(0,)))
 
@@ -443,7 +443,7 @@ def test_diagnostics_rows_reach_disk_when_a_step_raises(tmp_path, monkeypatch):
     cfg = micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0,))
     cfg = replace(cfg, train=replace(cfg.train, diagnostics_every=1))
     steps_per_epoch = cfg.data.synth.n_train // cfg.train.batch_size
-    real_backward = harness.training_pass
+    real_backward = harness.backward
     calls = []
 
     def backward_failing_in_epoch_3(*args, **kwargs):
@@ -452,7 +452,7 @@ def test_diagnostics_rows_reach_disk_when_a_step_raises(tmp_path, monkeypatch):
             raise ValueError("shapes (8, 6) and (5,) not aligned")
         return real_backward(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "training_pass", backward_failing_in_epoch_3)
+    monkeypatch.setattr(harness, "backward", backward_failing_in_epoch_3)
     with pytest.raises(ValueError, match="not aligned") as excinfo:
         train(cfg)
     # excinfo still holds train()'s frames, so a file they left open is unflushed here.
@@ -479,6 +479,23 @@ def test_train_from_saved_splits_matches_synth_source(tmp_path):
             assert (ckpt_dir_a / name).read_bytes() == (ckpt_dir_b / name).read_bytes()
     with pytest.raises(ValueError, match="val_path"):
         train(replace(file_cfg, data=replace(file_cfg.data, val_path="")))
+
+
+@pytest.mark.parametrize("field", ["n_classes", "width"])
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_file_split_that_disagrees_with_train_is_refused(tmp_path, split, field):
+    data = load_data(micro_config("unused").data)
+    paths = {}
+    for name in ("train", "val", "test"):
+        ds = getattr(data, name)
+        if name == split and field == "n_classes":  # a class the trained net could never predict
+            ds = Dataset(ds.frames, ds.labels, ds.n_classes + 1)
+        elif name == split:
+            ds = Dataset(ds.frames[:, :, :-1], ds.labels, ds.n_classes)
+        paths[f"{name}_path"] = str(tmp_path / f"{name}.snnd")
+        save_dataset(paths[f"{name}_path"], ds)
+    with pytest.raises(ValueError, match=f"^{split} split has {field} "):
+        load_data(DataConfig(source="file", **paths))
 
 
 def test_diagnostics_every_epoch_writes_one_row_per_epoch(tmp_path):
@@ -875,6 +892,30 @@ def test_sweep_corrupts_and_evaluates_each_noisy_cell_once(monkeypatch):
     n_noisy = len(CORRUPTION_FAMILIES) * (len(severities) - 1)
     robustness_sweep(params, spec, ds, severities=severities)
     assert counts == {"corrupt": n_noisy, "accuracy": 2 * (1 + n_noisy)}
+
+
+@pytest.mark.parametrize(
+    "families, severities, match",
+    [
+        (CORRUPTION_FAMILIES, (0.4, 0.0), "severity 0.0 breaks"),
+        (CORRUPTION_FAMILIES, (0.0, 0.2, 0.2), "severity 0.2 breaks"),
+        (CORRUPTION_FAMILIES, (0.0, 1.5), "severity 1.5 breaks"),
+        (CORRUPTION_FAMILIES, (-0.1, 0.2), "severity -0.1 breaks"),
+        (CORRUPTION_FAMILIES, (0.0, float("nan")), "severity nan breaks"),
+        (("salt",), (0.0,), "unknown corruption family 'salt'"),
+        ((EVENT_DROP, "salt"), (0.0, 0.2), "unknown corruption family 'salt'"),
+    ],
+    ids=["descending", "repeated", "above_one", "negative", "nan", "unknown_family_clean_grid", "unknown_family"],
+)
+def test_robustness_sweep_refuses_a_grid_it_cannot_score(monkeypatch, families, severities, match):
+    params, spec, ds = evaluation_fixture()
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("the grid must be refused before any forward")
+
+    monkeypatch.setattr(harness, "accuracy", no_forward)
+    with pytest.raises(ValueError, match=match):
+        robustness_sweep(params, spec, ds, families=families, severities=severities)
 
 
 def test_robustness_severity_zero_is_clean_accuracy(tmp_path):

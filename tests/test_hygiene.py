@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every private helper of the package is used somewhere in the package.
+"""Source hygiene: every name a module imports is used in that module,
+every private helper of the package is used somewhere in the package, and
+the README's Python quick start runs as written.
 
 The package's ``__init__.py`` is left out of the import check, since it
 imports names only to re-export them.
@@ -8,6 +9,8 @@ imports names only to re-export them.
 from __future__ import annotations
 
 import ast
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,12 @@ def test_every_import_is_used(path):
 
 def test_every_private_helper_is_referenced():
     assert unreferenced_helpers({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_readme_python_quick_start_runs():
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL).group(1)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    bundle = scope["bundle"]
+    assert math.isfinite(bundle.loss) and bundle.grads.buffer.shape == scope["params"].buffer.shape
+    assert bundle.grads.alpha is None and bundle.input_grads is None  # a batch pass: parameters only
