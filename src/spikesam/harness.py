@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Generator, Sequence, TextIO, get_args, get_origin, get_type_hints
+from typing import Sequence, TextIO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .network import (
     save_checkpoint,
     stack,
 )
-from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer, StepReport, step_plan
+from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer, step_plan
 
 METRICS_COLUMNS = (
     "seed",
@@ -348,6 +349,8 @@ class _Arm:
     diverged_reason: str | None = None  # the error message, or "non-finite loss"
     diagnostics: TextIO | None = None
     losses: list[float] = field(default_factory=list)  # this epoch's first-pass losses
+    query: NetworkParams | None = None  # the network the next pass evaluates
+    loss_first: float = math.nan  # the current step's first-pass loss
 
     @classmethod
     def start(
@@ -364,7 +367,7 @@ class _Arm:
         save_constants(os.path.join(seed_dir, "constants.json"), constants)
         metrics = files.enter_context(open(os.path.join(seed_dir, "metrics.csv"), "w", newline=""))
         csv.DictWriter(metrics, fieldnames=METRICS_COLUMNS).writeheader()
-        return cls(cfg, seed, val, params, files, metrics, best=(-1.0, 0, params.copy()))
+        return cls(cfg, seed, val, params, files, metrics, best=(-1.0, 0, params.copy()), query=params)
 
     def path(self, *parts: str) -> str:
         return os.path.join(self.cfg.out_dir, f"seed_{self.seed}", *parts)
@@ -373,39 +376,35 @@ class _Arm:
     def diverged(self) -> bool:
         return self.diverged_reason is not None
 
-    def epoch(self, n_chunks: int) -> Generator[tuple[NetworkParams, int], tuple[float, np.ndarray], None]:
-        """One epoch's steps as the passes they request.
-
-        Yields ``(network, k)``: the network to evaluate on chunk ``k`` of the
-        epoch's permutation.  Takes back the pass's loss and gradient, or
-        the ``InstabilityError`` or ``FloatingPointError`` that the pass
-        raised, thrown in.  The chunks follow :func:`optim.step_plan`.
-        """
-        self.losses = []
-        opt = self.cfg.optimizer
+    @property
+    def training(self) -> bool:
+        """Whether the arm runs further steps: it has neither diverged nor
+        spent its pass budget, which grows only when a step finishes."""
         budget = self.cfg.train.pass_budget
-        for chunks in step_plan(opt, n_chunks):
-            if budget and self.passes >= budget:
-                return
-            update = SastOptimizer(opt).requests(self.params, len(chunks) == 2)
-            try:
-                net = next(update)
-                for k in chunks:
-                    net = update.send((yield net, k))
-            except StopIteration as done:
-                self.after_step(*done.value)
-            except (InstabilityError, FloatingPointError) as exc:
-                self.diverged_reason = str(exc)
-            if self.diverged:
-                return
+        return not (self.diverged or (budget and self.passes >= budget))
 
-    def after_step(self, params: NetworkParams, report: StepReport) -> None:
-        self.params = params
-        if not np.isfinite(report.loss_first):
+    def take(self, answer, i: int, n: int) -> None:
+        """Take pass ``i`` of the current step's ``n``: its loss and gradient,
+        or the ``InstabilityError`` or ``FloatingPointError`` that it raised."""
+        if isinstance(answer, Exception):
+            self.diverged_reason = str(answer)
+            return
+        loss, g = answer
+        if i == 0:
+            self.loss_first = loss
+        try:
+            self.query = SastOptimizer(self.cfg.optimizer).advance(self.params, g, last=i == n - 1)
+        except (InstabilityError, FloatingPointError) as exc:
+            self.diverged_reason = str(exc)
+            return
+        if i < n - 1:
+            return
+        self.params = self.query
+        if not np.isfinite(self.loss_first):
             self.diverged_reason = "non-finite loss"
             return
-        self.losses.append(report.loss_first)
-        self.passes += report.n_passes
+        self.losses.append(self.loss_first)
+        self.passes += n
         self.steps += 1
 
     def end_epoch(self, epoch: int, acc_s: float, acc_h: float, wall_s: float) -> bool:
@@ -446,8 +445,7 @@ class _Arm:
                 self.diagnostics = self.files.enter_context(open(self.path("diagnostics.csv"), "w", newline=""))
                 csv.DictWriter(self.diagnostics, fieldnames=list(row)).writeheader()
             _write_row(self.diagnostics, row)
-        exhausted = train.pass_budget and self.passes >= train.pass_budget
-        return not (self.diverged or exhausted) and epoch < train.epochs
+        return self.training and epoch < train.epochs
 
     def selected(self) -> NetworkParams:
         """The checkpoint reported metrics come from; a diverged run's junk final iterate falls back to best."""
@@ -546,30 +544,24 @@ def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: 
 
 
 def _run_steps(arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks: list[np.ndarray]) -> None:
-    """Run one epoch of every arm's steps.  Each round answers every arm's
-    next request, with one stacked pass per chunk the requests read."""
-    epochs = {arm: arm.epoch(len(chunks)) for arm in arms}
-    requests: dict[_Arm, tuple[NetworkParams, int]] = {}
-
-    def advance(arm: _Arm, answer) -> None:
-        try:
-            if isinstance(answer, Exception):
-                requests[arm] = epochs[arm].throw(answer)
-            else:
-                requests[arm] = epochs[arm].send(answer)
-        except StopIteration:
-            requests.pop(arm, None)
-
+    """Run one epoch of every arm's steps, in rounds of one stacked pass per
+    chunk read.  Round ``j`` runs pass ``j % n`` of step ``j // n`` of each
+    training arm whose steps take ``n`` passes, as :func:`optim.step_plan` plans them."""
+    plans = {arm: step_plan(arm.cfg.optimizer, len(chunks)) for arm in arms}
     for arm in arms:
-        advance(arm, None)
-    while requests:
-        by_chunk: dict[int, list[_Arm]] = {}
-        for arm, (_, k) in requests.items():
-            by_chunk.setdefault(k, []).append(arm)
+        arm.losses = []
+    for j in itertools.count():
+        by_chunk: dict[int, list[tuple[_Arm, int, int]]] = {}
+        for arm, plan in plans.items():
+            n = len(plan[0]) if plan else 1
+            if j < n * len(plan) and arm.training:
+                by_chunk.setdefault(plan[j // n][j % n], []).append((arm, j % n, n))
+        if not by_chunk:
+            return
         for k, group in by_chunk.items():
             batch = Batch(train_set.frames[chunks[k]], train_set.labels[chunks[k]])
-            for arm, answer in zip(group, _passes([requests[arm][0] for arm in group], spec, batch)):
-                advance(arm, answer)
+            for (arm, i, n), answer in zip(group, _passes([arm.query for arm, _, _ in group], spec, batch)):
+                arm.take(answer, i, n)
 
 
 def _passes(nets: list[NetworkParams], spec: SurrogateSpec, batch: Batch) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,43 +97,25 @@ def step_plan(cfg: OptimizerConfig, n_chunks: int) -> list[tuple[int, ...]]:
 
 
 LossGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
-# An update as the gradient requests it makes: it yields each point to
-# evaluate, takes back that point's loss and gradient, and returns its result.
-Requests = Generator[Any, tuple[float, np.ndarray], Any]
 
 
-def _update(w: np.ndarray, cfg: OptimizerConfig, two_pass: bool) -> Requests:
-    """First pass at ``w``; with ``two_pass``, ascent and second pass; one SGD step.
+def _next_point(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, last: bool) -> np.ndarray:
+    """The point a pass's gradient ``g`` leads to from ``w``: the perturbed
+    point ``w + eps`` of the ascent, or with ``last`` the SGD step."""
+    return w - cfg.eta * g if last else w + sam_perturbation(g, cfg.rho)
 
-    Yields ``w``, then with ``two_pass`` the perturbed point ``w + eps``;
-    returns the new vector and the step's report.
-    """
-    loss1, g1 = yield w
-    loss2 = g2 = None
-    if two_pass:
-        loss2, g2 = yield w + sam_perturbation(g1, cfg.rho)
-    step = g1 if g2 is None else g2
+
+def _report(cfg: OptimizerConfig, loss1: float, g1: np.ndarray, loss2=None, g2=None) -> StepReport:
+    """The report of a step whose passes gave ``(loss1, g1)`` and, with two passes, ``(loss2, g2)``."""
     grad_norm = float(np.linalg.norm(g1))
-    report = StepReport(
+    return StepReport(
         loss_first=loss1,
         grad_norm_first=grad_norm,
-        epsilon_norm=grad_norm * (cfg.rho / (grad_norm + DELTA)) if two_pass else 0.0,
+        epsilon_norm=0.0 if g2 is None else grad_norm * (cfg.rho / (grad_norm + DELTA)),
         loss_second=loss2,
         grad_norm_second=None if g2 is None else float(np.linalg.norm(g2)),
         n_passes=1 if g2 is None else 2,
     )
-    return w - cfg.eta * step, report
-
-
-def _answer(requests: Requests, *loss_grads: Callable[[Any], tuple[float, np.ndarray]]):
-    """Run an update, answering its i-th request with ``loss_grads[i]``; its result."""
-    point = next(requests)
-    try:
-        for loss_grad in loss_grads:
-            point = requests.send(loss_grad(point))
-    except StopIteration as done:
-        return done.value
-    raise RuntimeError(f"the update requested more than {len(loss_grads)} passes")
 
 
 def two_pass_update(
@@ -148,12 +130,15 @@ def two_pass_update(
     (default: the same function) evaluates the second pass at the perturbed
     point.  Returns the new vector and a report.
     """
-    return _answer(_update(w, cfg, True), loss_grad, loss_grad_second or loss_grad)
+    loss1, g1 = loss_grad(w)
+    loss2, g2 = (loss_grad_second or loss_grad)(_next_point(w, g1, cfg, last=False))
+    return _next_point(w, g2, cfg, last=True), _report(cfg, loss1, g1, loss2, g2)
 
 
 def single_pass_update(w: np.ndarray, loss_grad: LossGrad, cfg: OptimizerConfig) -> tuple[np.ndarray, StepReport]:
     """One plain baseline update on a parameter vector."""
-    return _answer(_update(w, cfg, False), loss_grad)
+    loss1, g1 = loss_grad(w)
+    return _next_point(w, g1, cfg, last=True), _report(cfg, loss1, g1)
 
 
 def _freeze_thresholds(g: np.ndarray, params: NetworkParams) -> np.ndarray:
@@ -172,56 +157,44 @@ def _trained_gradient(
     return bundle.loss, g if train_threshold else _freeze_thresholds(g, params)
 
 
-def _network_at(params: NetworkParams, w: np.ndarray) -> NetworkParams:
-    """``params``' network stored in ``w``, a fresh vector an update produced.
-
-    Thresholds are clamped at ``THETA_FLOOR`` in ``w`` itself; a non-finite entry means the update diverged.
-    """
-    for sl in threshold_slices(params):
-        np.maximum(w[sl], THETA_FLOOR, out=w[sl])
-    if not np.all(np.isfinite(w)):
-        raise InstabilityError("parameter vector has non-finite entries")
-    return NetworkParams._over(w, params.dims, params.n_classes, params.alpha)
-
-
-def _backward_pass(spec: SurrogateSpec, batch: Batch) -> Callable[[NetworkParams], tuple[float, np.ndarray]]:
-    def loss_grad(net: NetworkParams) -> tuple[float, np.ndarray]:
-        bundle = backward(net, spec, batch)
-        return bundle.loss, bundle.grads.buffer
-
-    return loss_grad
-
-
 class SastOptimizer:
     """The vector-level updates applied to networks.
 
-    Frozen thresholds receive no perturbation and no update.  The first pass
-    evaluates the given network; the perturbed and the updated point are
-    each built once, over the vector the update produced, with thresholds
-    clamped at ``THETA_FLOOR``.  The given network is never written to.
+    A step's first pass evaluates the network it starts from; each pass's
+    gradient goes to :meth:`advance`, which gives the network the next pass
+    evaluates or, after the step's last pass, the updated network.  Frozen
+    thresholds receive no perturbation and no update.  The given network is
+    never written to.
     """
 
     def __init__(self, cfg: OptimizerConfig):
         self.cfg = cfg
 
-    def requests(self, params: NetworkParams, two_pass: bool) -> Requests:
-        """One update of ``params`` as the gradient requests it makes.
+    def advance(self, params: NetworkParams, g: np.ndarray, last: bool) -> NetworkParams:
+        """The network a pass's raw gradient ``g`` leads to from ``params``, the step's start.
 
-        Yields each network to evaluate (``params``, then with ``two_pass``
-        the perturbed network) and takes back its loss and raw gradient,
-        which it may write to; returns the updated network and the report.
-        A non-finite perturbed or updated point raises
+        Zeroes ``g``'s frozen threshold entries in place, then builds the
+        perturbed point or, with ``last``, the updated one, with thresholds
+        clamped at ``THETA_FLOOR``.  A non-finite entry raises
         :class:`InstabilityError`.
         """
-        update = _update(params.buffer, self.cfg, two_pass)
-        w = next(update)
-        while True:
-            loss, g = yield params if w is params.buffer else _network_at(params, w)
-            try:
-                w = update.send((loss, g if self.cfg.train_threshold else _freeze_thresholds(g, params)))
-            except StopIteration as done:
-                w_new, report = done.value
-                return _network_at(params, w_new), report
+        if not self.cfg.train_threshold:
+            _freeze_thresholds(g, params)
+        w = _next_point(params.buffer, g, self.cfg, last)
+        for sl in threshold_slices(params):
+            np.maximum(w[sl], THETA_FLOOR, out=w[sl])
+        if not np.all(np.isfinite(w)):
+            raise InstabilityError("parameter vector has non-finite entries")
+        return NetworkParams._over(w, params.dims, params.n_classes, params.alpha)
+
+    def _step(self, params: NetworkParams, spec: SurrogateSpec, batches: tuple[Batch, ...]):
+        """One update with a pass on each batch: ``backward``, then :meth:`advance`."""
+        net, passes = params, []
+        for j, batch in enumerate(batches):
+            bundle = backward(net, spec, batch)
+            net = self.advance(params, bundle.grads.buffer, last=j == len(batches) - 1)
+            passes += [bundle.loss, bundle.grads.buffer]
+        return net, _report(self.cfg, *passes)
 
     def sast_step(
         self,
@@ -239,14 +212,13 @@ class SastOptimizer:
             second_batch = batch
         elif second_batch is None:
             raise ValueError("independent second-batch policy needs a second batch")
-        passes = (_backward_pass(spec, b) for b in (batch, second_batch))
-        return _answer(self.requests(params, True), *passes)
+        return self._step(params, spec, (batch, second_batch))
 
     def baseline_step(
         self, params: NetworkParams, spec: SurrogateSpec, batch: Batch
     ) -> tuple[NetworkParams, StepReport]:
         """One single-pass update (ignores ``rho``)."""
-        return _answer(self.requests(params, False), _backward_pass(spec, batch))
+        return self._step(params, spec, (batch,))
 
 
 # ---------------------------------------------------------------------------
