@@ -41,7 +41,9 @@ from .network import (
     mode_spec,
     parameter_vector,
     replace_parameters,
+    threshold_slices,
 )
+from .optim import THETA_FLOOR, clamp_thresholds
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,14 @@ def secant_smoothness_from_grad(
     radii: Sequence[float],
     n_probes: int = 5,
     seed: int = 0,
+    admit: Callable[[np.ndarray], np.ndarray] = lambda w: w,
 ) -> SecantReport:
     """Max of ``||g(w0 + d) - g(w0)|| / ||d||`` over random probes per radius.
 
     A valid lower bound on any global gradient-Lipschitz constant, so it can
-    only falsify (never certify) a claimed smoothness level.
+    only falsify (never certify) a claimed smoothness level.  ``admit`` maps
+    a probe point into the function's domain, returning it as is when it is
+    already there; a moved probe's slope divides by the step it took.
     """
     rng = np.random.default_rng(seed)
     g0 = grad_at(w0)
@@ -123,8 +128,10 @@ def secant_smoothness_from_grad(
         for _ in range(n_probes):
             d = rng.standard_normal(w0.size)
             d *= r / np.linalg.norm(d)
-            slope = float(np.linalg.norm(grad_at(w0 + d) - g0)) / r
-            worst = max(worst, slope)
+            w = w0 + d
+            p = admit(w)
+            step = r if p is w else float(np.linalg.norm(p - w0))
+            worst = max(worst, float(np.linalg.norm(grad_at(p) - g0)) / step)
         per_radius.append(worst)
     return SecantReport(
         beta_sec=max(per_radius),
@@ -156,8 +163,25 @@ def secant_smoothness(
         return backward(replace_parameters(params, w), spec, batch).grads.vector()
 
     return secant_smoothness_from_grad(
-        grad_at, w0, [r * scale for r in radii_rel], n_probes=n_probes, seed=seed
+        grad_at, w0, [r * scale for r in radii_rel], n_probes=n_probes, seed=seed, admit=_floored(params)
     )
+
+
+def _floored(params: NetworkParams) -> Callable[[np.ndarray], np.ndarray]:
+    """A probe point with its thresholds clamped at ``THETA_FLOOR``, as the
+    optimizer's points are, or the point itself if none lies below.
+
+    From a start whose thresholds are at least the floor, the clamp only
+    shortens a probe's step, so the probe stays inside its ball.
+    """
+    slices = threshold_slices(params)
+
+    def admit(w: np.ndarray) -> np.ndarray:
+        if all(np.all(w[sl] >= THETA_FLOOR) for sl in slices):
+            return w
+        return clamp_thresholds(w.copy(), params)
+
+    return admit
 
 
 @dataclass(frozen=True)
@@ -177,12 +201,14 @@ def sam_gap_from_loss(
     rho: float,
     n_probes: int = 64,
     seed: int = 0,
+    admit: Callable[[np.ndarray], np.ndarray] = lambda w: w,
 ) -> GapReport:
     """Largest loss increase over radius-``rho`` probes around ``w0``.
 
     Probes are uniform directions on the sphere plus the normalized gradient
-    direction.  This estimates the within-ball worst case from below; the
-    closed-form cap must dominate it whenever the cap is valid.
+    direction, each mapped by ``admit`` into the loss's domain.  This
+    estimates the within-ball worst case from below; the closed-form cap
+    must dominate it whenever the cap is valid.
     """
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
@@ -192,12 +218,12 @@ def sam_gap_from_loss(
     worst = 0.0
     g_norm = float(np.linalg.norm(grad0))
     if g_norm > 0.0 and rho > 0.0:
-        ascent_gap = loss_at(w0 + grad0 * (rho / g_norm)) - base
+        ascent_gap = loss_at(admit(w0 + grad0 * (rho / g_norm))) - base
         worst = max(worst, ascent_gap)
     for _ in range(n_probes):
         d = rng.standard_normal(w0.size)
         d *= rho / np.linalg.norm(d)
-        worst = max(worst, loss_at(w0 + d) - base)
+        worst = max(worst, loss_at(admit(w0 + d)) - base)
     return GapReport(gap=worst, rho=rho, n_probes=n_probes, ascent_gap=ascent_gap)
 
 
@@ -216,7 +242,8 @@ def sam_gap(
         return batch_loss(replace_parameters(params, w), spec, batch)
 
     return sam_gap_from_loss(
-        loss_at, bundle.grads.vector(), parameter_vector(params), rho, n_probes=n_probes, seed=seed
+        loss_at, bundle.grads.vector(), parameter_vector(params), rho, n_probes=n_probes, seed=seed,
+        admit=_floored(params),
     )
 
 

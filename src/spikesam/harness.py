@@ -145,6 +145,13 @@ class TrainSettings:
     def __post_init__(self) -> None:
         if self.select not in ("best", "final"):
             raise ValueError(f"unknown checkpoint selection {self.select!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name in ("epochs", "pass_budget", "checkpoint_every", "diagnostics_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed")
 
 
 @dataclass(frozen=True)
@@ -496,6 +503,13 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
     shared = [(c.model, c.surrogate, c.train.seeds, c.train.batch_size) for c in cfgs]
     if any(key != shared[0] for key in shared):
         raise ValueError("lockstep runs must share model, surrogate, seeds and batch size")
+    n_train = data.train.n_samples
+    for cfg in cfgs:
+        if cfg.train.epochs > 0 and planned_passes(cfg, n_train) == 0:
+            raise ValueError(
+                f"batch_size {cfg.train.batch_size} leaves {cfg.method_label} no training step"
+                f" in the {n_train}-sample train split"
+            )
     spec = first.surrogate.spec()
     for cfg in cfgs:
         os.makedirs(cfg.out_dir, exist_ok=True)

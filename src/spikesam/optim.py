@@ -157,6 +157,13 @@ def _trained_gradient(
     return bundle.loss, g if train_threshold else _freeze_thresholds(g, params)
 
 
+def clamp_thresholds(w: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """``w``, a vector in ``params``' layout, with its thresholds clamped at ``THETA_FLOOR`` in place."""
+    for sl in threshold_slices(params):
+        np.maximum(w[sl], THETA_FLOOR, out=w[sl])
+    return w
+
+
 class SastOptimizer:
     """The vector-level updates applied to networks.
 
@@ -180,9 +187,7 @@ class SastOptimizer:
         """
         if not self.cfg.train_threshold:
             _freeze_thresholds(g, params)
-        w = _next_point(params.buffer, g, self.cfg, last)
-        for sl in threshold_slices(params):
-            np.maximum(w[sl], THETA_FLOOR, out=w[sl])
+        w = clamp_thresholds(_next_point(params.buffer, g, self.cfg, last), params)
         if not np.all(np.isfinite(w)):
             raise InstabilityError("parameter vector has non-finite entries")
         return NetworkParams._over(w, params.dims, params.n_classes, params.alpha)

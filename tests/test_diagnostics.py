@@ -30,6 +30,7 @@ from spikesam.diagnostics import (
 )
 from spikesam.gradients import backward
 from spikesam.network import init_network
+from spikesam.optim import THETA_FLOOR
 
 # ---------------------------------------------------------------------------
 # Sample statistics
@@ -82,6 +83,28 @@ def test_secant_lower_bounds_anisotropic_hessian():
 def test_secant_rejects_bad_radius():
     with pytest.raises(ValueError):
         secant_smoothness_from_grad(lambda w: w, np.zeros(2), radii=(0.0,))
+
+
+def test_secant_of_a_moved_probe_divides_by_the_step_it_took():
+    lam = 3.7
+
+    def pin_first_entry(w):  # every probe moves, and keeps the quadratic's slope
+        return np.concatenate([[0.0], w[1:]])
+
+    report = secant_smoothness_from_grad(
+        lambda w: lam * w, np.zeros(6), radii=(0.1, 1.0), n_probes=4, admit=pin_first_entry
+    )
+    assert report.per_radius == pytest.approx((lam, lam), rel=1e-12)
+
+
+def test_probes_around_thresholds_at_the_floor_stay_admissible():
+    # Regression: a trained threshold at THETA_FLOOR sent the secant and gap
+    # probes below zero, and ``diagnose`` crashed the training run.
+    params = tiny_net(dims=(4, 3), n_classes=2, theta=THETA_FLOOR, weight_scale=0.5, seed=74)
+    batch = spike_batch(params, n_samples=4, n_steps=3, seed=75)
+    report = diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.5, max_mechanism_samples=2)
+    assert math.isfinite(report.beta_sec) and report.beta_sec > 0.0
+    assert math.isfinite(report.sam_gap)
 
 
 def test_network_secant_below_closed_form_beta():

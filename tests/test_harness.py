@@ -267,6 +267,34 @@ def test_train_settings_select_validation():
     assert TrainSettings(select="final").select == "final"
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("train.batch_size=0", "batch_size must be at least 1, got 0"),
+        ("train.batch_size=-8", "batch_size must be at least 1, got -8"),
+        ("train.epochs=-1", "epochs must be non-negative, got -1"),
+        ("train.pass_budget=-5", "pass_budget must be non-negative, got -5"),
+        ("train.checkpoint_every=-1", "checkpoint_every must be non-negative, got -1"),
+        ("train.diagnostics_every=-2", "diagnostics_every must be non-negative, got -2"),
+        ("train.seeds=[]", "seeds must name at least one seed"),
+    ],
+)
+def test_cli_refuses_an_out_of_range_train_setting_by_name(tmp_path, capsys, setting, message):
+    cfg_path = tmp_path / "config.json"
+    save_config(str(cfg_path), micro_config(str(tmp_path / "run")))
+    assert cli.main(["train", "--config", str(cfg_path), "--set", setting]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("rho, batch_size", [(0.0, 1000), (0.1, 20)])  # 32 samples: no chunk; one chunk, no pair
+def test_a_schedule_without_a_step_is_refused_before_any_file(tmp_path, rho, batch_size):
+    cfg = micro_config(str(tmp_path / "run"), rho=rho)
+    with pytest.raises(ValueError, match=f"^batch_size {batch_size} .* the 32-sample train split$"):
+        train(replace(cfg, train=replace(cfg.train, batch_size=batch_size)))
+    assert not (tmp_path / "run").exists()
+
+
 def test_method_label():
     assert micro_config("x", rho=0.0).method_label == "baseline"
     assert micro_config("x", rho=0.25).method_label == "sast-rho0.25"
@@ -568,6 +596,15 @@ def run_files(root: Path) -> dict[str, Path]:
     return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def assert_runs_match(lockstep: dict[str, Path], separate: dict[str, Path]) -> None:
+    """Each separate run's files equal the lockstep run's, metrics outside the wall clock."""
+    for name, path in separate.items():
+        if name.endswith("metrics.csv"):
+            assert metrics_equal(str(lockstep[name]), str(path)), name
+        elif not name.endswith("config.json"):  # which differs by out_dir only
+            assert lockstep[name].read_bytes() == path.read_bytes(), name
+
+
 @pytest.mark.parametrize("policy", [INDEPENDENT, REUSED])
 def test_lockstep_study_matches_separate_train_runs(tmp_path, monkeypatch, policy):
     blow_up_one_radius(monkeypatch)
@@ -587,11 +624,7 @@ def test_lockstep_study_matches_separate_train_runs(tmp_path, monkeypatch, polic
     lockstep, separate = run_files(tmp_path / "lockstep"), run_files(tmp_path / "separate")
     assert set(separate) == set(lockstep) - {"study.json"}
     assert sum(name.endswith(".bin") for name in separate) >= 4 * 2 * 3  # per arm-seed: epoch 1, best, final
-    for name, path in separate.items():
-        if name.endswith("metrics.csv"):
-            assert metrics_equal(str(lockstep[name]), str(path)), name
-        elif not name.endswith("config.json"):  # which differs by out_dir only
-            assert lockstep[name].read_bytes() == path.read_bytes(), name
+    assert_runs_match(lockstep, separate)
 
     blown = study.by_rho[BLOWN_UP_RHO].seeds
     assert all(s.diverged and s.diverged_step == 1 for s in blown)
@@ -603,6 +636,30 @@ def test_lockstep_study_matches_separate_train_runs(tmp_path, monkeypatch, polic
     assert passes == {"baseline": 10, "sast-rho0.2": 10}
     epochs = {label: len(lockstep[f"{label}/seed_0/metrics.csv"].read_text().splitlines()) - 1 for label in passes}
     assert epochs == {"baseline": 3, "sast-rho0.2": 2 if policy == REUSED else 3}
+
+
+def test_a_lockstep_group_of_mixed_step_shapes_matches_separate_train_runs(tmp_path):
+    # One round serves one-pass steps, paired two-pass steps and reused
+    # two-pass steps together, and a budget that stops mid-epoch.
+    base = micro_config(str(tmp_path / "lockstep" / "baseline"), epochs=3)
+    base = replace(base, train=replace(base.train, checkpoint_every=1))
+    arms = {
+        "independent": {"optimizer": replace(base.optimizer, rho=0.1)},
+        "reused": {"optimizer": replace(base.optimizer, rho=0.2, second_batch=REUSED)},
+        "odd-budget": {"train": replace(base.train, pass_budget=7)},
+    }
+    cfgs = [base] + [replace(base, out_dir=str(tmp_path / "lockstep" / name), **kw) for name, kw in arms.items()]
+    data = load_data(base.data)
+    harness._train_lockstep(cfgs, data)
+    for cfg in cfgs:
+        train(replace(cfg, out_dir=str(tmp_path / "separate" / Path(cfg.out_dir).name)), data)
+
+    lockstep, separate = run_files(tmp_path / "lockstep"), run_files(tmp_path / "separate")
+    assert set(separate) == set(lockstep)
+    assert sum(name.endswith(".bin") for name in separate) >= 4 * 2 * 3  # per arm-seed: epoch 1, best, final
+    assert_runs_match(lockstep, separate)
+    with open(tmp_path / "lockstep" / "odd-budget" / "summary.json") as fh:
+        assert [row["passes"] for row in json.load(fh)["per_seed"]] == [7, 7]
 
 
 def test_a_programming_error_in_one_lockstep_arm_propagates_and_closes_every_file(tmp_path, monkeypatch):

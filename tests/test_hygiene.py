@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every private helper of the package is used somewhere in the package, and
-the README's Python quick start runs as written.
+every private helper of the package is used somewhere in the package, the
+names the README and the docstrings refer to exist, and the README's Python
+quick start runs as written.
 
 The package's ``__init__.py`` is left out of the import check, since it
 imports names only to re-export them.
@@ -9,14 +10,19 @@ imports names only to re-export them.
 from __future__ import annotations
 
 import ast
+import importlib
 import math
 import re
 from pathlib import Path
 
 import pytest
 
+import spikesam
+from spikesam import optim
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "spikesam").glob("*.py"))
+MODULES = {p.stem for p in PACKAGE if p.name != "__init__.py"}
 FILES = sorted(
     p for p in (*PACKAGE, *(ROOT / "tests").glob("*.py"))
     if p.name != "__init__.py"
@@ -78,6 +84,73 @@ def test_detector_flags_an_unreferenced_helper():
         "b.py": "from a import _used\n_used()\nobj._method()\n",
     }
     assert unreferenced_helpers(sources) == ["a.py:4: _recursive", "a.py:6: _Box"]
+
+
+def resolves(dotted: str, *scopes) -> bool:
+    """Whether ``dotted`` names an attribute path from one of ``scopes``."""
+    missing = object()
+    for scope in scopes:
+        obj = scope
+        for part in dotted.split("."):
+            obj = getattr(obj, part, missing)
+            if obj is missing:
+                break
+        else:
+            return True
+    return False
+
+
+def readme_references(text: str) -> list[str]:
+    """Backticked dotted names in ``text`` that start at the package or one of its modules."""
+    names = (re.sub(r"^spikesam\.", "", ref) for ref in re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", text))
+    return [name for name in names if name.split(".")[0] in MODULES]
+
+
+def docstring_roles(module, source: str) -> list[tuple[str, bool]]:
+    """Each ``:func:``, ``:meth:`` and ``:class:`` role in the docstrings of
+    ``source``, the text of ``module``, and whether it resolves.  A ``:meth:``
+    role inside a class resolves against that class; any other against the
+    module, then the package."""
+    out = []
+
+    def visit(node: ast.AST, cls) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = getattr(module, node.name, None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for role, target in re.findall(r":(func|meth|class):`~?([\w.]+)`", ast.get_docstring(node) or ""):
+                scopes = (cls,) if role == "meth" and cls is not None else (module, spikesam)
+                out.append((f"{getattr(node, 'lineno', 1)}: :{role}:`{target}`", resolves(target, *scopes)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_detector_flags_a_reference_to_a_missing_name():
+    source = (
+        'class SastOptimizer:\n    """See :meth:`advance` and :meth:`requests`."""\n\n'
+        'def f():\n    """Calls :func:`step_plan`, :func:`network.stack` and :func:`_answer`."""\n'
+    )
+    assert [ref for ref, ok in docstring_roles(optim, source) if not ok] == ["1: :meth:`requests`", "4: :func:`_answer`"]
+    text = "`optim.step_plan`, `spikesam.network.stack`, `summary.json`, `np.savez` and `optim.requests`"
+    assert readme_references(text) == ["optim.step_plan", "network.stack", "optim.requests"]
+
+
+def test_readme_references_resolve():
+    refs = readme_references((ROOT / "README.md").read_text())
+    assert refs
+    assert [ref for ref in refs if not resolves(ref, spikesam)] == []
+
+
+def test_docstring_roles_resolve():
+    roles = [
+        (f"{p.name}:{ref}", ok)
+        for p in PACKAGE
+        for ref, ok in docstring_roles(importlib.import_module(f"spikesam.{p.stem}".removesuffix(".__init__")), p.read_text())
+    ]
+    assert roles
+    assert [ref for ref, ok in roles if not ok] == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
