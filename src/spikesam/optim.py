@@ -105,7 +105,9 @@ def _next_point(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, last: bool) 
     return w - cfg.eta * g if last else w + sam_perturbation(g, cfg.rho)
 
 
-def _report(cfg: OptimizerConfig, loss1: float, g1: np.ndarray, loss2=None, g2=None) -> StepReport:
+def _report(
+    cfg: OptimizerConfig, loss1: float, g1: np.ndarray, loss2: float | None = None, g2: np.ndarray | None = None
+) -> StepReport:
     """The report of a step whose passes gave ``(loss1, g1)`` and, with two passes, ``(loss2, g2)``."""
     grad_norm = float(np.linalg.norm(g1))
     return StepReport(
@@ -192,7 +194,9 @@ class SastOptimizer:
             raise InstabilityError("parameter vector has non-finite entries")
         return NetworkParams._over(w, params.dims, params.n_classes, params.alpha)
 
-    def _step(self, params: NetworkParams, spec: SurrogateSpec, batches: tuple[Batch, ...]):
+    def _step(
+        self, params: NetworkParams, spec: SurrogateSpec, batches: tuple[Batch, ...]
+    ) -> tuple[NetworkParams, StepReport]:
         """One update with a pass on each batch: ``backward``, then :meth:`advance`."""
         net, passes = params, []
         for j, batch in enumerate(batches):
