@@ -201,14 +201,12 @@ def sam_gap_from_loss(
     rho: float,
     n_probes: int = 64,
     seed: int = 0,
-    admit: Callable[[np.ndarray], np.ndarray] = lambda w: w,
 ) -> GapReport:
     """Largest loss increase over radius-``rho`` probes around ``w0``.
 
     Probes are uniform directions on the sphere plus the normalized gradient
-    direction, each mapped by ``admit`` into the loss's domain.  This
-    estimates the within-ball worst case from below; the closed-form cap
-    must dominate it whenever the cap is valid.
+    direction.  This estimates the within-ball worst case from below; the
+    closed-form cap must dominate it whenever the cap is valid.
     """
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
@@ -218,12 +216,12 @@ def sam_gap_from_loss(
     worst = 0.0
     g_norm = float(np.linalg.norm(grad0))
     if g_norm > 0.0 and rho > 0.0:
-        ascent_gap = loss_at(admit(w0 + grad0 * (rho / g_norm))) - base
+        ascent_gap = loss_at(w0 + grad0 * (rho / g_norm)) - base
         worst = max(worst, ascent_gap)
     for _ in range(n_probes):
         d = rng.standard_normal(w0.size)
         d *= rho / np.linalg.norm(d)
-        worst = max(worst, loss_at(admit(w0 + d)) - base)
+        worst = max(worst, loss_at(w0 + d) - base)
     return GapReport(gap=worst, rho=rho, n_probes=n_probes, ascent_gap=ascent_gap)
 
 
@@ -237,13 +235,13 @@ def sam_gap(
 ) -> GapReport:
     """Observed sharpness gap of the batch objective at ``params``."""
     bundle = backward(params, spec, batch)
+    admit = _floored(params)
 
     def loss_at(w: np.ndarray) -> float:
-        return batch_loss(replace_parameters(params, w), spec, batch)
+        return batch_loss(replace_parameters(params, admit(w)), spec, batch)
 
     return sam_gap_from_loss(
-        loss_at, bundle.grads.vector(), parameter_vector(params), rho, n_probes=n_probes, seed=seed,
-        admit=_floored(params),
+        loss_at, bundle.grads.vector(), parameter_vector(params), rho, n_probes=n_probes, seed=seed
     )
 
 

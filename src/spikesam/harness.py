@@ -567,7 +567,7 @@ def _run_steps(arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks
     for j in itertools.count():
         by_chunk: dict[int, list[tuple[_Arm, int, int]]] = {}
         for arm, plan in plans.items():
-            n = len(plan[0]) if plan else 1
+            n = len(plan[0])
             if j < n * len(plan) and arm.training:
                 by_chunk.setdefault(plan[j // n][j % n], []).append((arm, j % n, n))
         if not by_chunk:
