@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import _read_container, _read_declared, _write_container
+from .network import _read_container, _read_declared, _read_header, _write_container
 
 EVENT_DROP = "event_drop"
 TIME_JITTER = "time_jitter"
@@ -319,6 +319,14 @@ def save_dataset(path: str, ds: Dataset) -> None:
     labels = np.ascontiguousarray(ds.labels, dtype="<i8").tobytes()
     frames = np.ascontiguousarray(ds.frames, dtype="<f8").tobytes()
     _write_container(path, _DATASET_MAGIC, _DATASET_HEADER, values, labels, frames)
+
+
+def dataset_header(path: str) -> dict[str, int]:
+    """A dataset file's ``n``, ``n_steps``, ``width`` and ``n_classes``, from
+    its header alone: no payload byte is read."""
+    with open(path, "rb") as fh:
+        fields = _read_header(fh, _DATASET_MAGIC, _DATASET_HEADER, _DATASET_VERSION, "dataset")
+    return dict(zip(_DATASET_HEADER[1][1:], fields))
 
 
 def load_frames(path: str) -> Dataset:

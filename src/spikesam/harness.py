@@ -18,8 +18,10 @@ import csv
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import time
+import traceback
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Sequence, TextIO, get_args, get_origin, get_type_hints
 
@@ -262,13 +264,13 @@ def load_data(cfg: DataConfig) -> SplitDataset:
     for name, path in paths.items():
         if not path:
             raise ValueError(f"file data source needs a {name}_path")
-    splits = {name: load_frames(path) for name, path in paths.items()}
-    shapes = {name: {"n_classes": ds.n_classes, "width": ds.frames.shape[2]} for name, ds in splits.items()}
+    headers = {name: events.dataset_header(path) for name, path in paths.items()}
     for name in ("val", "test"):
-        for field, want in shapes["train"].items():
-            if shapes[name][field] != want:
-                raise ValueError(f"{name} split has {field} {shapes[name][field]}, but the train split has {want}")
-    return SplitDataset(**splits)
+        for field in ("n_classes", "width"):
+            got, want = headers[name][field], headers["train"][field]
+            if got != want:
+                raise ValueError(f"{name} split has {field} {got}, but the train split has {want}")
+    return SplitDataset(**{name: load_frames(path) for name, path in paths.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +492,15 @@ def _write_row(fh: TextIO, row: dict) -> None:
 
 
 def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[TrainResult]:
-    """Train every configuration, one seed at a time, with the seed's runs in lockstep.
+    """Train every configuration seed by seed, with the seed's runs in lockstep.
 
     The runs of a seed start from the same network and draw the same
     permutation each epoch, so pass ``i`` of the baseline and pass ``i`` of
     every independent-batch radius read the same chunk: one stacked pass
     answers them all, and each run's slice of it is bit-identical to its
     lone pass.  The configurations must share the model, surrogate, seeds
-    and batch size.
+    and batch size.  The seeds are split into shares that train on every
+    core the process may run on (see :func:`_seed_shares`).
     """
     first = cfgs[0]
     shared = [(c.model, c.surrogate, c.train.seeds, c.train.batch_size) for c in cfgs]
@@ -510,30 +513,117 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
                 f"batch_size {cfg.train.batch_size} leaves {cfg.method_label} no training step"
                 f" in the {n_train}-sample train split"
             )
-    spec = first.surrogate.spec()
     for cfg in cfgs:
         os.makedirs(cfg.out_dir, exist_ok=True)
         save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     r_x = events.measured_input_bound(data.train.frames)
-    per_run: list[list[SeedResult]] = [[] for _ in cfgs]
-    for seed in first.train.seeds:
-        params = _initial_network(first, data, seed)
-        constants = compute_constants(assumptions_from(params, spec, r_x, data.train.frames.shape[1], margin=2.0))
-        with contextlib.ExitStack() as files:
-            arms = [_Arm.start(cfg, seed, data.val, params, constants, files) for cfg in cfgs]
-            _run_epochs(arms, spec, data, np.random.default_rng([seed, 202]))
-        selected = [arm.selected() for arm in arms]
-        accs = [
-            _accuracies(selected, spec, split, mode)
-            for split in (data.val, data.test)
-            for mode in (SURROGATE_MODE, HARD_MODE)
-        ]
-        for results, arm, arm_accs in zip(per_run, arms, zip(*accs)):
-            results.append(arm.finish(*arm_accs))
-    runs = [TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=results) for cfg, results in zip(cfgs, per_run)]
+    shares = _seed_shares(first.train.seeds, sum(planned_passes(cfg, n_train) for cfg in cfgs))
+    per_seed = _run_shares(shares, lambda seeds: [_train_seed(cfgs, data, r_x, seed) for seed in seeds])
+    runs = [
+        TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=list(results))
+        for cfg, results in zip(cfgs, zip(*per_seed))
+    ]
     for run in runs:
         _write_summary(run)
     return runs
+
+
+def _train_seed(cfgs: Sequence[RunConfig], data: SplitDataset, r_x: float, seed: int) -> list[SeedResult]:
+    """Train one seed's runs in lockstep and write their files; each run's result."""
+    spec = cfgs[0].surrogate.spec()
+    params = _initial_network(cfgs[0], data, seed)
+    constants = compute_constants(assumptions_from(params, spec, r_x, data.train.frames.shape[1], margin=2.0))
+    with contextlib.ExitStack() as files:
+        arms = [_Arm.start(cfg, seed, data.val, params, constants, files) for cfg in cfgs]
+        _run_epochs(arms, spec, data, np.random.default_rng([seed, 202]))
+    selected = [arm.selected() for arm in arms]
+    accs = [
+        _accuracies(selected, spec, split, mode)
+        for split in (data.val, data.test)
+        for mode in (SURROGATE_MODE, HARD_MODE)
+    ]
+    return [arm.finish(*arm_accs) for arm, arm_accs in zip(arms, zip(*accs))]
+
+
+# Children are forked copies of this process: they inherit the data and the
+# configurations, and only their results cross a pipe.  It is imported with
+# this module: an import inside a run would count in that run's traced memory.
+_FORK = multiprocessing.get_context("fork")
+
+# Planned passes per seed group (summed over its runs) below which every
+# seed trains in this process.  Forking and collecting an empty share took
+# about 4 ms, and the copy-on-write faults of a share that trains added
+# 10-40 ms, while a planned pass took about 0.9 ms (the benchmark's
+# two-seed, three-run study on a 2-vCPU Xeon).  A one-seed share thus
+# breaks even at 20 to 50 planned passes; 100 leaves a margin, and keeps a
+# one-epoch run of that study (24 passes a group) in this process.
+_FORK_MIN_PASSES = 100
+
+
+def _seed_shares(seeds: Sequence[int], group_passes: int) -> list[tuple[int, ...]]:
+    """The seeds in consecutive shares, one per core the process may run on,
+    or a single share when a seed group plans fewer than ``_FORK_MIN_PASSES``.
+
+    Every seed group plans ``group_passes`` passes, so shares of equal seed
+    counts, give or take one, are balanced by planned passes; the larger
+    shares come first.
+    """
+    n_shares = 1 if group_passes < _FORK_MIN_PASSES else min(len(os.sched_getaffinity(0)), len(seeds))
+    return [tuple(share.tolist()) for share in np.array_split(np.asarray(seeds), n_shares)]
+
+
+def _run_shares(shares: list[tuple[int, ...]], work) -> list:
+    """``work(share)`` for every share, concatenated in share order.
+
+    This process runs the first share; a child forked before it starts runs
+    each other one and sends back its results and its calibration-op count,
+    which is added to this process's.  A child's exception is raised here,
+    once this process's share is done, with the child's traceback as its
+    cause.  Every child has ended when this returns or raises: one still
+    running when this process's share raises is terminated.
+    """
+    global _CALIBRATION_OPS
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = _FORK.Pipe(duplex=False)
+            name = "seeds " + ", ".join(map(str, share))
+            child = _FORK.Process(target=_share_child, args=(work, share, sender), name=name)
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        results = list(work(shares[0]))
+        for child, receiver in children:
+            try:
+                outcome, payload, extra = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"the child training {child.name} exited with code {child.exitcode}") from None
+            if outcome == "error":
+                raise payload from RuntimeError(f"in the child training {child.name}:\n{extra}")
+            results += payload
+            _CALIBRATION_OPS += extra
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()  # no-op for a child that has ended
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+
+
+def _share_child(work, share: tuple[int, ...], sender) -> None:
+    """A forked child's body: send ``("ok", work(share), calibration ops)``,
+    or ``("error", exception, traceback text)``."""
+    ops = _CALIBRATION_OPS
+    try:
+        message = ("ok", work(share), _CALIBRATION_OPS - ops)
+    except BaseException as exc:  # raised again in the parent
+        message = ("error", exc, traceback.format_exc())
+    sender.send(message)
+    sender.close()
 
 
 def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: np.random.Generator) -> None:

@@ -265,6 +265,10 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams._over(self.buffer.copy(), self.dims, self.n_classes, self.alpha)
 
+    def __reduce__(self):
+        """Pickle the buffer alone; unpickling rebuilds the views over it."""
+        return NetworkParams._over, (self.buffer, self.dims, self.n_classes, self.alpha)
+
 
 def init_network(
     dims: Sequence[int],
@@ -313,17 +317,50 @@ class StateTrace:
     spec: SurrogateSpec
 
 
+# OpenBLAS, as NumPy ships it, runs a dgemm on its thread pool once m·n·k
+# passes 65536 x GEMM_MULTITHREAD_THRESHOLD (4), and the pool's threads
+# busy-wait between calls.  Drive products are issued in row blocks at or
+# under that size, so no forward wakes the pool.
+_SERIAL_GEMM_SIZE = 65536 * 4
+
+
+@functools.lru_cache(maxsize=64)
+def _row_blocks(n_rows: int, row_size: int) -> tuple[int, int]:
+    """``(size, count)``: a product over ``n_rows`` rows that each cost
+    ``row_size`` (k·n) multiply-adds runs as ``count`` blocks of ``size``
+    rows and one block of the rows left, each block's m·k·n at most
+    ``_SERIAL_GEMM_SIZE``.  A product within it is one block (``count`` 0).
+
+    ``size`` is the largest power of two rows within the cap, and the
+    rows left are at most ``size`` unless they fit with one block more.
+    On OpenBLAS 0.3.31's Haswell kernels such blocks give the whole
+    product's bits (256 rows at 48->16, 1024 at 16->16), while blocks of
+    8 to 64 rows at 48->16 round differently.
+    """
+    cap = max(1, _SERIAL_GEMM_SIZE // row_size)
+    size = 1 << (cap.bit_length() - 1)
+    count = (n_rows - 1) // size
+    if count and n_rows - size * (count - 1) <= cap:  # a short tail joins the last block
+        count -= 1
+    return size, count
+
+
+_gemm = np.matmul  # every drive product is issued through this name, so a test can see each one
+
+
 def layer_drive(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     """A layer's drive ``W z + b`` over time-major inputs ``x`` (T, n, d_in), time-major.
 
-    One matrix product over every (t, sample) row.  When ``x`` is the
-    time-major view of sample-major frames the product runs over the frames'
-    own rows, and the drive is a strided view.  A layer of M stacked models
-    (weight (M, d_out, d_in)) takes shared inputs (T, n, d_in) or per-model
-    inputs (T, n, M, d_in) and gives (T, n, M, d_out): one model's rows over
-    (t, n) are then one strided matrix, and its drive is the same product a
-    lone model runs.  The thresholds do not enter, so several threshold
-    settings can share one drive.
+    One matrix product over every (t, sample) row, issued in row blocks
+    small enough to run on the calling thread (see :func:`_row_blocks`).
+    When ``x`` is the time-major view of sample-major frames the product
+    runs over the frames' own rows, and the drive is a strided view.  A
+    layer of M stacked models (weight (M, d_out, d_in)) takes shared inputs
+    (T, n, d_in) or per-model inputs (T, n, M, d_in) and gives
+    (T, n, M, d_out): one model's rows over (t, n) are then one strided
+    matrix, and its drive is the same product a lone model runs.  The
+    thresholds do not enter, so several threshold settings can share one
+    drive.
     """
     n_steps, n = x.shape[:2]
     models, (d, d_in) = layer.weight.shape[:-2], layer.weight.shape[-2:]
@@ -333,7 +370,17 @@ def layer_drive(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     else:
         rows = x.reshape(n_steps * n, d_in) if time_major else x.transpose(1, 0, 2).reshape(n * n_steps, d_in)
     drive = np.empty((n_steps * n, *models, d))
-    np.matmul(rows, layer.weight.swapaxes(-1, -2), out=drive.swapaxes(0, 1) if models else drive)
+    out, weight = drive.swapaxes(0, 1) if models else drive, layer.weight.swapaxes(-1, -2)
+    size, count = _row_blocks(n_steps * n, d_in * d)
+    if count:  # the blocks as one batched product, one BLAS call per block, then the rows left
+        even = size * count
+
+        def blocks(a: np.ndarray) -> np.ndarray:
+            return a[..., :even, :].reshape(*a.shape[:-2], count, size, a.shape[-1])
+
+        _gemm(blocks(rows), weight[..., None, :, :], out=blocks(out))
+        rows, out = rows[..., even:, :], out[..., even:, :]
+    _gemm(rows, weight, out=out)
     drive += layer.bias
     if time_major:
         return drive.reshape(n_steps, n, *models, d)
@@ -607,21 +654,27 @@ def _read_container(path: str, magic: bytes, header: tuple, version: int, what: 
     """Yield ``(fh, fields)`` for a ``what`` file: its header fields after the version,
     with ``fh`` at the payload.  The magic, a header cut short (named by field) and
     the version are refused before the body runs, and trailing bytes after it."""
-    fmt, names = header
     with open(path, "rb") as fh:
-        found = fh.read(len(magic))
-        if found != magic:
-            raise ValueError(f"not a {what} file (magic {found!r})")
-        raw = fh.read(struct.calcsize(fmt))
-        for i, name in enumerate(names):
-            if struct.calcsize(fmt[: i + 2]) > len(raw):
-                raise ValueError(f"{what} truncated in header field {name!r}")
-        found_version, *fields = struct.unpack(fmt, raw)
-        if found_version != version:
-            raise ValueError(f"unsupported {what} version {found_version}")
-        yield fh, fields
+        yield fh, _read_header(fh, magic, header, version, what)
         if fh.read(1):
             raise ValueError(f"trailing bytes after {what} payload")
+
+
+def _read_header(fh: BinaryIO, magic: bytes, header: tuple, version: int, what: str) -> list:
+    """A ``what`` file's header fields after the version, with ``fh`` left at
+    the payload; the magic, a header cut short and the version are refused."""
+    fmt, names = header
+    found = fh.read(len(magic))
+    if found != magic:
+        raise ValueError(f"not a {what} file (magic {found!r})")
+    raw = fh.read(struct.calcsize(fmt))
+    for i, name in enumerate(names):
+        if struct.calcsize(fmt[: i + 2]) > len(raw):
+            raise ValueError(f"{what} truncated in header field {name!r}")
+    found_version, *fields = struct.unpack(fmt, raw)
+    if found_version != version:
+        raise ValueError(f"unsupported {what} version {found_version}")
+    return fields
 
 
 def _read_declared(fh: BinaryIO, dtype: str, count: int, field_name: str, what: str) -> np.ndarray:

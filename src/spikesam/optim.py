@@ -78,6 +78,8 @@ def sam_perturbation(grad: np.ndarray, rho: float) -> np.ndarray:
         return np.zeros_like(grad)
     grad_norm = float(np.linalg.norm(grad))
     scale = rho / (grad_norm + DELTA)
+    if not math.isfinite(scale):  # rho near the float range's top: normalize before scaling up
+        return (grad / (grad_norm + DELTA)) * rho
     assert grad_norm * scale <= rho * (1.0 + 1e-12)  # ||eps||, with no entry of eps squared
     return grad * scale
 

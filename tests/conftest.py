@@ -7,10 +7,20 @@ sweep, and both only stay cheap and well-conditioned at desk scale.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
+import pytest
 
 from spikesam.gradients import Batch
 from spikesam.network import NetworkParams, SurrogateSpec, init_network
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_a_test():
+    """Every forked seed share has ended when its test does, on failure paths too."""
+    yield
+    assert not multiprocessing.active_children()
 
 
 def tiny_net(

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
 import re
 import shlex
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -526,6 +528,20 @@ def test_file_split_that_disagrees_with_train_is_refused(tmp_path, split, field)
         load_data(DataConfig(source="file", **paths))
 
 
+def test_a_split_that_disagrees_with_train_is_refused_from_its_header(tmp_path):
+    data = load_data(micro_config("unused").data)
+    paths = {f"{name}_path": str(tmp_path / f"{name}.snnd") for name in ("train", "val", "test")}
+    for name in ("train", "val", "test"):
+        ds = getattr(data, name)
+        if name == "val":
+            ds = Dataset(ds.frames[:, :, :-1], ds.labels, ds.n_classes)
+        save_dataset(paths[f"{name}_path"], ds)
+    with open(paths["val_path"], "r+b") as fh:  # and a payload cut short, which reading would refuse
+        fh.truncate(os.path.getsize(paths["val_path"]) - 8)
+    with pytest.raises(ValueError, match="^val split has width 11, but the train split has 12$"):
+        load_data(DataConfig(source="file", **paths))
+
+
 def test_diagnostics_every_epoch_writes_one_row_per_epoch(tmp_path):
     cfg = micro_config(str(tmp_path / "d"), rho=0.05, epochs=3, seeds=(0,))
     res = train(replace(cfg, train=replace(cfg.train, diagnostics_every=1)))
@@ -681,6 +697,118 @@ def test_a_programming_error_in_one_lockstep_arm_propagates_and_closes_every_fil
         with open(tmp_path / "bug" / arm / "seed_0" / "metrics.csv", newline="") as fh:
             assert [row["epoch"] for row in csv.DictReader(fh)] == ["1"], arm
     assert excinfo.value is not None
+
+
+# ---------------------------------------------------------------------------
+# Seed shares trained in forked children
+# ---------------------------------------------------------------------------
+
+
+def fork_every_share(monkeypatch) -> list[str]:
+    """Split every run's seeds over two shares and fork the second, however
+    small the run; the names of the children started, as they start."""
+    started = []
+
+    class Counted(harness._FORK.Process):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness._FORK, "Process", Counted)
+    return started
+
+
+@pytest.mark.parametrize("policy", [INDEPENDENT, REUSED])
+def test_a_forked_study_writes_what_an_in_process_study_writes(tmp_path, monkeypatch, policy):
+    blow_up_one_radius(monkeypatch)
+    base = micro_config(str(tmp_path / "in_process"), epochs=3, seeds=(0, 1))
+    base = replace(
+        base,
+        optimizer=replace(base.optimizer, second_batch=policy),
+        train=replace(base.train, checkpoint_every=1, diagnostics_every=2),
+    )
+    data = load_data(base.data)
+    rho_grid = (0.05, BLOWN_UP_RHO)
+    in_process = run_transfer_study(base, rho_grid=rho_grid, data=data)
+    started = fork_every_share(monkeypatch)
+    forked = run_transfer_study(replace(base, out_dir=str(tmp_path / "forked")), rho_grid=rho_grid, data=data)
+
+    assert started == ["seeds 1"]
+    files = run_files(tmp_path / "forked")
+    assert set(files) == set(run_files(tmp_path / "in_process"))
+    assert_runs_match(files, run_files(tmp_path / "in_process"))
+    # seed 1 trained in the child, and its blown-up radius diverged there as it does here
+    blown = [(s.seed, s.diverged_reason, s.diverged_step) for s in forked.by_rho[BLOWN_UP_RHO].seeds]
+    assert blown == [(s.seed, s.diverged_reason, s.diverged_step) for s in in_process.by_rho[BLOWN_UP_RHO].seeds]
+    assert [seed for seed, reason, step in blown if reason and step] == [0, 1]
+
+
+def test_an_error_in_a_forked_share_is_raised_here_with_every_file_closed(tmp_path, monkeypatch):
+    fork_every_share(monkeypatch)
+    real = harness._Arm.end_epoch
+
+    def end_epoch(arm, epoch, *args):
+        if arm.seed == 1 and epoch == 2:  # in the child's share only
+            raise ValueError("shapes (8, 6) and (5,) not aligned")
+        return real(arm, epoch, *args)
+
+    monkeypatch.setattr(harness._Arm, "end_epoch", end_epoch)
+    with pytest.raises(ValueError, match=r"^shapes \(8, 6\) and \(5,\) not aligned$") as excinfo:
+        run_transfer_study(micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0, 1)), rho_grid=(0.1, 0.2))
+    assert "in the child training seeds 1" in str(excinfo.value.__cause__)
+    for arm in ("baseline", "sast-rho0.1", "sast-rho0.2"):
+        for seed, epochs in ((0, ["1", "2", "3"]), (1, ["1"])):
+            with open(tmp_path / "bug" / arm / f"seed_{seed}" / "metrics.csv", newline="") as fh:
+                assert [row["epoch"] for row in csv.DictReader(fh)] == epochs, (arm, seed)
+
+
+def test_an_error_in_this_process_share_ends_the_forked_shares(tmp_path, monkeypatch):
+    fork_every_share(monkeypatch)
+    real = harness._Arm.end_epoch
+
+    def end_epoch(arm, epoch, *args):
+        if arm.seed == 0 and epoch == 2:
+            raise ValueError("shapes (8, 6) and (5,) not aligned")
+        if arm.seed == 1:
+            time.sleep(10.0)  # the child is still training when this process raises
+        return real(arm, epoch, *args)
+
+    monkeypatch.setattr(harness._Arm, "end_epoch", end_epoch)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="not aligned"):
+        train(micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0, 1)))
+    assert time.perf_counter() - t0 < 5.0  # the child was terminated, not waited for
+    assert not multiprocessing.active_children()
+
+
+def test_calibration_ops_in_a_forked_share_count_here(tmp_path, monkeypatch):
+    # Criterion 09 reads this process's counter: a child's ops must reach it.
+    fork_every_share(monkeypatch)
+    reset_calibration_ops()
+    cfg = micro_config(str(tmp_path / "pure"), epochs=2, seeds=(0, 1))
+    train(cfg)
+    assert calibration_ops() == 0
+    real = harness._Arm.end_epoch
+
+    def calibrating_end_epoch(arm, *args):
+        harness.apply_threshold_scale(arm.params, [1.0])
+        return real(arm, *args)
+
+    monkeypatch.setattr(harness._Arm, "end_epoch", calibrating_end_epoch)
+    train(replace(cfg, out_dir=str(tmp_path / "impure")))
+    assert calibration_ops() == 2 * 2  # each epoch of each seed
+    reset_calibration_ops()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_radius_at_the_top_of_the_float_range_trains_or_records_divergence(tmp_path):
+    # rho / ||g|| overflows here; the perturbed point's loss may too, which is not an error
+    cfg = micro_config(str(tmp_path / "top"), rho=1e308, epochs=2)
+    res = train(replace(cfg, optimizer=replace(cfg.optimizer, second_batch=REUSED)))
+    for seed in res.seeds:  # 2 epochs of 4 reused two-pass steps, or a divergence that says why
+        assert seed.passes == 2 * 4 * 2 or (seed.diverged and seed.diverged_reason)
 
 
 # ---------------------------------------------------------------------------

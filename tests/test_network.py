@@ -8,6 +8,7 @@ pure-Python re-implementation of the leaky recursion.
 from __future__ import annotations
 
 import math
+import pickle
 import struct
 import tracemalloc
 import warnings
@@ -18,6 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ARCTAN_PI, spike_batch, tiny_net
+from spikesam import network
+from spikesam.events import Dataset
+from spikesam.harness import calibrate_thresholds
 from spikesam.network import (
     ARCTAN,
     FAST_SIGMOID,
@@ -439,6 +443,39 @@ def test_a_shared_drive_is_read_and_left_unchanged(family, keep_states, layout):
     for u, z in shared:
         assert u.tobytes() == own[0].tobytes() and z.tobytes() == own[1].tobytes()
         assert not np.shares_memory(z, drive)
+
+
+def test_drive_products_stay_under_the_blas_threading_threshold(monkeypatch):
+    # OpenBLAS threads a product once m*n*k passes 2^18; at B=1024, T=8 the
+    # packaged net's layer-1 drive is 8192 x 48 x 16, twelve times that.
+    sizes = []
+    real = network._gemm
+
+    def recorded(a, b, out):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(network, "_gemm", recorded)
+    params = init_network((48, 16, 16, 16), 2, alpha=0.6, theta=0.5, weight_scale=1.5, seed=np.random.default_rng(71))
+    batch = spike_batch(params, n_samples=1024, n_steps=8, rate=0.3, seed=72)
+    for spec in (SurrogateSpec(ARCTAN, 0.7), SurrogateSpec(HARD, 0.7)):
+        logits = forward(params, spec, batch.inputs, keep_states=False).logits
+        np.testing.assert_allclose(logits, naive_forward_logits(params, spec, batch.inputs), rtol=0, atol=1e-12)
+    calibrate_thresholds(params, SurrogateSpec(ARCTAN, 0.7), Dataset(batch.inputs, batch.labels, 2), mode="per_layer")
+    other = init_network((48, 16, 16, 16), 2, alpha=0.6, theta=0.5, weight_scale=1.5, seed=np.random.default_rng(73))
+    frames = batch.inputs[:1000]  # a tail of 8000 mod 256 rows joins the last block
+    stacked = forward(stack([params, other]), SurrogateSpec(ARCTAN, 0.7), frames, keep_states=False).logits
+    for net, logits in zip((params, other), stacked):
+        assert logits.tobytes() == forward(net, SurrogateSpec(ARCTAN, 0.7), frames, keep_states=False).logits.tobytes()
+    assert len(sizes) > 3 * 2 and max(sizes) <= 2**18
+
+
+def test_pickled_params_keep_their_views_over_one_buffer():
+    params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=20)
+    loaded = pickle.loads(pickle.dumps(params))
+    assert loaded.buffer.tobytes() == params.buffer.tobytes() and loaded.dims == params.dims
+    for view in (loaded.layers[0].weight, loaded.layers[1].threshold, loaded.w_out, loaded.b_out):
+        assert np.shares_memory(view, loaded.buffer)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,14 @@ def test_a_huge_radius_perturbs_without_overflow():
     assert report.epsilon_norm == pytest.approx(1e200, rel=1e-12)
 
 
+def test_a_radius_near_the_top_of_the_float_range_stays_inside_it():
+    rho = 1e307  # rho / ||g|| overflows, so the gradient is normalized first
+    eps = sam_perturbation(np.full(10, 1e-3), rho)
+    assert np.all(np.isfinite(eps))
+    assert rho * np.linalg.norm(eps / rho) <= rho * (1.0 + 1e-12)
+    assert eps[0] > 0.0 and np.all(eps == eps[0])  # along the gradient
+
+
 def test_threshold_floor_projection_after_update():
     params = tiny_net(theta=0.002, seed=58)  # thresholds barely above the floor
     batch = spike_batch(params, seed=59)
