@@ -46,6 +46,7 @@ from .network import (
     InstabilityError,
     NetworkParams,
     SurrogateSpec,
+    drives_stay_serial,
     forward,
     init_network,
     layer_drive,
@@ -517,7 +518,8 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
         os.makedirs(cfg.out_dir, exist_ok=True)
         save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     r_x = events.measured_input_bound(data.train.frames)
-    shares = _seed_shares(first.train.seeds, sum(planned_passes(cfg, n_train) for cfg in cfgs))
+    dims = (data.train.frames.shape[2], *first.model.hidden_dims)
+    shares = _seed_shares(first.train.seeds, sum(planned_passes(cfg, n_train) for cfg in cfgs), dims)
     per_seed = _run_shares(shares, lambda seeds: [_train_seed(cfgs, data, r_x, seed) for seed in seeds])
     runs = [
         TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=list(results))
@@ -548,7 +550,9 @@ def _train_seed(cfgs: Sequence[RunConfig], data: SplitDataset, r_x: float, seed:
 # Children are forked copies of this process: they inherit the data and the
 # configurations, and only their results cross a pipe.  It is imported with
 # this module: an import inside a run would count in that run's traced memory.
-_FORK = multiprocessing.get_context("fork")
+# Where the platform cannot fork (Windows) it is None, and every seed trains
+# in this process.
+_FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 # Planned passes per seed group (summed over its runs) below which every
 # seed trains in this process.  Forking and collecting an empty share took
@@ -560,15 +564,29 @@ _FORK = multiprocessing.get_context("fork")
 _FORK_MIN_PASSES = 100
 
 
-def _seed_shares(seeds: Sequence[int], group_passes: int) -> list[tuple[int, ...]]:
+def _cores() -> int:
+    """The cores this process may run on (all of the machine's where the
+    platform cannot say, as on macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _seed_shares(seeds: Sequence[int], group_passes: int, dims: Sequence[int]) -> list[tuple[int, ...]]:
     """The seeds in consecutive shares, one per core the process may run on,
-    or a single share when a seed group plans fewer than ``_FORK_MIN_PASSES``.
+    or a single share when a seed group plans fewer than ``_FORK_MIN_PASSES``,
+    when the platform cannot fork, or when a network of widths ``dims`` has a
+    drive too wide to keep off OpenBLAS's thread pool.  That pool already
+    spreads such a drive over the cores, and a forked share would wake a
+    pool of its own: a study at hidden widths of 256 took 1.5 to 2.1 times its
+    one-process wall time when forked (two runs each, 2-vCPU Xeon).
 
     Every seed group plans ``group_passes`` passes, so shares of equal seed
     counts, give or take one, are balanced by planned passes; the larger
     shares come first.
     """
-    n_shares = 1 if group_passes < _FORK_MIN_PASSES else min(len(os.sched_getaffinity(0)), len(seeds))
+    forks = _FORK is not None and group_passes >= _FORK_MIN_PASSES and drives_stay_serial(dims)
+    n_shares = min(_cores(), len(seeds)) if forks else 1
     return [tuple(share.tolist()) for share in np.array_split(np.asarray(seeds), n_shares)]
 
 

@@ -319,9 +319,15 @@ class StateTrace:
 
 # OpenBLAS, as NumPy ships it, runs a dgemm on its thread pool once m·n·k
 # passes 65536 x GEMM_MULTITHREAD_THRESHOLD (4), and the pool's threads
-# busy-wait between calls.  Drive products are issued in row blocks at or
-# under that size, so no forward wakes the pool.
+# busy-wait between calls.  A larger drive product is issued in row blocks
+# at or under that size, so that a forward does not wake the pool, as long
+# as a block keeps _MIN_BLOCK_ROWS rows; a wider layer's product stays one
+# call.  On OpenBLAS 0.3.31's Haswell kernels, blocks of 256 rows or more
+# gave the whole product's bits at 48->16, 16->16, 48->64 and 64->64, while
+# blocks of up to 75 rows did not at 48->16; and shorter blocks would turn
+# a B=1024 drive at a width of 256 into thousands of calls.
 _SERIAL_GEMM_SIZE = 65536 * 4
+_MIN_BLOCK_ROWS = 256
 
 
 @functools.lru_cache(maxsize=64)
@@ -329,20 +335,28 @@ def _row_blocks(n_rows: int, row_size: int) -> tuple[int, int]:
     """``(size, count)``: a product over ``n_rows`` rows that each cost
     ``row_size`` (k·n) multiply-adds runs as ``count`` blocks of ``size``
     rows and one block of the rows left, each block's m·k·n at most
-    ``_SERIAL_GEMM_SIZE``.  A product within it is one block (``count`` 0).
+    ``_SERIAL_GEMM_SIZE``.  A product within it, or one whose blocks would
+    hold fewer than ``_MIN_BLOCK_ROWS`` rows, is one block (``count`` 0).
 
     ``size`` is the largest power of two rows within the cap, and the
     rows left are at most ``size`` unless they fit with one block more.
-    On OpenBLAS 0.3.31's Haswell kernels such blocks give the whole
-    product's bits (256 rows at 48->16, 1024 at 16->16), while blocks of
-    8 to 64 rows at 48->16 round differently.
     """
-    cap = max(1, _SERIAL_GEMM_SIZE // row_size)
+    cap = _SERIAL_GEMM_SIZE // row_size
+    if n_rows <= cap or cap < _MIN_BLOCK_ROWS:
+        return n_rows, 0
     size = 1 << (cap.bit_length() - 1)
     count = (n_rows - 1) // size
-    if count and n_rows - size * (count - 1) <= cap:  # a short tail joins the last block
+    if n_rows - size * (count - 1) <= cap:  # a short tail joins the last block
         count -= 1
     return size, count
+
+
+def drives_stay_serial(dims: Sequence[int]) -> bool:
+    """Whether a network of widths ``dims`` (input first) issues every drive
+    product, over any number of rows, at or under ``_SERIAL_GEMM_SIZE``:
+    whether each layer's drive can be cut into blocks (see :func:`_row_blocks`),
+    so that no forward wakes OpenBLAS's thread pool."""
+    return all(d_in * d * _MIN_BLOCK_ROWS <= _SERIAL_GEMM_SIZE for d_in, d in zip(dims, dims[1:]))
 
 
 _gemm = np.matmul  # every drive product is issued through this name, so a test can see each one
@@ -352,7 +366,8 @@ def layer_drive(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     """A layer's drive ``W z + b`` over time-major inputs ``x`` (T, n, d_in), time-major.
 
     One matrix product over every (t, sample) row, issued in row blocks
-    small enough to run on the calling thread (see :func:`_row_blocks`).
+    small enough to run on the calling thread where the layer is narrow
+    enough for them (see :func:`_row_blocks`).
     When ``x`` is the time-major view of sample-major frames the product
     runs over the frames' own rows, and the drive is a strided view.  A
     layer of M stacked models (weight (M, d_out, d_in)) takes shared inputs

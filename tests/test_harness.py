@@ -715,9 +715,37 @@ def fork_every_share(monkeypatch) -> list[str]:
             super().start()
 
     monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "_cores", lambda: 2)
     monkeypatch.setattr(harness._FORK, "Process", Counted)
     return started
+
+
+def test_a_platform_without_fork_or_affinity_trains_every_seed_here(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert harness._seed_shares((0, 1, 2), 1, (48, 16)) == [(0, 1), (2,)]
+    monkeypatch.setattr(harness, "_FORK", None)  # as on Windows
+    assert harness._seed_shares((0, 1, 2), 1, (48, 16)) == [(0, 1, 2)]
+    pids = []
+    real = harness._train_seed
+
+    def train_seed(*args):
+        pids.append(os.getpid())  # a forked child's append would not reach this list
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_train_seed", train_seed)
+    train(micro_config(str(tmp_path / "run"), epochs=2, seeds=(0, 1)))
+    assert pids == [os.getpid()] * 2
+
+
+def test_a_network_too_wide_for_serial_drives_trains_every_seed_here(monkeypatch):
+    started = fork_every_share(monkeypatch)
+    assert harness._seed_shares((0, 1, 2), 1, (48, 16, 16, 16)) == [(0, 1), (2,)]
+    # At 48->32 a drive block under 2^18 would hold 170 rows: too short to cut.
+    assert harness._seed_shares((0, 1, 2), 1, (48, 32)) == [(0, 1, 2)]
+    assert harness._seed_shares((0, 1, 2), 1, (48, 16, 256)) == [(0, 1, 2)]
+    assert not started
 
 
 @pytest.mark.parametrize("policy", [INDEPENDENT, REUSED])

@@ -470,6 +470,21 @@ def test_drive_products_stay_under_the_blas_threading_threshold(monkeypatch):
     assert len(sizes) > 3 * 2 and max(sizes) <= 2**18
 
 
+def test_a_layer_too_wide_for_long_row_blocks_issues_one_product(monkeypatch):
+    # At 48->256 a block under 2^18 would hold 21 rows, far below 256.
+    assert network._row_blocks(8 * 1024, 48 * 256) == (8 * 1024, 0)
+    assert not network.drives_stay_serial((48, 256)) and network.drives_stay_serial((48, 16, 16, 16))
+    assert network._row_blocks(8 * 1024, 48 * 16) == (256, 31)  # and a last block of 256
+    calls = []
+    real = network._gemm
+    monkeypatch.setattr(network, "_gemm", lambda a, b, out: calls.append(a.shape) or real(a, b, out=out))
+    params = init_network((48, 256), 2, alpha=0.6, theta=0.5, weight_scale=1.5, seed=np.random.default_rng(74))
+    batch = spike_batch(params, n_samples=128, n_steps=8, rate=0.3, seed=75)
+    logits = forward(params, SurrogateSpec(ARCTAN, 0.7), batch.inputs, keep_states=False).logits
+    assert calls == [(8 * 128, 48)]
+    np.testing.assert_allclose(logits, naive_forward_logits(params, SurrogateSpec(ARCTAN, 0.7), batch.inputs), rtol=0, atol=1e-12)
+
+
 def test_pickled_params_keep_their_views_over_one_buffer():
     params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=20)
     loaded = pickle.loads(pickle.dumps(params))
