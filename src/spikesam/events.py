@@ -75,19 +75,25 @@ class EventStream:
         )
 
 
+def _time_bins(times: np.ndarray, duration: float, n_bins: int) -> np.ndarray:
+    """Each time's index among ``n_bins`` uniform bins over [0, duration];
+    an event at exactly ``t = duration`` lands in the last bin."""
+    return np.minimum((times / duration * n_bins).astype(np.int64), n_bins - 1)
+
+
 def bin_events(stream: EventStream, n_bins: int, saturation: int = 1) -> np.ndarray:
     """Uniform time binning into (n_bins, frame_width) frames in [0, 1].
 
     Per-voxel counts saturate at ``saturation`` and are divided by it, so
-    the default gives binary frames.  An event at exactly ``t = duration``
-    lands in the last bin.  Channel layout is polarity-major: flat index
+    the default gives binary frames.  Times are binned by :func:`_time_bins`.
+    Channel layout is polarity-major: flat index
     ``polarity * n_coords + coordinate``.
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
     if saturation < 1:
         raise ValueError("saturation must be a positive count")
-    bins = np.minimum((stream.times / stream.duration * n_bins).astype(np.int64), n_bins - 1)
+    bins = _time_bins(stream.times, stream.duration, n_bins)
     flat = stream.polarities * stream.n_coords + stream.coords
     counts = np.zeros((n_bins, stream.frame_width))
     np.add.at(counts, (bins, flat), 1.0)
@@ -245,42 +251,43 @@ class SynthTaskConfig:
         return self.n_coords * self.n_polarities
 
 
-def _synth_sample(cfg: SynthTaskConfig, label: int, rng: np.random.Generator) -> EventStream:
-    """Draw one labeled event stream from the task's generative model."""
+def _class_rates(cfg: SynthTaskConfig) -> list[np.ndarray]:
+    """Each class's mean event count per (bin, polarity, coordinate) cell."""
+    shape = (cfg.n_steps, cfg.n_polarities, cfg.n_coords)
     if cfg.style == RATE_STYLE:
         span = cfg.rate_active - cfg.rate_background
-        rate = cfg.rate_background + span * (label + 1) / cfg.n_classes
-        rates = np.full((cfg.n_steps, cfg.n_polarities, cfg.n_coords), rate)
-    else:
-        rates = np.full((cfg.n_steps, cfg.n_polarities, cfg.n_coords), cfg.rate_background)
-        coord_block = np.array_split(np.arange(cfg.n_coords), cfg.n_classes)[label]
-        bin_block = np.array_split(np.arange(cfg.n_steps), cfg.n_classes)[label]
+        return [np.full(shape, cfg.rate_background + span * (c + 1) / cfg.n_classes) for c in range(cfg.n_classes)]
+    coord_blocks = np.array_split(np.arange(cfg.n_coords), cfg.n_classes)
+    bin_blocks = np.array_split(np.arange(cfg.n_steps), cfg.n_classes)
+    tables = []
+    for bin_block, coord_block in zip(bin_blocks, coord_blocks):
+        rates = np.full(shape, cfg.rate_background)
         rates[np.ix_(bin_block, np.arange(cfg.n_polarities), coord_block)] = cfg.rate_active
-    counts = rng.poisson(rates)
-
-    bin_idx, pol_idx, coord_idx = np.nonzero(counts)
-    reps = counts[bin_idx, pol_idx, coord_idx]
-    bins = np.repeat(bin_idx, reps)
-    pols = np.repeat(pol_idx, reps)
-    coords = np.repeat(coord_idx, reps)
-    bin_width = cfg.duration / cfg.n_steps
-    times = (bins + rng.random(bins.size)) * bin_width
-    return EventStream(
-        times=np.minimum(times, cfg.duration),
-        coords=coords,
-        polarities=pols,
-        duration=cfg.duration,
-        n_coords=cfg.n_coords,
-        n_polarities=cfg.n_polarities,
-    )
+        tables.append(rates)
+    return tables
 
 
 def _synth_split(cfg: SynthTaskConfig, n: int, split_id: int) -> Dataset:
+    """``n`` labeled samples from the generator seeded by ``(cfg.seed, split_id)``.
+
+    After the label permutation each sample draws, in order, its cells'
+    Poisson counts (C order over (bin, polarity, coordinate)) and one
+    uniform per event, which places the event at ``(bin + u) * bin_width``.
+    Its frame is those events binned as :func:`bin_events` bins them at
+    saturation 1, written without building an :class:`EventStream`; a time
+    that rounds past the duration lands in the last bin, as a capped one would.
+    """
     rng = np.random.default_rng([cfg.seed, split_id])
     labels = rng.permutation(np.arange(n) % cfg.n_classes)
-    frames = np.empty((n, cfg.n_steps, cfg.frame_width))
-    for i in range(n):
-        frames[i] = bin_events(_synth_sample(cfg, int(labels[i]), rng), cfg.n_steps)
+    rates = _class_rates(cfg)
+    cell_ids = np.arange(rates[0].size)
+    bin_width = cfg.duration / cfg.n_steps
+    frames = np.zeros((n, cfg.n_steps, cfg.frame_width))
+    for frame, label in zip(frames, labels):
+        cells = np.repeat(cell_ids, rng.poisson(rates[label]).ravel())  # one entry per event
+        bins, channels = np.divmod(cells, cfg.frame_width)  # polarity-major channels
+        times = (bins + rng.random(cells.size)) * bin_width
+        frame[_time_bins(times, cfg.duration, cfg.n_steps), channels] = 1.0
     return Dataset(frames, labels, cfg.n_classes)
 
 

@@ -135,12 +135,13 @@ def _softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[floa
     if np.any(labels >= logits.shape[-1]):
         raise ValueError("label exceeds the network's class count")
     m = logits.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
     rows = np.arange(logits.shape[-2])
-    losses = lse[..., 0] - logits[..., rows, labels]
-    v = np.exp(logits - lse)
+    with np.errstate(over="ignore", invalid="ignore"):  # logits near the float range's top: a non-finite loss
+        lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+        losses = lse[..., 0] - logits[..., rows, labels]
+        v = np.exp(logits - lse)
+        loss = losses.mean(axis=-1)
     v[..., rows, labels] -= 1.0
-    loss = losses.mean(axis=-1)
     return (float(loss) if logits.ndim == 2 else loss), v
 
 

@@ -659,8 +659,11 @@ def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: 
         chunks = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
         _run_steps(live, spec, data.train, chunks)
         nets = [arm.params for arm in live]
-        acc_s = _accuracies(nets, spec, data.val, SURROGATE_MODE)
-        acc_h = _accuracies(nets, spec, data.val, HARD_MODE)
+        # A diverged arm's last iterate is junk and may overflow its logits; its row records the divergence.
+        junk = any(arm.diverged for arm in live)
+        with np.errstate(over="ignore", invalid="ignore") if junk else contextlib.nullcontext():
+            acc_s = _accuracies(nets, spec, data.val, SURROGATE_MODE)
+            acc_h = _accuracies(nets, spec, data.val, HARD_MODE)
         wall_s = time.perf_counter() - t0
         live = [arm for arm, s, h in zip(live, acc_s, acc_h) if arm.end_epoch(epoch, s, h, wall_s)]
 

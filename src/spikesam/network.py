@@ -35,6 +35,8 @@ _FAMILIES = (ARCTAN, FAST_SIGMOID, HARD)
 _FAMILY_CODES = {ARCTAN: 1, FAST_SIGMOID: 2, HARD: 3}
 _CODE_FAMILIES = {v: k for k, v in _FAMILY_CODES.items()}
 
+_HALF, _ONE, _PI = np.array(0.5), np.array(1.0), np.array(math.pi)  # 0-d: the cheapest ufunc scalars
+
 SURROGATE_MODE = "surrogate"
 HARD_MODE = "hard"
 
@@ -80,6 +82,11 @@ class SurrogateSpec:
             return self.slope / 2.0
         raise ValueError("the hard step has no derivative bound")
 
+    @functools.cached_property
+    def _operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slope and ``derivative_bound`` as 0-d arrays: the cheapest ufunc operands."""
+        return np.array(self.slope, dtype=np.float64), np.array(self.derivative_bound, dtype=np.float64)
+
     @property
     def curvature_bound(self) -> float:
         if self.family == ARCTAN:
@@ -94,17 +101,17 @@ def surrogate_value(spec: SurrogateSpec, x: np.ndarray, out: np.ndarray | None =
     x = np.asarray(x, dtype=np.float64)
     if spec.family == HARD:
         raise ValueError("hard step is not a surrogate; use hard_step")
-    y = np.multiply(spec.slope, x, out=np.empty_like(x) if out is None else out)
+    y = np.multiply(spec._operands[0], x, out=np.empty_like(x) if out is None else out)
     if spec.family == ARCTAN:  # 0.5 + arctan(k x) / pi
         np.arctan(y, out=y)
-        y /= math.pi
-        y += 0.5
+        y /= _PI
+        y += _HALF
     else:  # 0.5 (1 + k x / (1 + |k x|))
         den = np.abs(y)
-        den += 1.0
+        den += _ONE
         y /= den
-        y += 1.0
-        y *= 0.5
+        y += _ONE
+        y *= _HALF
     return y if y.ndim else y[()]
 
 
@@ -113,17 +120,16 @@ def surrogate_derivative(spec: SurrogateSpec, x: np.ndarray, out: np.ndarray | N
     x = np.asarray(x, dtype=np.float64)
     if spec.family == HARD:
         raise ValueError("hard step has no derivative; use the surrogate families")
-    k = spec.slope
+    k, bound = spec._operands
     y = np.multiply(k, x, out=np.empty_like(x) if out is None else out)
     if spec.family == ARCTAN:  # (k / pi) / (1 + (k x)^2)
         np.square(y, out=y)
-        y += 1.0
-        np.divide(k / math.pi, y, out=y)
+        y += _ONE
     else:  # (k / 2) / (1 + |k x|)^2
         np.abs(y, out=y)
-        y += 1.0
+        y += _ONE
         np.square(y, out=y)
-        np.divide(0.5 * k, y, out=y)
+    np.divide(bound, y, out=y)
     return y if y.ndim else y[()]
 
 

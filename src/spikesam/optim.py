@@ -112,10 +112,15 @@ def _report(
 ) -> StepReport:
     """The report of a step whose passes gave ``(loss1, g1)`` and, with two passes, ``(loss2, g2)``."""
     grad_norm = float(np.linalg.norm(g1))
+    epsilon_norm = 0.0
+    if g2 is not None:
+        scale = cfg.rho / (grad_norm + DELTA)
+        # as in sam_perturbation: a rho near the float range's top is applied after normalizing
+        epsilon_norm = grad_norm * scale if math.isfinite(scale) else (grad_norm / (grad_norm + DELTA)) * cfg.rho
     return StepReport(
         loss_first=loss1,
         grad_norm_first=grad_norm,
-        epsilon_norm=0.0 if g2 is None else grad_norm * (cfg.rho / (grad_norm + DELTA)),
+        epsilon_norm=epsilon_norm,
         loss_second=loss2,
         grad_norm_second=None if g2 is None else float(np.linalg.norm(g2)),
         n_passes=1 if g2 is None else 2,

@@ -318,6 +318,75 @@ def test_synth_task_styles_are_learnable_structures(style):
     assert np.abs(by_label[0].mean(axis=(0, 1)) - by_label[1].mean(axis=(0, 1))).max() > 0.05
 
 
+def naive_synth_split(cfg: SynthTaskConfig, n: int, split_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """One split drawn sample by sample as an event stream, then binned."""
+    rng = np.random.default_rng([cfg.seed, split_id])
+    labels = rng.permutation(np.arange(n) % cfg.n_classes)
+    frames = np.empty((n, cfg.n_steps, cfg.frame_width))
+    for i, label in enumerate(labels):
+        if cfg.style == RATE_STYLE:
+            span = cfg.rate_active - cfg.rate_background
+            rate = cfg.rate_background + span * (label + 1) / cfg.n_classes
+            rates = np.full((cfg.n_steps, cfg.n_polarities, cfg.n_coords), rate)
+        else:
+            rates = np.full((cfg.n_steps, cfg.n_polarities, cfg.n_coords), cfg.rate_background)
+            coord_block = np.array_split(np.arange(cfg.n_coords), cfg.n_classes)[label]
+            bin_block = np.array_split(np.arange(cfg.n_steps), cfg.n_classes)[label]
+            rates[np.ix_(bin_block, np.arange(cfg.n_polarities), coord_block)] = cfg.rate_active
+        counts = rng.poisson(rates)
+        bin_idx, pol_idx, coord_idx = np.nonzero(counts)
+        reps = counts[bin_idx, pol_idx, coord_idx]
+        bins = np.repeat(bin_idx, reps)
+        times = (bins + rng.random(bins.size)) * (cfg.duration / cfg.n_steps)
+        stream = EventStream(
+            np.minimum(times, cfg.duration), np.repeat(coord_idx, reps), np.repeat(pol_idx, reps),
+            cfg.duration, cfg.n_coords, cfg.n_polarities,
+        )
+        frames[i] = bin_events(stream, cfg.n_steps)
+    return frames, labels
+
+
+@pytest.mark.parametrize("style", [BLOCK_STYLE, RATE_STYLE])
+@pytest.mark.parametrize("n_steps", [3, 8, 10])
+@pytest.mark.parametrize("duration", [0.7, 1.0, 1.3])
+def test_synth_task_matches_the_event_stream_oracle_byte_for_byte(style, n_steps, duration):
+    for n_polarities in (1, 2):
+        for n_classes in (2, 3):
+            for seed in (0, 3, 11):
+                cfg = SynthTaskConfig(
+                    n_classes=n_classes, n_steps=n_steps, n_coords=7, n_polarities=n_polarities,
+                    n_train=6, n_val=1, n_test=4, rate_active=2.5, rate_background=0.2,
+                    duration=duration, style=style, seed=seed,
+                )
+                ds = synth_task(cfg)
+                for split_id, split in enumerate((ds.train, ds.val, ds.test)):
+                    frames, labels = naive_synth_split(cfg, split.n_samples, split_id)
+                    assert split.frames.tobytes() == frames.tobytes()
+                    assert split.labels.tobytes() == labels.tobytes()
+
+
+class _LateJitter:
+    """A generator whose uniforms are all the largest double below 1, so every
+    event sits at its bin's far edge, where rounding can carry it past."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("duration", [0.7, 1.0, 1.3])
+def test_synth_task_bins_events_at_the_bin_edges_as_the_oracle(monkeypatch, duration):
+    monkeypatch.setattr(np.random, "default_rng", _LateJitter)
+    cfg = SynthTaskConfig(n_steps=10, n_coords=5, n_train=4, n_val=1, n_test=1, duration=duration, seed=1)
+    frames, labels = naive_synth_split(cfg, cfg.n_train, 0)
+    assert synth_task(cfg).train.frames.tobytes() == frames.tobytes()
+
+
 def test_synth_task_validation():
     with pytest.raises(ValueError):
         SynthTaskConfig(n_classes=1)

@@ -426,7 +426,6 @@ def test_evaluate_runs_one_forward_pass(mode, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_huge_step_size_is_recorded_as_divergence(tmp_path):
     cfg = micro_config(str(tmp_path / "blowup"), epochs=2, seeds=(0,))
     cfg = replace(cfg, optimizer=replace(cfg.optimizer, eta=1e308))  # the second step's loss overflows
@@ -830,7 +829,6 @@ def test_calibration_ops_in_a_forked_share_count_here(tmp_path, monkeypatch):
     reset_calibration_ops()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_radius_at_the_top_of_the_float_range_trains_or_records_divergence(tmp_path):
     # rho / ||g|| overflows here; the perturbed point's loss may too, which is not an error
     cfg = micro_config(str(tmp_path / "top"), rho=1e308, epochs=2)

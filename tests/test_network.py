@@ -117,6 +117,52 @@ def test_surrogate_derivative_matches_finite_difference(family, k, x):
     assert float(surrogate_derivative(spec, x)) == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
+def _surrogate_reference(spec, x, derivative):
+    """The spike functions as written with Python-float operands: the slope, pi, 0.5 and 1.0."""
+    k = spec.slope
+    y = np.multiply(k, x)
+    if derivative:
+        if spec.family == ARCTAN:
+            np.square(y, out=y)
+            y += 1.0
+            return np.divide(k / math.pi, y, out=y)
+        np.abs(y, out=y)
+        y += 1.0
+        np.square(y, out=y)
+        return np.divide(0.5 * k, y, out=y)
+    if spec.family == ARCTAN:
+        np.arctan(y, out=y)
+        y /= math.pi
+        y += 0.5
+        return y
+    den = np.abs(y)
+    den += 1.0
+    y /= den
+    y += 1.0
+    y *= 0.5
+    return y
+
+
+@pytest.mark.parametrize("family,k", [(ARCTAN, math.pi), (ARCTAN, 0.3), (FAST_SIGMOID, 2.0), (FAST_SIGMOID, 7.5)])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_spike_functions_keep_their_bits_on_extreme_inputs(family, k, derivative):
+    spec = SurrogateSpec(family, k)
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    grid = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -2.5e-320, 1e300, -1e300, 0.7, -3.0])
+    fn = surrogate_derivative if derivative else surrogate_value
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _surrogate_reference(spec, grid, derivative)
+        got = fn(spec, grid)
+        into = np.empty_like(grid)
+        assert fn(spec, grid, out=into) is into
+        in_place = grid.copy()
+        fn(spec, in_place, out=in_place)
+        scalars = [fn(spec, x) for x in grid]
+    for arr in (got, into, in_place, np.array(scalars)):
+        assert arr.tobytes() == want.tobytes()
+    assert all(isinstance(v, np.float64) for v in scalars)
+
+
 def test_hard_step_tie_rule():
     got = hard_step(np.array([-1e-300, -0.0, 0.0, 1e-300, 0.3, -0.3]))
     assert got.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 0.0]

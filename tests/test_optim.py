@@ -215,6 +215,15 @@ def test_a_radius_near_the_top_of_the_float_range_stays_inside_it():
     assert eps[0] > 0.0 and np.all(eps == eps[0])  # along the gradient
 
 
+def test_a_radius_near_the_top_of_the_float_range_reports_its_epsilon_norm():
+    # rho / ||g|| overflows here; the report normalizes first, as sam_perturbation does
+    rho, g = 1e307, np.full(10, 1e-3)
+    _, report = two_pass_update(np.zeros(10), lambda w: (0.0, g.copy()), OptimizerConfig(eta=0.1, rho=rho))
+    # ||eps|| = rho ||g|| / (||g|| + DELTA), 3.2e-10 below rho at this small gradient
+    assert report.epsilon_norm == pytest.approx(rho * np.linalg.norm(sam_perturbation(g, rho) / rho), rel=1e-12)
+    assert report.epsilon_norm == pytest.approx(rho, rel=1e-9)
+
+
 def test_threshold_floor_projection_after_update():
     params = tiny_net(theta=0.002, seed=58)  # thresholds barely above the floor
     batch = spike_batch(params, seed=59)
