@@ -28,6 +28,7 @@ from .diagnostics import (
     DiagnosticsReport,
     MechanismRecord,
     SampleStats,
+    accuracies,
     accuracy,
     bound_battery,
     diagnose,
@@ -40,10 +41,8 @@ from .events import (
     SEVERITY_GRID,
     CorruptionConfig,
     Dataset,
-    EventStream,
     SplitDataset,
     SynthTaskConfig,
-    bin_events,
     corrupt,
     load_frames,
     measured_input_bound,

@@ -1,15 +1,16 @@
-"""Event streams, frame binning, corruption models, and synthetic tasks.
+"""Synthetic event tasks, binned frames, corruption models, and the dataset file.
 
-Raw data is a stream of timestamped events at spatial coordinates with a
-polarity channel.  Frames are built by uniform time binning with per-voxel
-count saturation, giving values in [0, 1] (binary at the default saturation
-of one event).  Corruptions act on binned frames and are pure functions of
-(frames, config), so a fixed seed yields the same corrupted copy for every
-model evaluated under it.
+A synthetic sample is a set of timestamped events at spatial coordinates
+with a polarity channel.  Its frames bin the events uniformly in time and
+saturate at one event per (bin, channel) cell, so they are binary.
+Corruptions act on binned frames and are pure functions of (frames,
+config), so a fixed seed yields the same corrupted copy for every model
+evaluated under it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,78 +27,10 @@ CORRUPTION_FAMILIES = (EVENT_DROP, TIME_JITTER, BIN_DROP)
 SEVERITY_GRID = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 
-@dataclass
-class EventStream:
-    """Timestamped events on a 1-d coordinate grid with polarity channels."""
-
-    times: np.ndarray  # (n_events,), in [0, duration]
-    coords: np.ndarray  # (n_events,), integer coordinates
-    polarities: np.ndarray  # (n_events,), integer channel ids
-    duration: float
-    n_coords: int
-    n_polarities: int = 2
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.coords = np.asarray(self.coords, dtype=np.int64)
-        self.polarities = np.asarray(self.polarities, dtype=np.int64)
-        n = self.times.shape[0]
-        if self.coords.shape != (n,) or self.polarities.shape != (n,):
-            raise ValueError("times, coords, and polarities must have equal lengths")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
-        if n and (self.times.min() < 0.0 or self.times.max() > self.duration):
-            raise ValueError("event timestamps must lie in [0, duration]")
-        if n and (self.coords.min() < 0 or self.coords.max() >= self.n_coords):
-            raise ValueError("event coordinates out of range")
-        if n and (self.polarities.min() < 0 or self.polarities.max() >= self.n_polarities):
-            raise ValueError("event polarities out of range")
-
-    @property
-    def n_events(self) -> int:
-        return self.times.shape[0]
-
-    @property
-    def frame_width(self) -> int:
-        """Flattened frame width: one block of coordinates per polarity."""
-        return self.n_coords * self.n_polarities
-
-    def canonical_sort(self) -> "EventStream":
-        """Stable order by (time, coordinate, polarity)."""
-        order = np.lexsort((self.polarities, self.coords, self.times))
-        return EventStream(
-            self.times[order],
-            self.coords[order],
-            self.polarities[order],
-            self.duration,
-            self.n_coords,
-            self.n_polarities,
-        )
-
-
 def _time_bins(times: np.ndarray, duration: float, n_bins: int) -> np.ndarray:
-    """Each time's index among ``n_bins`` uniform bins over [0, duration];
-    an event at exactly ``t = duration`` lands in the last bin."""
+    """Each event time's index among ``n_bins`` uniform bins over [0, duration];
+    a time at or past ``duration`` lands in the last bin."""
     return np.minimum((times / duration * n_bins).astype(np.int64), n_bins - 1)
-
-
-def bin_events(stream: EventStream, n_bins: int, saturation: int = 1) -> np.ndarray:
-    """Uniform time binning into (n_bins, frame_width) frames in [0, 1].
-
-    Per-voxel counts saturate at ``saturation`` and are divided by it, so
-    the default gives binary frames.  Times are binned by :func:`_time_bins`.
-    Channel layout is polarity-major: flat index
-    ``polarity * n_coords + coordinate``.
-    """
-    if n_bins < 1:
-        raise ValueError("need at least one bin")
-    if saturation < 1:
-        raise ValueError("saturation must be a positive count")
-    bins = _time_bins(stream.times, stream.duration, n_bins)
-    flat = stream.polarities * stream.n_coords + stream.coords
-    counts = np.zeros((n_bins, stream.frame_width))
-    np.add.at(counts, (bins, flat), 1.0)
-    return np.minimum(counts, float(saturation)) / float(saturation)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +174,13 @@ class SynthTaskConfig:
             raise ValueError("need at least one coordinate and one bin per class")
         if self.style not in (BLOCK_STYLE, RATE_STYLE):
             raise ValueError(f"unknown task style {self.style!r}")
+        if self.n_polarities < 1:
+            raise ValueError(f"n_polarities must be at least 1, got {self.n_polarities}")
+        if not (0.0 < self.duration < math.inf):  # NaN fails too
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        for name in ("rate_active", "rate_background"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rate_background < 0.0:
             raise ValueError("rates are mean event counts and cannot be negative")
         if self.rate_active <= self.rate_background:
@@ -273,9 +213,9 @@ def _synth_split(cfg: SynthTaskConfig, n: int, split_id: int) -> Dataset:
     After the label permutation each sample draws, in order, its cells'
     Poisson counts (C order over (bin, polarity, coordinate)) and one
     uniform per event, which places the event at ``(bin + u) * bin_width``.
-    Its frame is those events binned as :func:`bin_events` bins them at
-    saturation 1, written without building an :class:`EventStream`; a time
-    that rounds past the duration lands in the last bin, as a capped one would.
+    Its frame holds 1.0 at each event's (bin, channel) cell, with bins from
+    :func:`_time_bins` and polarity-major channels (``polarity * n_coords +
+    coordinate``); a time that rounds past the duration lands in the last bin.
     """
     rng = np.random.default_rng([cfg.seed, split_id])
     labels = rng.permutation(np.arange(n) % cfg.n_classes)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import events
 from .bounds import TheoryConstants, assumptions_from, compute_constants, save_constants
-from .diagnostics import HARD_MODE, SURROGATE_MODE, SampleStats, accuracy, diagnose
+from .diagnostics import HARD_MODE, SURROGATE_MODE, SampleStats, accuracies, accuracy, diagnose
 from .events import (
     CORRUPTION_FAMILIES,
     SEVERITY_GRID,
@@ -409,10 +409,10 @@ class _Arm:
             return
         if i < n - 1:
             return
-        self.params = self.query
-        if not np.isfinite(self.loss_first):
+        if not np.isfinite(self.loss_first):  # the arm keeps the iterate that this step started from
             self.diverged_reason = "non-finite loss"
             return
+        self.params = self.query
         self.losses.append(self.loss_first)
         self.passes += n
         self.steps += 1
@@ -540,7 +540,7 @@ def _train_seed(cfgs: Sequence[RunConfig], data: SplitDataset, r_x: float, seed:
         _run_epochs(arms, spec, data, np.random.default_rng([seed, 202]))
     selected = [arm.selected() for arm in arms]
     accs = [
-        _accuracies(selected, spec, split, mode)
+        accuracies(selected, spec, split.frames, split.labels, mode)
         for split in (data.val, data.test)
         for mode in (SURROGATE_MODE, HARD_MODE)
     ]
@@ -659,11 +659,8 @@ def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: 
         chunks = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
         _run_steps(live, spec, data.train, chunks)
         nets = [arm.params for arm in live]
-        # A diverged arm's last iterate is junk and may overflow its logits; its row records the divergence.
-        junk = any(arm.diverged for arm in live)
-        with np.errstate(over="ignore", invalid="ignore") if junk else contextlib.nullcontext():
-            acc_s = _accuracies(nets, spec, data.val, SURROGATE_MODE)
-            acc_h = _accuracies(nets, spec, data.val, HARD_MODE)
+        acc_s = accuracies(nets, spec, data.val.frames, data.val.labels, SURROGATE_MODE)
+        acc_h = accuracies(nets, spec, data.val.frames, data.val.labels, HARD_MODE)
         wall_s = time.perf_counter() - t0
         live = [arm for arm, s, h in zip(live, acc_s, acc_h) if arm.end_epoch(epoch, s, h, wall_s)]
 
@@ -703,27 +700,6 @@ def _passes(nets: list[NetworkParams], spec: SurrogateSpec, batch: Batch) -> lis
             return [exc]
         return [answer for net in nets for answer in _passes([net], spec, batch)]
     return list(zip(np.reshape(bundle.loss, -1).tolist(), bundle.grads.buffer.reshape(len(nets), -1)))
-
-
-# Samples x models in one stacked evaluation forward.  At 128 samples a smooth
-# forward's time per model is flat from one model to four, while its working
-# set grows with every model; 256 keeps it at a lone 256-sample forward's.
-_EVAL_ROWS = 256
-
-
-def _accuracies(nets: list[NetworkParams], spec: SurrogateSpec, ds: Dataset, mode: str) -> list[float]:
-    """Each network's accuracy on ``ds``, equal to :func:`accuracy`, from stacked
-    lean forwards over groups of at most ``_EVAL_ROWS`` samples x models."""
-    group = max(1, _EVAL_ROWS // ds.n_samples)
-    if len(nets) > group:
-        return [acc for i in range(0, len(nets), group) for acc in _accuracies(nets[i : i + group], spec, ds, mode)]
-    try:
-        logits = forward(stack(nets), mode_spec(spec, mode), ds.frames, keep_states=False).logits
-    except InstabilityError:
-        if len(nets) == 1:
-            raise
-        return [acc for net in nets for acc in _accuracies([net], spec, ds, mode)]
-    return (logits.argmax(axis=-1) == ds.labels).reshape(len(nets), -1).mean(axis=-1).tolist()
 
 
 _UNRECORDED = ("best_params", "final_params", "metrics_path", "checkpoint_path")

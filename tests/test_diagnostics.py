@@ -7,6 +7,7 @@ duplicated-readout networks with exactly singular logit Jacobians.
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from spikesam.diagnostics import (
     HARD_MODE,
     SURROGATE_MODE,
     SampleStats,
+    accuracies,
     accuracy,
     diagnose,
     gram_min_singular,
@@ -29,7 +31,8 @@ from spikesam.diagnostics import (
     secant_smoothness_from_grad,
 )
 from spikesam.gradients import backward
-from spikesam.network import init_network
+from spikesam import diagnostics
+from spikesam.network import InstabilityError, forward, init_network
 from spikesam.optim import THETA_FLOOR
 
 # ---------------------------------------------------------------------------
@@ -189,6 +192,46 @@ def test_accuracy_keeps_no_membrane_states(mode):
     finally:
         tracemalloc.stop()
     assert peak < 3000 * 1024
+
+
+def five_nets_and_a_split():
+    """Five distinct nets and 64 samples: 256 rows a stack make groups of 4 and 1."""
+    nets = [tiny_net(weight_scale=1.5, seed=90 + k) for k in range(5)]
+    return nets, spike_batch(nets[0], n_samples=64, seed=96)
+
+
+def models_per_forward(monkeypatch) -> list[int]:
+    """The model count of every forward that ``diagnostics`` runs from here on."""
+    counts = []
+
+    def counted(params, *args, **kwargs):
+        counts.append(params.buffer.shape[0] if params.buffer.ndim == 2 else 1)
+        return forward(params, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "forward", counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode", [SURROGATE_MODE, HARD_MODE])
+def test_accuracies_of_stacked_nets_equal_each_lone_accuracy(mode, monkeypatch):
+    nets, batch = five_nets_and_a_split()
+    lone = [accuracy(net, ARCTAN_PI, batch.inputs, batch.labels, mode) for net in nets]
+    counts = models_per_forward(monkeypatch)
+    got = accuracies(nets, ARCTAN_PI, batch.inputs, batch.labels, mode)
+    assert counts == [4, 1]
+    assert np.array(got).tobytes() == np.array(lone).tobytes()
+
+
+@pytest.mark.parametrize("mode", [SURROGATE_MODE, HARD_MODE])
+def test_accuracies_raise_the_blown_up_nets_own_instability(mode, monkeypatch):
+    nets, batch = five_nets_and_a_split()
+    nets[1].layers[1].weight[:] = 1e308  # two active inputs overflow the drive
+    with pytest.raises(InstabilityError) as lone:
+        accuracy(nets[1], ARCTAN_PI, batch.inputs, batch.labels, mode)
+    counts = models_per_forward(monkeypatch)
+    with pytest.raises(InstabilityError, match=f"^{re.escape(str(lone.value))}$"):
+        accuracies(nets, ARCTAN_PI, batch.inputs, batch.labels, mode)
+    assert counts == [4, 1, 1]  # the stack raised, then net 0 ran alone, then net 1 raised alone
 
 
 def test_transfer_gap_sign_convention():

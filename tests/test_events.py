@@ -1,7 +1,7 @@
-"""Event streams, binning, corruptions, and the synthetic task.
+"""Corruptions, the synthetic task, and the dataset file.
 
-The binning oracle is a scalar loop over events; corruption edge cases
-(severity 0 and 1) have exact expected outputs.
+The synthesis oracle draws each sample's events and bins them in a scalar
+loop; corruption edge cases (severity 0 and 1) have exact expected outputs.
 """
 
 from __future__ import annotations
@@ -24,109 +24,13 @@ from spikesam.events import (
     TIME_JITTER,
     CorruptionConfig,
     Dataset,
-    EventStream,
     SynthTaskConfig,
-    bin_events,
     corrupt,
     load_frames,
     measured_input_bound,
     save_dataset,
     synth_task,
 )
-
-# ---------------------------------------------------------------------------
-# Streams and binning
-# ---------------------------------------------------------------------------
-
-
-def _stream():
-    return EventStream(
-        times=np.array([0.0, 0.4, 0.4, 0.99, 1.0]),
-        coords=np.array([0, 2, 2, 1, 3]),
-        polarities=np.array([0, 1, 1, 0, 1]),
-        duration=1.0,
-        n_coords=4,
-        n_polarities=2,
-    )
-
-
-def test_stream_validation():
-    with pytest.raises(ValueError):
-        EventStream(np.array([0.5]), np.array([0]), np.array([0, 1]), 1.0, 4)
-    with pytest.raises(ValueError):
-        EventStream(np.array([1.5]), np.array([0]), np.array([0]), 1.0, 4)
-    with pytest.raises(ValueError):
-        EventStream(np.array([0.5]), np.array([4]), np.array([0]), 1.0, 4)
-    with pytest.raises(ValueError):
-        EventStream(np.array([0.5]), np.array([0]), np.array([2]), 1.0, 4)
-    with pytest.raises(ValueError):
-        EventStream(np.array([]), np.array([]), np.array([]), 0.0, 4)
-
-
-def test_stream_properties_and_sort():
-    s = _stream()
-    assert s.n_events == 5
-    assert s.frame_width == 8
-    shuffled = EventStream(
-        s.times[::-1].copy(), s.coords[::-1].copy(), s.polarities[::-1].copy(),
-        s.duration, s.n_coords, s.n_polarities,
-    )
-    sorted_back = shuffled.canonical_sort()
-    np.testing.assert_array_equal(sorted_back.times, s.times)
-    np.testing.assert_array_equal(sorted_back.coords, s.coords)
-
-
-def naive_bin(stream: EventStream, n_bins: int, saturation: int = 1) -> np.ndarray:
-    counts = np.zeros((n_bins, stream.n_coords * stream.n_polarities))
-    for t, c, p in zip(stream.times, stream.coords, stream.polarities):
-        b = min(int(t / stream.duration * n_bins), n_bins - 1)
-        counts[b, p * stream.n_coords + c] += 1
-    return np.minimum(counts, saturation) / saturation
-
-
-@pytest.mark.parametrize("n_bins,saturation", [(1, 1), (2, 1), (5, 1), (5, 3)])
-def test_bin_events_matches_naive_loop(n_bins, saturation):
-    np.testing.assert_array_equal(
-        bin_events(_stream(), n_bins, saturation), naive_bin(_stream(), n_bins, saturation)
-    )
-
-
-def test_bin_events_specifics():
-    frames = bin_events(_stream(), 2)
-    # duplicate event at t=0.4 saturates to 1; the t=1.0 event joins the last bin
-    assert frames.shape == (2, 8)
-    assert frames[0, 1 * 4 + 2] == 1.0
-    assert frames[1, 1 * 4 + 3] == 1.0
-    assert frames.max() <= 1.0 and frames.min() >= 0.0
-    with pytest.raises(ValueError):
-        bin_events(_stream(), 0)
-    with pytest.raises(ValueError):
-        bin_events(_stream(), 3, saturation=0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n_events=st.integers(0, 40),
-    n_bins=st.integers(1, 8),
-    saturation=st.integers(1, 4),
-    seed=st.integers(0, 10_000),
-)
-def test_property_binning_matches_naive(n_events, n_bins, saturation, seed):
-    rng = np.random.default_rng(seed)
-    s = EventStream(
-        rng.uniform(0.0, 2.0, n_events),
-        rng.integers(0, 5, n_events),
-        rng.integers(0, 2, n_events),
-        duration=2.0,
-        n_coords=5,
-    )
-    frames = bin_events(s, n_bins, saturation)
-    np.testing.assert_array_equal(frames, naive_bin(s, n_bins, saturation))
-    # Binning sums counts, so event order cannot matter: streams need no sort before it.
-    order = rng.permutation(n_events)
-    permuted = EventStream(s.times[order], s.coords[order], s.polarities[order], duration=2.0, n_coords=5)
-    np.testing.assert_array_equal(bin_events(permuted, n_bins, saturation), frames)
-
 
 # ---------------------------------------------------------------------------
 # Corruptions
@@ -319,10 +223,10 @@ def test_synth_task_styles_are_learnable_structures(style):
 
 
 def naive_synth_split(cfg: SynthTaskConfig, n: int, split_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """One split drawn sample by sample as an event stream, then binned."""
+    """One split drawn sample by sample as timestamped events, then binned in a scalar loop."""
     rng = np.random.default_rng([cfg.seed, split_id])
     labels = rng.permutation(np.arange(n) % cfg.n_classes)
-    frames = np.empty((n, cfg.n_steps, cfg.frame_width))
+    frames = np.zeros((n, cfg.n_steps, cfg.frame_width))
     for i, label in enumerate(labels):
         if cfg.style == RATE_STYLE:
             span = cfg.rate_active - cfg.rate_background
@@ -337,12 +241,10 @@ def naive_synth_split(cfg: SynthTaskConfig, n: int, split_id: int) -> tuple[np.n
         bin_idx, pol_idx, coord_idx = np.nonzero(counts)
         reps = counts[bin_idx, pol_idx, coord_idx]
         bins = np.repeat(bin_idx, reps)
-        times = (bins + rng.random(bins.size)) * (cfg.duration / cfg.n_steps)
-        stream = EventStream(
-            np.minimum(times, cfg.duration), np.repeat(coord_idx, reps), np.repeat(pol_idx, reps),
-            cfg.duration, cfg.n_coords, cfg.n_polarities,
-        )
-        frames[i] = bin_events(stream, cfg.n_steps)
+        times = np.minimum((bins + rng.random(bins.size)) * (cfg.duration / cfg.n_steps), cfg.duration)
+        for t, c, p in zip(times, np.repeat(coord_idx, reps), np.repeat(pol_idx, reps)):
+            b = min(int(t / cfg.duration * cfg.n_steps), cfg.n_steps - 1)
+            frames[i, b, p * cfg.n_coords + c] = 1.0  # one event saturates its cell
     return frames, labels
 
 
@@ -396,6 +298,24 @@ def test_synth_task_validation():
         SynthTaskConfig(rate_active=0.05, rate_background=0.05)
     with pytest.raises(ValueError):
         SynthTaskConfig(style="stripes")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("duration", 0.0),
+        ("duration", -1.0),
+        ("duration", float("inf")),
+        ("duration", float("nan")),
+        ("n_polarities", 0),
+        ("rate_active", float("nan")),
+        ("rate_active", float("inf")),
+        ("rate_background", float("nan")),
+    ],
+)
+def test_synth_task_refuses_degenerate_fields_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthTaskConfig(**{field: value})
 
 
 def test_dataset_file_roundtrip_bit_identical(tmp_path):

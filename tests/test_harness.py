@@ -436,6 +436,15 @@ def test_huge_step_size_is_recorded_as_divergence(tmp_path):
     assert_divergence_recorded(res, "^non-finite loss$", step=2)
 
 
+def test_a_diverged_run_keeps_its_last_finite_loss_iterate(tmp_path):
+    cfg = micro_config(str(tmp_path / "blowup"), epochs=2, seeds=(0,))
+    cfg = replace(cfg, optimizer=replace(cfg.optimizer, eta=1e308))  # the second step's loss overflows
+    one_step = replace(cfg, out_dir=str(tmp_path / "one_step"), train=replace(cfg.train, pass_budget=1))
+    finals = [os.path.join(train(c).run_dir, "seed_0", "checkpoints", "final.bin") for c in (cfg, one_step)]
+    with open(finals[0], "rb") as diverged, open(finals[1], "rb") as started:
+        assert diverged.read() == started.read()
+
+
 def assert_divergence_recorded(res, reason: str, step: int) -> None:
     """The seed's reason and step are in its result and in summary.json."""
     seed = res.seeds[0]

@@ -10,11 +10,13 @@ imports names only to re-export them.
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spikesam
@@ -100,10 +102,21 @@ def resolves(dotted: str, *scopes) -> bool:
     return False
 
 
+# Where a bare class name in the README may live.
+BARE_SCOPES = (spikesam, *(importlib.import_module(f"spikesam.{m}") for m in sorted(MODULES)), builtins, np, np.random)
+
+
 def readme_references(text: str) -> list[str]:
-    """Backticked dotted names in ``text`` that start at the package or one of its modules."""
+    """Backticked dotted names in ``text`` that start at the package or one of
+    its modules, then backticked bare CamelCase names (with a lowercase letter)."""
     names = (re.sub(r"^spikesam\.", "", ref) for ref in re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", text))
-    return [name for name in names if name.split(".")[0] in MODULES]
+    dotted = [name for name in names if name.split(".")[0] in MODULES]
+    return dotted + re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`", text)
+
+
+def readme_reference_resolves(ref: str) -> bool:
+    """A dotted reference resolves from the package, a bare name from one of ``BARE_SCOPES``."""
+    return resolves(ref, spikesam) if "." in ref else resolves(ref, *BARE_SCOPES)
 
 
 def docstring_roles(module, source: str) -> list[tuple[str, bool]]:
@@ -133,14 +146,21 @@ def test_detector_flags_a_reference_to_a_missing_name():
         'def f():\n    """Calls :func:`step_plan`, :func:`network.stack` and :func:`_answer`."""\n'
     )
     assert [ref for ref, ok in docstring_roles(optim, source) if not ok] == ["1: :meth:`requests`", "4: :func:`_answer`"]
-    text = "`optim.step_plan`, `spikesam.network.stack`, `summary.json`, `np.savez` and `optim.requests`"
-    assert readme_references(text) == ["optim.step_plan", "network.stack", "optim.requests"]
+    text = (
+        "`optim.step_plan`, `spikesam.network.stack`, `summary.json`, `np.savez`, `optim.requests`,"
+        " `SeedResult`, `ValueError`, `SeedSequence`, `THETA_FLOOR`, `T` and `EventStream`"
+    )
+    refs = readme_references(text)
+    assert refs == [
+        "optim.step_plan", "network.stack", "optim.requests", "SeedResult", "ValueError", "SeedSequence", "EventStream"
+    ]
+    assert [ref for ref in refs if not readme_reference_resolves(ref)] == ["optim.requests", "EventStream"]
 
 
 def test_readme_references_resolve():
     refs = readme_references((ROOT / "README.md").read_text())
     assert refs
-    assert [ref for ref in refs if not resolves(ref, spikesam)] == []
+    assert [ref for ref in refs if not readme_reference_resolves(ref)] == []
 
 
 def test_docstring_roles_resolve():
