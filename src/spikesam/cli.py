@@ -84,6 +84,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> None:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> None:
+    if args.max_samples < 1:  # a slice by it would drop samples or keep none
+        raise ValueError(f"--max-samples must be at least 1, got {args.max_samples}")
     params, spec = load_checkpoint(args.checkpoint)
     ds = load_frames(args.data)
     report = diagnose(

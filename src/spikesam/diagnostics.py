@@ -25,6 +25,7 @@ from .bounds import (
 )
 from .gradients import (
     Batch,
+    _check_labels,
     backward,
     batch_loss,
     cross_entropy,
@@ -179,7 +180,7 @@ def _floored(params: NetworkParams) -> Callable[[np.ndarray], np.ndarray]:
     slices = threshold_slices(params)
 
     def admit(w: np.ndarray) -> np.ndarray:
-        if all(np.all(w[sl] >= THETA_FLOOR) for sl in slices):
+        if all(np.logical_and.reduce(w[sl] >= THETA_FLOOR, axis=None) for sl in slices):
             return w
         return clamp_thresholds(w.copy(), params)
 
@@ -264,7 +265,9 @@ def accuracies(
     """Each network's classification accuracy under the requested spike rule,
     from stacked lean forwards over groups of at most ``_EVAL_ROWS`` samples
     x models.  If a group's forward raises, each of its networks runs alone,
-    so a network raises only its own ``InstabilityError``."""
+    so a network raises only its own ``InstabilityError``.  A label the
+    networks cannot emit is refused before any forward."""
+    _check_labels(labels, nets[0].n_classes)
     rest = (spec, frames, labels, mode)
     if len(nets) > 1 and len(nets) * len(frames) > _EVAL_ROWS:
         group = max(1, _EVAL_ROWS // len(frames))
@@ -275,7 +278,8 @@ def accuracies(
         if len(nets) == 1:
             raise
         return [acc for net in nets for acc in accuracies([net], *rest)]
-    return (logits.argmax(axis=-1) == np.asarray(labels)).reshape(len(nets), -1).mean(axis=-1).tolist()
+    hits = (logits.argmax(axis=-1) == np.asarray(labels)).reshape(len(nets), -1)
+    return (np.add.reduce(hits, axis=-1, dtype=np.float64) / hits.shape[-1]).tolist()  # the mean's sum and division
 
 
 def accuracy(
@@ -449,8 +453,13 @@ def bound_battery(n_configs: int, n_probes: int = 64, seed: int = 77) -> dict[st
     secants on the logits, (c) the first-order two-pass ascent cap at
     ``n_probes`` directions and (d) loss stability under a bounded input
     perturbation.  ``inadmissible`` counts configurations whose contraction
-    factor is not below one.  All counts are zero when every bound holds.
+    factor is not below one.  All counts are zero when every bound holds;
+    fewer than one configuration or probe is refused, since it would check
+    nothing and still read zero.
     """
+    for name, value in (("n_configs", n_configs), ("n_probes", n_probes)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
     counts = {"inadmissible": 0, "state": 0, "input_lip": 0, "sam": 0, "stability": 0}
     for trial in range(n_configs):

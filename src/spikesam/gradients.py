@@ -33,7 +33,9 @@ from .network import (
     NetworkParams,
     StateTrace,
     SurrogateSpec,
+    _all_finite,
     _layout,
+    _ZERO,
     forward,
     parameter_vector,
     replace_parameters,
@@ -60,9 +62,9 @@ class Batch:
             raise ValueError(f"inputs must be (n, T, d0), got shape {self.inputs.shape}")
         if self.labels.shape != (self.inputs.shape[0],):
             raise ValueError("labels must be one integer per sequence")
-        if not np.all(np.isfinite(self.inputs)):
+        if not _all_finite(self.inputs):
             raise ValueError("inputs have non-finite entries")
-        if np.any(self.labels < 0):
+        if np.logical_or.reduce(self.labels < 0, axis=None):
             raise ValueError("labels must be non-negative class indices")
 
     @property
@@ -127,20 +129,27 @@ def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray, fl
     return loss, grad, hess_norm
 
 
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Refuse labels that a network of ``n_classes`` classes cannot emit."""
+    if np.logical_or.reduce(np.asarray(labels) >= n_classes, axis=None):
+        raise ValueError("label exceeds the network's class count")
+
+
 def _softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross entropy over a batch and the per-sample logit gradients.
 
     Stacked logits (M, n, C) give one mean loss per model, an (M,) array.
+    The max, sums and mean are the ufunc reductions that ``max``, ``sum`` and
+    ``mean`` run, called without their wrappers.
     """
-    if np.any(labels >= logits.shape[-1]):
-        raise ValueError("label exceeds the network's class count")
-    m = logits.max(axis=-1, keepdims=True)
+    _check_labels(labels, logits.shape[-1])
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     rows = np.arange(logits.shape[-2])
     with np.errstate(over="ignore", invalid="ignore"):  # logits near the float range's top: a non-finite loss
-        lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+        lse = m + np.log(np.add.reduce(np.exp(logits - m), axis=-1, keepdims=True))
         losses = lse[..., 0] - logits[..., rows, labels]
         v = np.exp(logits - lse)
-        loss = losses.mean(axis=-1)
+        loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
     v[..., rows, labels] -= 1.0
     return (float(loss) if logits.ndim == 2 else loss), v
 
@@ -161,6 +170,26 @@ def _rows(a: np.ndarray) -> np.ndarray:
     """A time-major (T, n, d) array as one (T n, d) matrix, or a stacked (T, n, M, d)
     array as M strided (T n, d) matrices; a view."""
     return a.reshape(-1, a.shape[2]) if a.ndim == 3 else a.reshape(-1, *a.shape[2:]).swapaxes(0, 1)
+
+
+def _reverse_steps(gz: np.ndarray, sp: np.ndarray, theta: np.ndarray, alpha: np.ndarray, gu: np.ndarray) -> None:
+    """One layer's time loop, backwards over time-major (T, ...) arrays: each
+    step subtracts the reset term from ``gz``, scales it by ``sp`` (sigma')
+    and writes ``gu``.  ``theta`` is one step's block of thresholds, ``alpha``
+    the 0-d leak.
+
+    The last step starts from the zero state, where ``gz - theta 0`` is
+    ``gz`` and ``gz + alpha 0`` is ``gz + 0.0`` bit for bit (a -0.0 gives
+    +0.0), so it is two ufuncs.
+    """
+    gz_t = gz[-1]
+    gz_t *= sp[-1]
+    gu_t = np.add(gz_t, _ZERO, out=gu[-1])
+    tmp = np.empty(theta.shape)
+    for t in range(len(gz) - 2, -1, -1):
+        gz_t = np.subtract(gz[t], np.multiply(theta, gu_t, out=tmp), out=gz[t])
+        gz_t *= sp[t]
+        gu_t = np.add(gz_t, np.multiply(alpha, gu_t, out=tmp), out=gu[t])
 
 
 def _reverse_sweep(
@@ -226,13 +255,8 @@ def _reverse_sweep(
                 np.matmul(_rows(gu), params.layers[idx + 1].weight, out=_rows(gz))
             # Once spent, the layer above's cotangents give their buffer to this layer's, if it fits.
             gu = gu if idx < n_layers - 1 and gu.shape == gz.shape else np.empty_like(gz)
-            tmp = np.empty(block)
-            gu_t = np.zeros(block)
-            for t in range(n_steps - 1, -1, -1):
-                gz_t = np.subtract(gz[t], np.multiply(theta, gu_t, out=tmp), out=gz[t])
-                gz_t *= sp[t]
-                gu_t = np.add(gz_t, np.multiply(alpha, gu_t, out=tmp), out=gu[t])
-        if not np.all(np.isfinite(gu)):
+            _reverse_steps(gz, sp, theta, alpha, gu)
+        if not _all_finite(gu):
             bad_t = int(np.argwhere(~np.isfinite(gu.reshape(n_steps, -1)).all(axis=1))[-1][0])
             raise InstabilityError(
                 f"non-finite gradient first appears at layer {idx + 1}, step {bad_t + 1}"

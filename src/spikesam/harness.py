@@ -41,7 +41,7 @@ from .events import (
     load_frames,
     synth_task,
 )
-from .gradients import Batch, _softmax_loss_and_grad, backward
+from .gradients import Batch, _check_labels, _softmax_loss_and_grad, backward
 from .network import (
     InstabilityError,
     NetworkParams,
@@ -777,7 +777,11 @@ class EvalReport:
 
 
 def evaluate(params: NetworkParams, spec: SurrogateSpec, ds: Dataset, mode: str) -> EvalReport:
-    """Accuracy (and, in smooth mode, mean loss) on a dataset, from one forward pass."""
+    """Accuracy (and, in smooth mode, mean loss) on a dataset, from one forward pass.
+
+    A label the network cannot emit is refused before the forward, in either mode.
+    """
+    _check_labels(ds.labels, params.n_classes)
     logits = forward(params, mode_spec(spec, mode), ds.frames, keep_states=False).logits
     acc = float((logits.argmax(axis=1) == ds.labels).mean())
     loss = _softmax_loss_and_grad(logits, ds.labels)[0] if mode == SURROGATE_MODE else None
@@ -909,7 +913,8 @@ def calibrate_thresholds(
     closest to 1 (then the smaller scale), so with 1 in the grid the
     calibrated accuracy never falls below the uncalibrated one.  Every
     candidate evaluation increments the calibration instrumentation counter;
-    a grid scale that is not positive and finite is refused before any.
+    a grid scale that is not positive and finite, or a label the network
+    cannot emit, is refused before any.
 
     A layer's drive ``W z + b`` does not depend on the thresholds, so each
     stage computes the drive of its lowest layer once and every candidate
@@ -923,6 +928,7 @@ def calibrate_thresholds(
         raise ValueError("calibration grid is empty")
     if mode not in (GLOBAL_CALIBRATION, PER_LAYER_CALIBRATION):
         raise ValueError(f"unknown calibration mode {mode!r}")
+    _check_labels(ds.labels, params.n_classes)
     n_layers = params.n_layers
     stages = [range(n_layers)] if mode == GLOBAL_CALIBRATION else [range(idx, idx + 1) for idx in range(n_layers)]
     hard = mode_spec(spec, HARD_MODE)

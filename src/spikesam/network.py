@@ -35,7 +35,8 @@ _FAMILIES = (ARCTAN, FAST_SIGMOID, HARD)
 _FAMILY_CODES = {ARCTAN: 1, FAST_SIGMOID: 2, HARD: 3}
 _CODE_FAMILIES = {v: k for k, v in _FAMILY_CODES.items()}
 
-_HALF, _ONE, _PI = np.array(0.5), np.array(1.0), np.array(math.pi)  # 0-d: the cheapest ufunc scalars
+# 0-d: the cheapest ufunc scalars
+_ZERO, _HALF, _ONE, _PI = np.array(0.0), np.array(0.5), np.array(1.0), np.array(math.pi)
 
 SURROGATE_MODE = "surrogate"
 HARD_MODE = "hard"
@@ -43,6 +44,11 @@ HARD_MODE = "hard"
 
 class InstabilityError(RuntimeError):
     """Raised when a forward or backward pass, or an update, produces inadmissible values."""
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite: the reduction ``np.all`` runs, without its wrapper."""
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,11 @@ class SurrogateSpec:
         """The slope and ``derivative_bound`` as 0-d arrays: the cheapest ufunc operands."""
         return np.array(self.slope, dtype=np.float64), np.array(self.derivative_bound, dtype=np.float64)
 
+    @functools.cached_property
+    def _hard(self) -> SurrogateSpec:
+        """The hard step at this slope: the spec :func:`mode_spec` gives for hard mode, built once."""
+        return SurrogateSpec(HARD, self.slope)
+
     @property
     def curvature_bound(self) -> float:
         if self.family == ARCTAN:
@@ -98,10 +109,12 @@ class SurrogateSpec:
 
 def surrogate_value(spec: SurrogateSpec, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the smooth spike function elementwise, into ``out`` if given (it may be ``x``)."""
-    x = np.asarray(x, dtype=np.float64)
     if spec.family == HARD:
         raise ValueError("hard step is not a surrogate; use hard_step")
-    y = np.multiply(spec._operands[0], x, out=np.empty_like(x) if out is None else out)
+    if out is None:  # the ufunc converts a given output's operand itself
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+    y = np.multiply(spec._operands[0], x, out=out)
     if spec.family == ARCTAN:  # 0.5 + arctan(k x) / pi
         np.arctan(y, out=y)
         y /= _PI
@@ -117,11 +130,13 @@ def surrogate_value(spec: SurrogateSpec, x: np.ndarray, out: np.ndarray | None =
 
 def surrogate_derivative(spec: SurrogateSpec, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """First derivative of the smooth spike function elementwise, into ``out`` if given (it may be ``x``)."""
-    x = np.asarray(x, dtype=np.float64)
     if spec.family == HARD:
         raise ValueError("hard step has no derivative; use the surrogate families")
+    if out is None:
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
     k, bound = spec._operands
-    y = np.multiply(k, x, out=np.empty_like(x) if out is None else out)
+    y = np.multiply(k, x, out=out)
     if spec.family == ARCTAN:  # (k / pi) / (1 + (k x)^2)
         np.square(y, out=y)
         y += _ONE
@@ -162,7 +177,7 @@ def mode_spec(spec: SurrogateSpec, mode: str) -> SurrogateSpec:
             raise ValueError("surrogate mode requires a smooth spike family")
         return spec
     if mode == HARD_MODE:
-        return SurrogateSpec(HARD, spec.slope)
+        return spec._hard
     raise ValueError(f"unknown mode {mode!r}; expected 'surrogate' or 'hard'")
 
 
@@ -432,7 +447,10 @@ def lif_layer(
     which for finite thresholds equals ``hard_step(u - theta)`` on every
     float64 state.  Each step's ufuncs take operands of one shape, the
     thresholds as a contiguous per-step block and the leak as a 0-d array,
-    since a broadcast or Python-float operand costs more per call.
+    since a broadcast or Python-float operand costs more per call.  The
+    first step starts from the zero state, where ``alpha 0 + drive - theta 0``
+    is ``drive + 0.0`` bit for bit (a -0.0 drive gives +0.0), so it is one
+    ufunc.  ``x`` needs at least one time step.
     """
     own = drive is None
     if own:
@@ -443,14 +461,16 @@ def lif_layer(
     alpha = np.array(alpha, dtype=np.float64)
     hard = spec.family == HARD
     # Without states, every step writes its membrane state over the same buffer.
-    u = np.empty((n_steps, *block)) if keep_states else [np.zeros(block)] * n_steps
+    u = np.empty((n_steps, *block)) if keep_states else [np.empty(block)] * n_steps
     z = drive if own and drive.flags.c_contiguous else np.empty((n_steps, *block))
     a = np.empty(block)
-    u_t = z_t = np.zeros(block)
     for t in range(n_steps):  # drive[t] is read before z[t] is written
-        u_t = np.multiply(alpha, u_t, out=u[t])
-        u_t += drive[t]
-        u_t -= np.multiply(theta, z_t, out=a)
+        if t:
+            u_t = np.multiply(alpha, u_t, out=u[t])
+            u_t += drive[t]
+            u_t -= np.multiply(theta, z_t, out=a)
+        else:
+            u_t = np.add(drive[0], _ZERO, out=u[0])
         if hard:
             z_t = np.greater_equal(u_t, theta, out=z[t])
         else:
@@ -465,7 +485,9 @@ def readout(params: NetworkParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``zbar`` (n, d_L) and ``logits`` (n, n_classes), or each with a leading
     model axis.
     """
-    zbar = z.mean(axis=0).swapaxes(0, -2)
+    zbar = np.add.reduce(z, axis=0)  # z.mean(axis=0)'s sum and division, without its wrapper
+    zbar /= z.shape[0]
+    zbar = zbar.swapaxes(0, -2)
     logits = np.matmul(zbar, params.w_out.swapaxes(-1, -2))
     logits += params.b_out[..., None, :]
     return zbar, logits
@@ -490,8 +512,8 @@ def forward(
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim == 2:
         x = x[None, :, :]
-    if x.ndim != 3:
-        raise ValueError(f"frames must be (n, T, d0) or (T, d0), got shape {frames.shape}")
+    if x.ndim != 3 or not x.shape[1]:
+        raise ValueError(f"frames must be (n, T, d0) or (T, d0) with T >= 1, got shape {frames.shape}")
     d0 = params.layers[0].d_in
     if x.shape[2] != d0:
         raise ValueError(f"frame width {x.shape[2]} does not match input width {d0}")
@@ -505,7 +527,7 @@ def forward(
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
         for idx, layer in enumerate(params.layers):
             u, z = lif_layer(layer, params.alpha, spec, z, keep_states=keep_states)
-            if not np.all(np.isfinite(u)):
+            if not _all_finite(u):
                 if not keep_states:  # a non-finite state stays so to the last step; locate it
                     forward(params, spec, frames)
                 bad = np.argwhere(~np.isfinite(np.moveaxis(u, 0, -2)))[0]  # (sample, [model,] step, unit)
@@ -581,7 +603,7 @@ def _admissible(params: NetworkParams) -> NetworkParams:
     """``params`` if its leak and thresholds are admissible (values already finite)."""
     if not (0.0 < params.alpha < 1.0):
         raise ValueError(f"leak alpha must lie in (0, 1), got {params.alpha}")
-    if not all(np.all(layer.threshold > 0.0) for layer in params.layers):
+    if not all(np.logical_and.reduce(layer.threshold > 0.0, axis=None) for layer in params.layers):
         raise ValueError("thresholds must be strictly positive")
     return params
 
@@ -600,7 +622,7 @@ def replace_parameters(
     if vector.shape != (size + int(include_alpha),):
         raise ValueError(f"expected vector of length {size + int(include_alpha)}, got shape {vector.shape}")
     alpha = float(vector[size]) if include_alpha else params.alpha
-    if not np.all(np.isfinite(vector)):
+    if not _all_finite(vector):
         raise InstabilityError("parameter vector has non-finite entries")
     return _admissible(NetworkParams._over(vector[:size].copy(), params.dims, params.n_classes, alpha))
 
@@ -739,7 +761,7 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, SurrogateSpec]:
             raise ValueError(f"checkpoint field 'dims' must be positive, got {dims}")
         size = _layout(dims, n_classes)[2]
         buffer = _read_declared(fh, "<f8", size, "dims/C", "checkpoint").astype(np.float64, copy=False)
-    if not np.all(np.isfinite(buffer)):
+    if not _all_finite(buffer):
         raise ValueError("checkpoint payload has non-finite entries")
     spec = SurrogateSpec(_CODE_FAMILIES[family_code], slope)
     return _admissible(NetworkParams._over(buffer, dims, n_classes, alpha)), spec

@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import assumptions_from, check_caps, compute_constants, convergence_rhs
 from .events import measured_input_bound
 from .gradients import Batch, backward
-from .network import InstabilityError, NetworkParams, SurrogateSpec, threshold_slices
+from .network import InstabilityError, NetworkParams, SurrogateSpec, _all_finite, threshold_slices
 
 REUSED = "reused"
 INDEPENDENT = "independent"
@@ -197,7 +197,7 @@ class SastOptimizer:
         if not self.cfg.train_threshold:
             _freeze_thresholds(g, params)
         w = clamp_thresholds(_next_point(params.buffer, g, self.cfg, last), params)
-        if not np.all(np.isfinite(w)):
+        if not _all_finite(w):
             raise InstabilityError("parameter vector has non-finite entries")
         return NetworkParams._over(w, params.dims, params.n_classes, params.alpha)
 

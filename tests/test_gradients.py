@@ -305,6 +305,79 @@ def test_stacked_reverse_sweep_equals_lone_sweeps_bit_for_bit(spec):
         assert stacked.loss[m] == bundle.loss and stacked.grads.buffer[m].tobytes() == bundle.grads.buffer.tobytes()
 
 
+def reference_reverse_steps(gz, sp, theta, alpha, gu) -> None:
+    """The time loop as first written: every step from ``gu = 0``, the last
+    one too, with five ufuncs (``gz - theta gu``, times sigma', ``+ alpha gu``)."""
+    tmp = np.empty(theta.shape)
+    gu_t = np.zeros(theta.shape)
+    for t in range(len(gz) - 1, -1, -1):
+        gz_t = np.subtract(gz[t], np.multiply(theta, gu_t, out=tmp), out=gz[t])
+        gz_t *= sp[t]
+        gu_t = np.add(gz_t, np.multiply(alpha, gu_t, out=tmp), out=gu[t])
+
+
+def test_reverse_steps_equal_the_zero_state_loop_on_signed_zeros():
+    rng = np.random.default_rng(70)
+    for n_steps in (1, 2, 5):
+        gz = rng.standard_normal((n_steps, 3, 4))
+        gz[-1, 0] = -0.0  # the last step must turn these into +0.0
+        gz[-1, 1, :2] = 0.0
+        sp, theta = rng.random(gz.shape), np.full((3, 4), 0.3)
+        sp[-1, 2] = 0.0  # and a positive zero times sigma'
+        got, want = np.empty_like(gz), np.empty_like(gz)
+        gz_got, gz_want = gz.copy(), gz.copy()
+        gradients._reverse_steps(gz_got, sp, theta, np.array(0.6), got)
+        reference_reverse_steps(gz_want, sp, theta, np.array(0.6), want)
+        assert got.tobytes() == want.tobytes() and gz_got.tobytes() == gz_want.tobytes()
+        assert not np.signbit(got[-1, 0]).any()
+
+
+@pytest.mark.parametrize("sweep", ["batch", "stacked", "per_sample"])
+@pytest.mark.parametrize("n_steps", [1, 2, 8])
+def test_reverse_sweep_equals_the_zero_state_sweep_bit_for_bit(monkeypatch, sweep, n_steps):
+    rng = np.random.default_rng(71)
+    nets = [tiny_net(dims=(6, 5, 4), n_classes=3, weight_scale=1.5, seed=72 + m) for m in range(3)]
+    for net in nets:
+        for layer in net.layers:
+            layer.bias += 0.2 * rng.standard_normal(layer.bias.shape)
+    params = stack(nets) if sweep == "stacked" else nets[0]
+    batch = dense_batch(nets[0], n_samples=5, n_steps=n_steps, seed=75)
+
+    def sweep_once():
+        trace = forward(params, ARCTAN_PI, batch.inputs)
+        v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
+        return _reverse_sweep(params, trace, v, per_sample=sweep == "per_sample")
+
+    got = sweep_once()
+    monkeypatch.setattr(gradients, "_reverse_steps", reference_reverse_steps)
+    want = sweep_once()
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def reference_softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray):
+    """The loss as first written, through NumPy's ``max``, ``sum`` and ``mean`` wrappers."""
+    m = logits.max(axis=-1, keepdims=True)
+    rows = np.arange(logits.shape[-2])
+    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    losses = lse[..., 0] - logits[..., rows, labels]
+    v = np.exp(logits - lse)
+    loss = losses.mean(axis=-1)
+    v[..., rows, labels] -= 1.0
+    return (float(loss) if logits.ndim == 2 else loss), v
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, -1e300])
+@pytest.mark.parametrize("n_models", [0, 3], ids=["lone", "stacked"])
+def test_softmax_loss_equals_the_wrapped_reductions_bit_for_bit(scale, n_models):
+    rng = np.random.default_rng(76)
+    logits = scale * rng.standard_normal((n_models, 6, 4) if n_models else (6, 4))
+    labels = rng.integers(0, 4, size=6)
+    loss, v = _softmax_loss_and_grad(logits, labels)
+    want_loss, want_v = reference_softmax_loss_and_grad(logits, labels)
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes() and v.tobytes() == want_v.tobytes()
+
+
 def test_stacked_reverse_sweep_gives_batch_parameter_gradients_only():
     nets = [tiny_net(seed=50), tiny_net(seed=51)]
     batch = spike_batch(nets[0], seed=52)

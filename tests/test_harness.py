@@ -426,6 +426,39 @@ def test_evaluate_runs_one_forward_pass(mode, monkeypatch):
     assert len(calls) == 1
 
 
+SCORERS = {  # each takes (params, spec, ds, mode)
+    "evaluate": evaluate,
+    "accuracy": lambda params, spec, ds, mode: accuracy(params, spec, ds.frames, ds.labels, mode),
+    "accuracies": lambda params, spec, ds, mode: diagnostics.accuracies(
+        [params, params.copy()], spec, ds.frames, ds.labels, mode
+    ),
+    "robustness_sweep": lambda params, spec, ds, mode: robustness_sweep(params, spec, ds, severities=(0.0, 0.5)),
+    "calibrate_thresholds": calibrate_thresholds,
+}
+SCORING_CASES = [
+    *((name, mode) for name in ("evaluate", "accuracy", "accuracies") for mode in (SURROGATE_MODE, HARD_MODE)),
+    ("robustness_sweep", "both modes"),
+    ("calibrate_thresholds", GLOBAL_CALIBRATION),
+    ("calibrate_thresholds", PER_LAYER_CALIBRATION),
+]
+
+
+@pytest.mark.parametrize("scorer, mode", SCORING_CASES, ids=[f"{name}-{mode}" for name, mode in SCORING_CASES])
+def test_scoring_refuses_labels_the_network_cannot_emit_before_any_forward(monkeypatch, scorer, mode):
+    rng = np.random.default_rng(90)
+    ds = Dataset((rng.random((12, 4, 6)) < 0.5).astype(np.float64), np.arange(12) % 4, 4)  # labels 0-3
+    params = init_network((6, 5, 4), 2, seed=np.random.default_rng(91))  # emits classes 0 and 1
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran before the labels were checked")
+
+    for module in (network, gradients, diagnostics, harness):  # every binding of the forward kernels
+        for name in ("forward", "lif_layer", "layer_drive"):
+            monkeypatch.setattr(module, name, no_forward, raising=False)
+    with pytest.raises(ValueError, match="label exceeds the network's class count"):
+        SCORERS[scorer](params, SurrogateConfig().spec(), ds, mode)
+
+
 def test_huge_step_size_is_recorded_as_divergence(tmp_path):
     cfg = micro_config(str(tmp_path / "blowup"), epochs=2, seeds=(0,))
     cfg = replace(cfg, optimizer=replace(cfg.optimizer, eta=1e308))  # the second step's loss overflows
@@ -1317,6 +1350,28 @@ def test_cli_verify_bounds(tmp_path, monkeypatch):
     assert cli.main(["verify-bounds", "--configs", "3", "--probes", "4", "--out", out_json]) == 1
     with open(out_json) as fh:
         assert json.load(fh)["state"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-bounds", "--configs", "0"], "n_configs must be at least 1, got 0"),
+        (["verify-bounds", "--configs", "-3", "--probes", "-1"], "n_configs must be at least 1, got -3"),
+        (["verify-bounds", "--configs", "2", "--probes", "0"], "n_probes must be at least 1, got 0"),
+        (["diagnose", "--max-samples", "0"], "--max-samples must be at least 1, got 0"),
+        (["diagnose", "--max-samples", "-1"], "--max-samples must be at least 1, got -1"),
+    ],
+)
+def test_cli_refuses_counts_that_check_nothing(tmp_path, capsys, argv, message):
+    params = init_network((6, 5), 2, seed=np.random.default_rng(92))
+    rng = np.random.default_rng(93)
+    ckpt, data = str(tmp_path / "net.bin"), str(tmp_path / "data.bin")
+    network.save_checkpoint(ckpt, params, SurrogateConfig().spec())
+    save_dataset(data, Dataset((rng.random((6, 3, 6)) < 0.5).astype(np.float64), np.arange(6) % 2, 2))
+    files = ["--checkpoint", ckpt, "--data", data] if argv[0] == "diagnose" else []
+    assert cli.main([*argv, *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_cli_override_flag(tmp_path):

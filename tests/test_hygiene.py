@@ -182,6 +182,83 @@ def test_every_private_helper_is_referenced():
     assert unreferenced_helpers({p.name: p.read_text() for p in PACKAGE}) == []
 
 
+# The forward, loss and gradient path that the bound battery, gradchecks and
+# probes call thousands of times on tiny nets, where a call's fixed cost is
+# most of its time.
+HOT_PATH = {
+    "network": (
+        "forward", "lif_layer", "layer_drive", "readout", "replace_parameters", "_admissible", "surrogate_value",
+    ),
+    "gradients": (
+        "Batch.__post_init__", "_softmax_loss_and_grad", "batch_loss", "backward", "_reverse_sweep",
+        "logit_jacobians",
+    ),
+    "optim": ("SastOptimizer.advance",),
+    "diagnostics": ("accuracies",),
+}
+WRAPPED_REDUCTIONS = ("all", "any", "mean")  # NumPy functions and methods that wrap a ufunc reduction
+
+
+def wrapped_reduction_calls(source: str, qualnames: tuple[str, ...]) -> list[str]:
+    """Calls of ``np.all``, ``np.any`` or ``np.mean``, or of an ``.all()``,
+    ``.any()`` or ``.mean()`` method, in the named functions of ``source``.
+    An ``if`` or ``else`` block that ends in ``raise`` is an error path, and
+    its calls are not reported; its condition's are."""
+    found, seen = [], []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in WRAPPED_REDUCTIONS:
+            found.append(f"{where}:{node.lineno}: {ast.unparse(node.func)}()")
+        for name, child in ast.iter_fields(node):
+            blocks = child if isinstance(child, list) else [child]
+            if isinstance(node, ast.If) and name in ("body", "orelse") and blocks and isinstance(blocks[-1], ast.Raise):
+                continue
+            for block in blocks:
+                if isinstance(block, ast.AST):
+                    visit(block, where)
+
+    def walk(body: list, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{node.name}"
+                if name in qualnames:
+                    seen.append(name)
+                    visit(node, name)
+                elif isinstance(node, ast.ClassDef):
+                    walk(node.body, f"{name}.")
+
+    walk(ast.parse(source).body, "")
+    return found + [f"{name}: not defined" for name in qualnames if name not in seen]
+
+
+def test_detector_flags_a_wrapped_reduction_outside_an_error_path():
+    source = (
+        "def hot(a, b):\n"
+        "    if np.all(a > 0):\n"  # a condition runs on every call
+        "        raise ValueError(a.mean())\n"
+        "    if b:\n"
+        "        x = a.any(axis=0)\n"
+        "    else:\n"
+        "        y = np.mean(a)\n"
+        "        raise ValueError(y)\n"
+        "    return np.logical_and.reduce(a, axis=None), a.sum()\n"
+        "class Box:\n"
+        "    def method(self, a):\n"
+        "        return [v.all() for v in a]\n"
+        "def cold(a):\n"
+        "    return a.mean()\n"
+    )
+    assert wrapped_reduction_calls(source, ("hot", "Box.method", "gone")) == [
+        "hot:2: np.all()", "hot:5: a.any()", "Box.method:12: v.all()", "gone: not defined"
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(HOT_PATH))
+def test_the_hot_path_calls_ufunc_reductions_without_their_wrappers(module):
+    source = (ROOT / "src" / "spikesam" / f"{module}.py").read_text()
+    assert wrapped_reduction_calls(source, HOT_PATH[module]) == []
+
+
 def test_readme_python_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL).group(1)
     scope: dict = {}

@@ -285,6 +285,8 @@ def test_forward_shape_and_width_validation():
         forward(params, ARCTAN_PI, np.zeros((2, 3, 4, 5)))
     with pytest.raises(ValueError):
         forward(params, ARCTAN_PI, np.zeros((2, 3, params.dims[0] + 1)))
+    with pytest.raises(ValueError, match="T >= 1"):  # no time step: no state to start from
+        forward(params, ARCTAN_PI, np.zeros((2, 0, params.dims[0])))
 
 
 def test_forward_flags_instability():
@@ -355,6 +357,57 @@ def test_stacked_forward_equals_lone_forwards_bit_for_bit(family, keep_states):
         assert stacked.zbar[m].tobytes() == lone.zbar.tobytes()
         for got, want in zip(stacked.u + stacked.z, lone.u + lone.z):
             assert got[m].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def reference_lif_layer(layer: LayerParams, alpha: float, spec: SurrogateSpec, drive: np.ndarray):
+    """The recursion as first written: ``alpha u + drive - theta z`` from zero
+    blocks at every step, the first one too; returns every step's (u, z)."""
+    u = z = np.zeros(drive.shape[1:])
+    us, zs = [], []
+    for t in range(len(drive)):
+        u = alpha * u + drive[t] - layer.threshold * z
+        a = u - layer.threshold
+        z = (u >= layer.threshold).astype(np.float64) if spec.family == HARD else surrogate_value(spec, a)
+        us.append(u)
+        zs.append(z)
+    return np.stack(us), np.stack(zs)
+
+
+@pytest.mark.parametrize("spec", [SurrogateSpec(ARCTAN, 0.9), SurrogateSpec(HARD, 0.9)], ids=["smooth", "hard"])
+@pytest.mark.parametrize("n_models", [1, 3], ids=["lone", "stacked"])
+@pytest.mark.parametrize("n_steps", [1, 2, 8])
+def test_lif_layer_equals_the_zero_state_recursion_bit_for_bit(spec, n_models, n_steps):
+    rng = np.random.default_rng(60 + n_steps)
+    nets = [tiny_net(dims=(5, 4), n_classes=2, theta=0.3, weight_scale=1.5, seed=61 + m) for m in range(n_models)]
+    for net in nets:
+        net.layers[0].bias[...] = 0.2 * rng.standard_normal(4)
+        net.layers[0].weight[1], net.layers[0].bias[1] = 0.0, -0.0  # a unit whose drive is a signed zero
+    layer = stack(nets).layers[0]
+    x = (rng.random((n_steps, 6, 5)) < 0.5).astype(np.float64)
+    own = layer_drive(layer, x)
+    assert not own[..., 1].any()
+    # The zero row's product is +0.0 under the BLAS kernels, so a -0.0 drive
+    # is also handed in directly, where the first step must turn it into +0.0.
+    signed = own.copy()
+    signed[..., 1] = -0.0
+    for drive, given in ((own, None), (signed, signed)):  # without a drive, the layer computes its own
+        want_u, want_z = reference_lif_layer(layer, nets[0].alpha, spec, drive)
+        assert not np.signbit(want_u[0][..., 1]).any()
+        u, z = lif_layer(layer, nets[0].alpha, spec, x, drive=given)
+        assert u.tobytes() == want_u.tobytes() and z.tobytes() == want_z.tobytes()
+        last_u, lean_z = lif_layer(layer, nets[0].alpha, spec, x, keep_states=False, drive=given)
+        assert last_u.tobytes() == want_u[-1].tobytes() and lean_z.tobytes() == want_z.tobytes()
+
+
+@pytest.mark.parametrize("n_models", [1, 3], ids=["lone", "stacked"])
+def test_readout_equals_the_mean_over_time_bit_for_bit(n_models):
+    rng = np.random.default_rng(62)
+    params = stack([tiny_net(dims=(5, 4), n_classes=3, seed=63 + m) for m in range(n_models)])
+    z = rng.random((7, 6, *params.buffer.shape[:-1], 4))  # (T, n, [M,] d)
+    zbar, logits = network.readout(params, z)
+    want = z.mean(axis=0).swapaxes(0, -2)
+    assert zbar.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert logits.tobytes() == (np.matmul(want, params.w_out.swapaxes(-1, -2)) + params.b_out[..., None, :]).tobytes()
 
 
 def test_stacked_forward_raises_for_one_blown_up_model():
