@@ -56,7 +56,6 @@ from .gradients import (
     backward,
     batch_loss,
     cross_entropy,
-    finite_difference_oracle,
     gradcheck,
     logit_jacobians,
     per_sample_gradients,

@@ -266,7 +266,11 @@ def accuracies(
     from stacked lean forwards over groups of at most ``_EVAL_ROWS`` samples
     x models.  If a group's forward raises, each of its networks runs alone,
     so a network raises only its own ``InstabilityError``.  A label the
-    networks cannot emit is refused before any forward."""
+    networks cannot emit, or a label count other than the sequence count,
+    is refused before any forward."""
+    n_seqs = len(frames) if np.ndim(frames) == 3 else 1
+    if np.shape(labels) != (n_seqs,):
+        raise ValueError(f"labels must be one per sequence: {n_seqs} sequences, labels of shape {np.shape(labels)}")
     _check_labels(labels, nets[0].n_classes)
     rest = (spec, frames, labels, mode)
     if len(nets) > 1 and len(nets) * len(frames) > _EVAL_ROWS:
@@ -401,6 +405,8 @@ def diagnose(
     seed: int = 0,
 ) -> DiagnosticsReport:
     """Full diagnostic sweep of one checkpoint on held-out data."""
+    if max_mechanism_samples < 1:
+        raise ValueError(f"max_mechanism_samples must be at least 1, got {max_mechanism_samples}")
     labels = np.asarray(labels, dtype=np.int64)
     batch = Batch(frames, labels)
     m_theta_hat, gamma_hat = observed_contraction([params], spec)
@@ -510,14 +516,14 @@ def bound_battery(n_configs: int, n_probes: int = 64, seed: int = 77) -> dict[st
         rho = 0.05
         beta = compute_constants(assumptions_from(params, spec, r_x, n_steps, margin=1.5)).beta
         bundle = backward(params, spec, batch)
-        w0 = parameter_vector(params, False)
+        w0 = parameter_vector(params)
         cap = sam_upper_bound(
-            bundle.loss, float(np.linalg.norm(bundle.grads.vector(False))), rho, beta
+            bundle.loss, float(np.linalg.norm(bundle.grads.vector())), rho, beta
         )
         for _ in range(n_probes):
             d = rng.standard_normal(w0.size)
             d *= rho / np.linalg.norm(d)
-            if batch_loss(replace_parameters(params, w0 + d, False), spec, batch) > cap * (1 + 1e-12):
+            if batch_loss(replace_parameters(params, w0 + d), spec, batch) > cap * (1 + 1e-12):
                 counts["sam"] += 1
 
         # (d) loss stability under bounded input perturbation

@@ -22,7 +22,7 @@ the input frames (batch) or the (n, T, d0) input gradients (per sample).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,6 @@ from .network import (
     _layout,
     _ZERO,
     forward,
-    parameter_vector,
     replace_parameters,
     surrogate_derivative,
 )
@@ -46,6 +45,8 @@ _CE_GRAD_L2_CAP = math.sqrt(2.0)
 _CE_GRAD_L1_CAP = 2.0
 _CE_HESS_CAP = 0.5
 _BOUND_SLACK = 1e-12
+FD_STEP = 1e-6  # central-difference step
+GRADCHECK_TOL = 1e-5  # gradcheck's cap on the per-coordinate error
 
 
 @dataclass
@@ -77,18 +78,15 @@ class ParamGrads:
     """Gradients in canonical-vector order, one float64 ``buffer`` of P entries.
 
     ``alpha`` is the leak gradient, which only the per-sample sweep computes
-    (``None`` after a batch pass); whether it enters the canonical vector is
-    the caller's choice (frozen by default, matching the direct
-    parameterization of the leak).
+    (``None`` after a batch pass).  It is not in the canonical vector: no
+    update trains the leak, and only :func:`gradcheck` checks it.
     """
 
     buffer: np.ndarray  # (P,), or (M, P) for stacked networks
     alpha: float | None = None
 
-    def vector(self, include_alpha: bool = False) -> np.ndarray:
-        if include_alpha and self.alpha is None:
-            raise ValueError("a batch pass gives no leak gradient; take it from per_sample_gradients")
-        return np.append(self.buffer, self.alpha) if include_alpha else self.buffer.copy()
+    def vector(self) -> np.ndarray:
+        return self.buffer.copy()
 
 
 @dataclass
@@ -338,31 +336,15 @@ def logit_jacobians(
     return vectors, input_grads.reshape(n_classes, -1), trace.logits[0]
 
 
-def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Dense central-difference gradient of a scalar function."""
+def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Dense central-difference gradient of a scalar function, with step ``FD_STEP``."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)
     for i in range(x.size):
         bump = np.zeros_like(x)
-        bump[i] = h
-        grad[i] = (fn(x + bump) - fn(x - bump)) / (2.0 * h)
+        bump[i] = FD_STEP
+        grad[i] = (fn(x + bump) - fn(x - bump)) / (2.0 * FD_STEP)
     return grad
-
-
-def finite_difference_oracle(
-    params: NetworkParams,
-    spec: SurrogateSpec,
-    batch: Batch,
-    h: float = 1e-6,
-    include_alpha: bool = False,
-) -> np.ndarray:
-    """Central-difference gradient of the batch loss over the canonical vector."""
-    _require_smooth(spec)
-
-    def fn(vec: np.ndarray) -> float:
-        return batch_loss(replace_parameters(params, vec, include_alpha), spec, batch)
-
-    return central_difference(fn, parameter_vector(params, include_alpha), h)
 
 
 @dataclass(frozen=True)
@@ -372,25 +354,27 @@ class GradcheckResult:
     passed: bool
 
 
-def gradcheck(
-    params: NetworkParams,
-    spec: SurrogateSpec,
-    batch: Batch,
-    h: float = 1e-6,
-    tol: float = 1e-5,
-    include_alpha: bool = True,
-) -> GradcheckResult:
+def gradcheck(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> GradcheckResult:
     """Compare :func:`backward`, and the leak entry of :func:`per_sample_gradients`,
-    against the finite-difference oracle.
+    against central differences of the batch loss over the canonical vector
+    and, separately, over the leak.
 
     Per-coordinate error is ``|a - b| / max(1, |a|, |b|)`` — relative where
     the gradient is appreciable and absolute near zero, where a pure ratio
-    would amplify finite-difference noise.
+    would amplify finite-difference noise.  The check passes when no
+    coordinate's error exceeds ``GRADCHECK_TOL``.
     """
-    analytic = backward(params, spec, batch).grads.buffer
-    if include_alpha:
-        analytic = np.append(analytic, per_sample_gradients(params, spec, batch).grads.alpha)
-    numeric = finite_difference_oracle(params, spec, batch, h=h, include_alpha=include_alpha)
+    analytic = np.append(
+        backward(params, spec, batch).grads.buffer, per_sample_gradients(params, spec, batch).grads.alpha
+    )
+
+    def loss_at(vec: np.ndarray) -> float:
+        return batch_loss(replace_parameters(params, vec), spec, batch)
+
+    def loss_at_leak(alpha: np.ndarray) -> float:
+        return batch_loss(replace(params, alpha=float(alpha[0])), spec, batch)
+
+    numeric = np.append(central_difference(loss_at, params.buffer), central_difference(loss_at_leak, [params.alpha]))
     scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     err = float(np.max(np.abs(analytic - numeric) / scale))
-    return GradcheckResult(max_rel_err=err, n_params=analytic.size, passed=err <= tol)
+    return GradcheckResult(max_rel_err=err, n_params=analytic.size, passed=err <= GRADCHECK_TOL)

@@ -52,7 +52,6 @@ from .network import (
     layer_drive,
     lif_layer,
     mode_spec,
-    parameter_count,
     readout,
     save_checkpoint,
     stack,
@@ -458,7 +457,9 @@ class _Arm:
         return self.training and epoch < train.epochs
 
     def selected(self) -> NetworkParams:
-        """The checkpoint reported metrics come from; a diverged run's junk final iterate falls back to best."""
+        """The checkpoint reported metrics come from: the best one, or the final iterate under
+        ``select="final"``.  A diverged run reports its best checkpoint; its final iterate is its
+        last finite-loss one."""
         return self.params if self.cfg.train.select == "final" and not self.diverged else self.best[2]
 
     def finish(self, val_s: float, val_h: float, test_s: float, test_h: float) -> SeedResult:
@@ -1012,7 +1013,7 @@ def estimate_step_memory(
     the trace is rebuilt per pass, not duplicated, so the ratio to a
     single-pass step stays near one.
     """
-    p_count = parameter_count(params)
+    p_count = params.buffer.size
     dims = params.dims
     trace = batch_size * n_steps * (dims[0] + 2 * sum(dims[1:])) * 8
     d_max = max(dims[1:])

@@ -73,14 +73,6 @@ class SurrogateSpec:
             raise ValueError(f"slope must be positive and finite, got {self.slope}")
 
     @property
-    def is_smooth(self) -> bool:
-        return self.family != HARD
-
-    @property
-    def is_twice_differentiable(self) -> bool:
-        return self.family == ARCTAN
-
-    @property
     def derivative_bound(self) -> float:
         if self.family == ARCTAN:
             return self.slope / math.pi
@@ -544,8 +536,8 @@ def forward(
 # Canonical parameter vector
 #
 # The order is decided in one place, :func:`_layout`: per layer (weight
-# row-major, bias, threshold), then readout weight row-major, readout bias,
-# and finally alpha if requested.  ``NetworkParams.buffer`` and
+# row-major, bias, threshold), then readout weight row-major and readout
+# bias; the leak is not in it.  ``NetworkParams.buffer`` and
 # ``ParamGrads.buffer`` are stored in this order, and an SNNW checkpoint's
 # payload is that buffer's bytes.
 # ---------------------------------------------------------------------------
@@ -591,12 +583,8 @@ def stack(nets: Sequence[NetworkParams]) -> NetworkParams:
     return NetworkParams._over(np.stack([net.buffer for net in nets]), first.dims, first.n_classes, first.alpha)
 
 
-def parameter_count(params: NetworkParams, include_alpha: bool = False) -> int:
-    return params.buffer.size + int(include_alpha)
-
-
-def parameter_vector(params: NetworkParams, include_alpha: bool = False) -> np.ndarray:
-    return np.append(params.buffer, params.alpha) if include_alpha else params.buffer.copy()
+def parameter_vector(params: NetworkParams) -> np.ndarray:
+    return params.buffer.copy()
 
 
 def _admissible(params: NetworkParams) -> NetworkParams:
@@ -608,23 +596,18 @@ def _admissible(params: NetworkParams) -> NetworkParams:
     return params
 
 
-def replace_parameters(
-    params: NetworkParams, vector: np.ndarray, include_alpha: bool = False
-) -> NetworkParams:
-    """New NetworkParams stored in a copy of a canonical vector.
+def replace_parameters(params: NetworkParams, vector: np.ndarray) -> NetworkParams:
+    """New NetworkParams stored in a copy of a canonical vector, with ``params``'s leak.
 
-    A wrong length, or a leak or threshold outside its range, is a
-    ``ValueError``; no update trains the leak, so only a caller can move it.
+    A wrong length, or a threshold outside its range, is a ``ValueError``.
     A non-finite entry raises :class:`InstabilityError`.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    size = params.buffer.size
-    if vector.shape != (size + int(include_alpha),):
-        raise ValueError(f"expected vector of length {size + int(include_alpha)}, got shape {vector.shape}")
-    alpha = float(vector[size]) if include_alpha else params.alpha
+    if vector.shape != (params.buffer.size,):
+        raise ValueError(f"expected vector of length {params.buffer.size}, got shape {vector.shape}")
     if not _all_finite(vector):
         raise InstabilityError("parameter vector has non-finite entries")
-    return _admissible(NetworkParams._over(vector[:size].copy(), params.dims, params.n_classes, alpha))
+    return _admissible(NetworkParams._over(vector.copy(), params.dims, params.n_classes, params.alpha))
 
 
 def threshold_slices(params: NetworkParams) -> list[slice]:

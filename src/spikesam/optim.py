@@ -66,6 +66,16 @@ class StepReport:
     n_passes: int
 
 
+def _ascent_scaled(x: float | np.ndarray, grad_norm: float, rho: float) -> float | np.ndarray:
+    """``x * rho / (grad_norm + DELTA)``, for ``x`` the gradient or its norm.
+
+    A ``rho`` near the float range's top overflows that scale, so ``x`` is
+    then normalized before it is scaled up.
+    """
+    scale = rho / (grad_norm + DELTA)
+    return x * scale if math.isfinite(scale) else (x / (grad_norm + DELTA)) * rho
+
+
 def sam_perturbation(grad: np.ndarray, rho: float) -> np.ndarray:
     """Normalized ascent direction ``rho * g / (||g|| + DELTA)``.
 
@@ -77,11 +87,8 @@ def sam_perturbation(grad: np.ndarray, rho: float) -> np.ndarray:
     if rho == 0.0:
         return np.zeros_like(grad)
     grad_norm = float(np.linalg.norm(grad))
-    scale = rho / (grad_norm + DELTA)
-    if not math.isfinite(scale):  # rho near the float range's top: normalize before scaling up
-        return (grad / (grad_norm + DELTA)) * rho
-    assert grad_norm * scale <= rho * (1.0 + 1e-12)  # ||eps||, with no entry of eps squared
-    return grad * scale
+    assert _ascent_scaled(grad_norm, grad_norm, rho) <= rho * (1.0 + 1e-12)  # ||eps||, with no entry of eps squared
+    return _ascent_scaled(grad, grad_norm, rho)
 
 
 def step_plan(cfg: OptimizerConfig, n_chunks: int) -> list[tuple[int, ...]]:
@@ -112,15 +119,10 @@ def _report(
 ) -> StepReport:
     """The report of a step whose passes gave ``(loss1, g1)`` and, with two passes, ``(loss2, g2)``."""
     grad_norm = float(np.linalg.norm(g1))
-    epsilon_norm = 0.0
-    if g2 is not None:
-        scale = cfg.rho / (grad_norm + DELTA)
-        # as in sam_perturbation: a rho near the float range's top is applied after normalizing
-        epsilon_norm = grad_norm * scale if math.isfinite(scale) else (grad_norm / (grad_norm + DELTA)) * cfg.rho
     return StepReport(
         loss_first=loss1,
         grad_norm_first=grad_norm,
-        epsilon_norm=epsilon_norm,
+        epsilon_norm=0.0 if g2 is None else _ascent_scaled(grad_norm, grad_norm, cfg.rho),
         loss_second=loss2,
         grad_norm_second=None if g2 is None else float(np.linalg.norm(g2)),
         n_passes=1 if g2 is None else 2,

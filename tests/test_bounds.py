@@ -283,14 +283,14 @@ def test_sam_probe_bound_holds():
     a = assumptions_from(params, spec, r_x=1.0, n_steps=4, margin=2.0)
     beta = compute_constants(a).beta
     bundle = backward(params, spec, batch)
-    w0 = parameter_vector(params, False)
-    g_norm = float(np.linalg.norm(bundle.grads.vector(False)))
+    w0 = parameter_vector(params)
+    g_norm = float(np.linalg.norm(bundle.grads.vector()))
     rho = 0.05
     cap = sam_upper_bound(bundle.loss, g_norm, rho, beta)
     for _ in range(64):
         d = rng.standard_normal(w0.size)
         d *= rho / np.linalg.norm(d)
-        probed = batch_loss(replace_parameters(params, w0 + d, False), spec, batch)
+        probed = batch_loss(replace_parameters(params, w0 + d), spec, batch)
         assert probed <= cap * (1 + 1e-12)
 
 

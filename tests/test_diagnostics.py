@@ -154,7 +154,7 @@ def test_network_sam_gap_below_closed_form_cap():
     assume = assumptions_from(params, ARCTAN_PI, r_x, batch.inputs.shape[1], margin=2.0)
     beta = compute_constants(assume).beta
     bundle = backward(params, ARCTAN_PI, batch)
-    g_norm = float(np.linalg.norm(bundle.grads.vector(False)))
+    g_norm = float(np.linalg.norm(bundle.grads.vector()))
     cap = sam_upper_bound(bundle.loss, g_norm, rho, beta)
     assert bundle.loss + report.gap <= cap
 
@@ -192,6 +192,21 @@ def test_accuracy_keeps_no_membrane_states(mode):
     finally:
         tracemalloc.stop()
     assert peak < 3000 * 1024
+
+
+def _no_pass(*args, **kwargs):
+    raise AssertionError("the argument should have been refused before this pass")
+
+
+@pytest.mark.parametrize("mode", [SURROGATE_MODE, HARD_MODE])
+@pytest.mark.parametrize("n_labels", [1, 3, 9])
+def test_accuracy_refuses_a_label_count_other_than_the_sequence_count(monkeypatch, mode, n_labels):
+    params = tiny_net(dims=(5, 4), n_classes=2, seed=88)
+    batch = spike_batch(params, n_samples=8, n_steps=4, seed=89)
+    monkeypatch.setattr(diagnostics, "forward", _no_pass)
+    labels = np.arange(n_labels) % 2
+    with pytest.raises(ValueError, match=r"labels must be one per sequence: 8 sequences, labels of shape"):
+        accuracy(params, ARCTAN_PI, batch.inputs, labels, mode)
 
 
 def five_nets_and_a_split():
@@ -321,6 +336,15 @@ def test_diagnose_smoke():
     )
     row = report.to_row()
     assert isinstance(row, dict) and "beta_sec" in row
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_diagnose_refuses_max_mechanism_samples_below_one(monkeypatch, n):
+    params = tiny_net(dims=(5, 4), n_classes=2, seed=86)
+    batch = spike_batch(params, n_samples=8, n_steps=4, seed=87)
+    monkeypatch.setattr(diagnostics, "secant_smoothness", _no_pass)
+    with pytest.raises(ValueError, match=f"max_mechanism_samples must be at least 1, got {n}"):
+        diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.05, max_mechanism_samples=n)
 
 
 def test_mode_constants():

@@ -23,7 +23,6 @@ from spikesam.gradients import (
     batch_loss,
     central_difference,
     cross_entropy,
-    finite_difference_oracle,
     gradcheck,
     logit_jacobians,
     per_sample_gradients,
@@ -38,7 +37,6 @@ from spikesam.network import (
     SurrogateSpec,
     forward,
     init_network,
-    parameter_count,
     parameter_vector,
     replace_parameters,
     stack,
@@ -101,26 +99,27 @@ def test_cross_entropy_caps_property(logits, label_pick):
 
 
 @pytest.mark.parametrize(
-    "dims,n_classes,family,k,train_alpha",
+    "dims,n_classes,family,k",
     [
-        ((6, 5, 4), 3, "arctan", math.pi, True),
-        ((5, 4), 2, "arctan", 0.7, False),
-        ((4, 6, 3), 2, FAST_SIGMOID, 2.0, True),
+        ((6, 5, 4), 3, "arctan", math.pi),
+        ((5, 4), 2, "arctan", 0.7),
+        ((4, 6, 3), 2, FAST_SIGMOID, 2.0),
     ],
 )
-def test_gradcheck_small_nets(dims, n_classes, family, k, train_alpha):
+def test_gradcheck_small_nets(dims, n_classes, family, k):
     params = tiny_net(dims=dims, n_classes=n_classes, seed=hash((dims, k)) % 2**31)
     spec = SurrogateSpec(family, k)
     batch = spike_batch(params, n_samples=3, n_steps=5, seed=21)
-    res = gradcheck(params, spec, batch, include_alpha=train_alpha)
+    res = gradcheck(params, spec, batch)
     assert res.passed, f"max rel err {res.max_rel_err:.3e}"
+    assert res.n_params == params.buffer.size + 1  # the canonical vector and the leak
     assert res.max_rel_err <= 1e-5
 
 
 def test_gradcheck_dense_inputs():
     params = tiny_net(dims=(5, 4), n_classes=3, alpha=0.7, theta=0.3, seed=22)
     batch = dense_batch(params, n_samples=4, n_steps=6, seed=23)
-    res = gradcheck(params, ARCTAN_PI, batch, include_alpha=True)
+    res = gradcheck(params, ARCTAN_PI, batch)
     assert res.passed
 
 
@@ -134,19 +133,20 @@ def test_gradcheck_catches_a_leak_gradient_off_by_1e_3(monkeypatch):
         bundle.grads.alpha += 1e-3
         return bundle
 
+    assert gradcheck(params, ARCTAN_PI, batch).passed
     monkeypatch.setattr(gradients, "per_sample_gradients", leak_off)
-    res = gradcheck(params, ARCTAN_PI, batch, include_alpha=True)
+    res = gradcheck(params, ARCTAN_PI, batch)
     assert not res.passed and res.max_rel_err > 5e-4
-    assert gradcheck(params, ARCTAN_PI, batch, include_alpha=False).passed
 
 
-def test_batch_gradient_vector_with_the_leak_names_the_per_sample_sweep():
+def test_batch_gradient_vector_is_a_copy_without_the_leak():
     params = tiny_net(seed=24)
     bundle = backward(params, ARCTAN_PI, spike_batch(params, seed=25))
     assert bundle.grads.alpha is None and bundle.input_grads is None
-    assert bundle.grads.vector(False).shape == (parameter_count(params),)
-    with pytest.raises(ValueError, match="per_sample_gradients"):
-        bundle.grads.vector(True)
+    vec = bundle.grads.vector()
+    assert vec.shape == params.buffer.shape
+    np.testing.assert_array_equal(vec, bundle.grads.buffer)
+    assert not np.shares_memory(vec, bundle.grads.buffer)
 
 
 def test_backward_loss_matches_batch_loss():
@@ -172,17 +172,17 @@ def test_input_gradients_match_finite_difference():
 def test_per_sample_gradients_average_to_batch_gradient():
     params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=28)
     batch = spike_batch(params, n_samples=5, n_steps=4, seed=29)
-    whole = backward(params, ARCTAN_PI, batch).grads.vector(False)
+    whole = backward(params, ARCTAN_PI, batch).grads.vector()
     per = per_sample_gradients(params, ARCTAN_PI, batch)
     single_batches = [Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1]) for i in range(batch.n_samples)]
-    singles = np.stack([backward(params, ARCTAN_PI, b).grads.vector(False) for b in single_batches])
+    singles = np.stack([backward(params, ARCTAN_PI, b).grads.vector() for b in single_batches])
     np.testing.assert_allclose(singles.mean(axis=0), whole, rtol=1e-12, atol=1e-14)
     single_leaks = [per_sample_gradients(params, ARCTAN_PI, b).grads.alpha for b in single_batches]
     np.testing.assert_allclose(np.mean(single_leaks), per.grads.alpha, rtol=1e-12, atol=1e-14)
     assert per.per_sample_grad_norms.shape == (batch.n_samples,)
     # Norms consistent with the single-sample sweeps (alpha excluded there).
     want_norms = [
-        float(np.linalg.norm(backward(params, ARCTAN_PI, Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1])).grads.vector(False)))
+        float(np.linalg.norm(backward(params, ARCTAN_PI, Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1])).grads.vector()))
         for i in range(batch.n_samples)
     ]
     np.testing.assert_allclose(per.per_sample_grad_norms, want_norms, rtol=1e-10)
@@ -192,10 +192,10 @@ def test_per_sample_mean_gradient_is_the_sum_of_the_rows_over_n():
     params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=32)
     batch = dense_batch(params, n_samples=5, n_steps=4, seed=33)
     per = per_sample_gradients(params, ARCTAN_PI, batch)
-    assert per.per_sample_grad_vectors.shape == (batch.n_samples, parameter_count(params))
+    assert per.per_sample_grad_vectors.shape == (batch.n_samples, params.buffer.size)
     want = per.per_sample_grad_vectors.sum(axis=0) / batch.n_samples
-    assert np.array_equal(per.grads.vector(False), want)
-    assert per.grads.vector(True).shape == (parameter_count(params, True),)
+    assert np.array_equal(per.grads.vector(), want)
+    assert per.grads.vector().shape == params.buffer.shape and np.isfinite(per.grads.alpha)
 
 
 def einsum_reverse_sweep(
@@ -294,7 +294,7 @@ def test_stacked_reverse_sweep_equals_lone_sweeps_bit_for_bit(spec):
     trace = forward(stack(nets), spec, batch.inputs)
     v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
     grads, d_alpha, input_grads = _reverse_sweep(stack(nets), trace, v)
-    assert grads.shape == (3, parameter_count(nets[0])) and d_alpha is None and input_grads is None
+    assert grads.shape == (3, nets[0].buffer.size) and d_alpha is None and input_grads is None
     assert trace.u == [None] * 3 and trace.z == [None] * 3  # the sweep read the trace last
     stacked = backward(stack(nets), spec, batch)
     assert stacked.loss.shape == (3,) and stacked.grads.buffer.shape == grads.shape
@@ -391,13 +391,13 @@ def test_logit_jacobians_against_finite_difference():
     params = tiny_net(dims=(4, 3), n_classes=3, seed=30)
     frames = dense_batch(params, n_samples=1, n_steps=3, seed=31).inputs[0]
     j_w, j_x, _ = logit_jacobians(params, ARCTAN_PI, frames)
-    w0 = parameter_vector(params, include_alpha=False)
+    w0 = parameter_vector(params)
     assert j_w.shape == (3, w0.size)
     assert j_x.shape == (3, frames.size)
 
     for c in range(3):
         def logit_c_of_w(vec: np.ndarray, c=c) -> float:
-            p = replace_parameters(params, vec, False)
+            p = replace_parameters(params, vec)
             return float(forward(p, ARCTAN_PI, frames).logits[0, c])
 
         def logit_c_of_x(flat: np.ndarray, c=c) -> float:
@@ -418,7 +418,7 @@ def test_logit_jacobians_compose_to_loss_gradient():
     np.testing.assert_allclose(logits, trace.logits[0], rtol=1e-15, atol=1e-15)  # the tiled forward's
     _, v, _ = cross_entropy(trace.logits[0], label)
     bundle = per_sample_gradients(params, ARCTAN_PI, Batch(frames[None], np.array([label])))
-    np.testing.assert_allclose(j_w.T @ v, bundle.grads.vector(False), rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(j_w.T @ v, bundle.grads.vector(), rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(j_x.T @ v, bundle.input_grads[0].ravel(), rtol=1e-11, atol=1e-13)
 
 
@@ -429,7 +429,7 @@ def test_gradient_rejects_hard_spec():
     with pytest.raises(ValueError):
         backward(params, hard, batch)
     with pytest.raises(ValueError):
-        finite_difference_oracle(params, hard, batch)
+        gradcheck(params, hard, batch)
     with pytest.raises(ValueError):
         logit_jacobians(params, hard, batch.inputs[0])
 
@@ -451,4 +451,4 @@ def test_batch_validation():
 def test_property_gradcheck_random_tiny_nets(seed, alpha, theta):
     params = tiny_net(dims=(4, 3), n_classes=2, alpha=alpha, theta=theta, seed=seed)
     batch = spike_batch(params, n_samples=2, n_steps=3, seed=seed + 1)
-    assert gradcheck(params, ARCTAN_PI, batch, include_alpha=True).passed
+    assert gradcheck(params, ARCTAN_PI, batch).passed

@@ -1045,9 +1045,10 @@ def test_calibration_computes_each_stage_drive_once(mode, monkeypatch):
 
 def test_apply_threshold_scale_leaves_its_input_alone():
     params = init_network((4, 3, 2), 2, alpha=0.5, theta=0.5, seed=np.random.default_rng(6))
-    before = parameter_vector(params, True)
+    before = parameter_vector(params)
     scaled = harness.apply_threshold_scale(params, [2.0, 0.5])
-    np.testing.assert_array_equal(parameter_vector(params, True), before)
+    np.testing.assert_array_equal(parameter_vector(params), before)
+    assert params.alpha == scaled.alpha == 0.5
     vec = parameter_vector(scaled)
     for layer, sl, lam in zip(scaled.layers, threshold_slices(scaled), (2.0, 0.5)):
         np.testing.assert_array_equal(layer.threshold, vec[sl])

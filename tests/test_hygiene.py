@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every private helper of the package is used somewhere in the package, the
-names the README and the docstrings refer to exist, and the README's Python
-quick start runs as written.
+names the README, the docstrings and the benchmark scripts refer to exist,
+and the README's Python quick start runs as written.
 
 The package's ``__init__.py`` is left out of the import check, since it
 imports names only to re-export them.
@@ -171,6 +171,38 @@ def test_docstring_roles_resolve():
     ]
     assert roles
     assert [ref for ref, ok in roles if not ok] == []
+
+
+def package_attribute_reads(source: str) -> list[str]:
+    """``<module>.<name>`` for each attribute read off a module that ``source``
+    imports with ``from spikesam import ...``, in the order of the syntax tree."""
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "spikesam"
+        for alias in node.names
+        if alias.name in MODULES
+    }
+    return [
+        f"{bound[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+    ]
+
+
+def test_detector_lists_what_a_script_reads_from_the_package():
+    source = "from spikesam import network, gradients as g\nnetwork.stack(g.gone)\nother.attr\n"
+    refs = package_attribute_reads(source)
+    assert sorted(refs) == ["gradients.gone", "network.stack"]
+    assert [ref for ref in refs if not resolves(ref, spikesam)] == ["gradients.gone"]
+
+
+def test_benchmark_scripts_read_only_names_that_exist():
+    # A deletion from the package would otherwise show only when the benchmark runs.
+    refs = [(p.name, ref) for p in sorted((ROOT / "perfbench").glob("*.py")) for ref in package_attribute_reads(p.read_text())]
+    assert refs
+    assert [f"{name}: {ref}" for name, ref in refs if not resolves(ref, spikesam)] == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")

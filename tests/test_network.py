@@ -39,7 +39,6 @@ from spikesam.network import (
     lif_layer,
     load_checkpoint,
     mode_spec,
-    parameter_count,
     parameter_vector,
     replace_parameters,
     save_checkpoint,
@@ -89,7 +88,6 @@ def test_fast_sigmoid_values_frozen():
     assert surrogate_second_derivative(spec, 0.0) == 0.0  # symmetric kink convention
     assert spec.derivative_bound == pytest.approx(1.0)
     assert spec.curvature_bound == pytest.approx(4.0)
-    assert not spec.is_twice_differentiable and spec.is_smooth
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,7 +425,7 @@ def test_stack_refuses_networks_of_different_shapes_or_leaks():
         stack([nets[0], tiny_net()])
     with pytest.raises(ValueError, match="share"):
         stack([nets[0], init_network((48, 16, 16, 16), 2, alpha=0.5)])
-    assert stack(nets).buffer.shape == (3, parameter_count(nets[0]))
+    assert stack(nets).buffer.shape == (3, nets[0].buffer.size)
     assert stack(nets[:1]) is nets[0]
 
 
@@ -620,7 +618,7 @@ def test_validation_rules():
 def test_init_network_is_seed_deterministic():
     a = tiny_net(seed=42)
     b = tiny_net(seed=42)
-    assert parameter_vector(a, True).tolist() == parameter_vector(b, True).tolist()
+    assert parameter_vector(a).tolist() == parameter_vector(b).tolist() and a.alpha == b.alpha
     c = tiny_net(seed=43)
     assert not np.array_equal(parameter_vector(a), parameter_vector(c))
     assert np.all(a.b_out == 0.0)
@@ -629,24 +627,21 @@ def test_init_network_is_seed_deterministic():
 
 def test_parameter_vector_roundtrip():
     params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=13)
-    for include_alpha in (False, True):
-        vec = parameter_vector(params, include_alpha)
-        assert vec.size == parameter_count(params, include_alpha)
-        rebuilt = replace_parameters(params, vec, include_alpha)
-        np.testing.assert_array_equal(parameter_vector(rebuilt, include_alpha), vec)
-        for la, lb in zip(params.layers, rebuilt.layers):
-            np.testing.assert_array_equal(la.weight, lb.weight)
-            np.testing.assert_array_equal(la.threshold, lb.threshold)
-    assert parameter_count(params, True) == parameter_count(params, False) + 1
+    vec = parameter_vector(params)
+    assert vec.size == params.buffer.size
+    rebuilt = replace_parameters(params, vec)
+    np.testing.assert_array_equal(parameter_vector(rebuilt), vec)
+    assert rebuilt.alpha == params.alpha
+    for la, lb in zip(params.layers, rebuilt.layers):
+        np.testing.assert_array_equal(la.weight, lb.weight)
+        np.testing.assert_array_equal(la.threshold, lb.threshold)
 
 
 def test_parameter_vector_layout():
     params = tiny_net(dims=(3, 2), n_classes=2, seed=14)
-    vec = parameter_vector(params, include_alpha=True)
+    vec = parameter_vector(params)
     l0 = params.layers[0]
-    want = np.concatenate(
-        [l0.weight.ravel(), l0.bias, l0.threshold, params.w_out.ravel(), params.b_out, [params.alpha]]
-    )
+    want = np.concatenate([l0.weight.ravel(), l0.bias, l0.threshold, params.w_out.ravel(), params.b_out])
     np.testing.assert_array_equal(vec, want)
 
 
@@ -658,7 +653,7 @@ def test_threshold_slices_cover_exactly_thresholds():
         marker[sl] = np.nan
     n_thresh = sum(l.threshold.size for l in params.layers)
     assert int(np.isnan(marker).sum()) == n_thresh
-    rebuilt_ok = replace_parameters(params, vec, False)
+    rebuilt_ok = replace_parameters(params, vec)
     for layer, sl in zip(rebuilt_ok.layers, threshold_slices(params)):
         np.testing.assert_array_equal(layer.threshold, vec[sl])
 
@@ -666,7 +661,7 @@ def test_threshold_slices_cover_exactly_thresholds():
 def test_replace_parameters_rejects_wrong_length():
     params = tiny_net(seed=16)
     with pytest.raises(ValueError):
-        replace_parameters(params, np.zeros(parameter_count(params) + 1), False)
+        replace_parameters(params, np.zeros(params.buffer.size + 1))
 
 
 def test_replace_parameters_rejects_non_finite_and_non_positive_thresholds():
@@ -680,10 +675,6 @@ def test_replace_parameters_rejects_non_finite_and_non_positive_thresholds():
     vec[threshold_slices(params)[-1].start] = 0.0
     with pytest.raises(ValueError, match="thresholds"):
         replace_parameters(params, vec)
-    vec = parameter_vector(params, include_alpha=True)
-    vec[-1] = 1.0  # no update trains the leak, so this is a caller's error
-    with pytest.raises(ValueError, match="leak"):
-        replace_parameters(params, vec, include_alpha=True)
 
 
 # ---------------------------------------------------------------------------
@@ -706,26 +697,28 @@ def test_in_place_edits_of_layer_arrays_show_in_the_vector():
 
 def test_copies_share_no_memory_with_their_source():
     params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=19)
-    vec = parameter_vector(params, include_alpha=True)
-    for other in (params.copy(), replace_parameters(params, vec, include_alpha=True)):
+    vec = parameter_vector(params)
+    for other in (params.copy(), replace_parameters(params, vec)):
         mine = [params.buffer, params.w_out, params.b_out]
         mine += [a for l in params.layers for a in (l.weight, l.bias, l.threshold)]
         theirs = [other.buffer, other.w_out, other.b_out]
         theirs += [a for l in other.layers for a in (l.weight, l.bias, l.threshold)]
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
         assert not any(np.shares_memory(vec, b) for b in theirs)
-        np.testing.assert_array_equal(parameter_vector(other, True), vec)
+        np.testing.assert_array_equal(parameter_vector(other), vec)
+        assert other.alpha == params.alpha
 
 
 def test_constructor_copies_and_leaves_its_inputs_alone():
     src = tiny_net(dims=(6, 5, 4), n_classes=3, seed=20)
-    before = parameter_vector(src, True)
+    before, alpha = parameter_vector(src), src.alpha
     layer = src.layers[0]
     sub = NetworkParams([layer], src.alpha, np.zeros((src.n_classes, layer.d_out)), src.b_out)
     assert src.layers[0] is layer
     sub.layers[0].threshold[...] = 3.0
     sub.b_out[...] = 7.0
-    np.testing.assert_array_equal(parameter_vector(src, True), before)
+    np.testing.assert_array_equal(parameter_vector(src), before)
+    assert src.alpha == alpha
     assert np.shares_memory(src.layers[0].threshold, src.buffer)
     assert not np.shares_memory(sub.buffer, src.buffer)
 
@@ -743,9 +736,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     loaded, loaded_spec = load_checkpoint(path)
     assert loaded_spec == spec
     assert loaded.alpha == params.alpha
-    np.testing.assert_array_equal(
-        parameter_vector(loaded, True), parameter_vector(params, True)
-    )
+    np.testing.assert_array_equal(parameter_vector(loaded), parameter_vector(params))
     # Same content twice -> byte-identical files (no timestamps in the format).
     path2 = str(tmp_path / "net2.bin")
     save_checkpoint(path2, params, spec)
@@ -763,7 +754,7 @@ def test_checkpoint_payload_is_the_canonical_vector(tmp_path):
     params = tiny_net(dims=(6, 5, 4), n_classes=3, seed=21)
     path = tmp_path / "net.bin"
     save_checkpoint(str(path), params, ARCTAN_PI)
-    payload = path.read_bytes()[-8 * parameter_count(params) :]
+    payload = path.read_bytes()[-8 * params.buffer.size :]
     assert payload == parameter_vector(params).astype("<f8").tobytes()
 
 
@@ -831,7 +822,7 @@ def test_checkpoint_with_huge_declared_sizes_is_refused_before_reading(tmp_path,
 )
 def test_property_roundtrip_random_shapes(tmp_path_factory, d0, d1, n_classes, seed):
     params = tiny_net(dims=(d0, d1), n_classes=n_classes, seed=seed)
-    vec = parameter_vector(params, True)
-    np.testing.assert_array_equal(
-        parameter_vector(replace_parameters(params, vec, True), True), vec
-    )
+    vec = parameter_vector(params)
+    rebuilt = replace_parameters(params, vec)
+    np.testing.assert_array_equal(parameter_vector(rebuilt), vec)
+    assert rebuilt.alpha == params.alpha

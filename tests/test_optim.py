@@ -154,11 +154,11 @@ def test_baseline_step_matches_manual_update():
     cfg = OptimizerConfig(eta=0.3, rho=0.0, train_threshold=True)
     opt = SastOptimizer(cfg)
     stepped, report = opt.baseline_step(params, ARCTAN_PI, batch)
-    g = backward(params, ARCTAN_PI, batch).grads.vector(False)
-    want = parameter_vector(params, False) - 0.3 * g
+    g = backward(params, ARCTAN_PI, batch).grads.vector()
+    want = parameter_vector(params) - 0.3 * g
     for sl in threshold_slices(params):
         want[sl] = np.maximum(want[sl], THETA_FLOOR)
-    np.testing.assert_array_equal(parameter_vector(stepped, False), want)
+    np.testing.assert_array_equal(parameter_vector(stepped), want)
     assert report.n_passes == 1
 
 
@@ -168,7 +168,7 @@ def test_sast_step_zero_radius_equals_baseline():
     cfg = OptimizerConfig(eta=0.2, rho=0.0, second_batch=REUSED)
     a, _ = SastOptimizer(cfg).sast_step(params, ARCTAN_PI, batch)
     b, _ = SastOptimizer(cfg).baseline_step(params, ARCTAN_PI, batch)
-    np.testing.assert_array_equal(parameter_vector(a, False), parameter_vector(b, False))
+    np.testing.assert_array_equal(parameter_vector(a), parameter_vector(b))
 
 
 def test_sast_step_requires_second_batch_when_independent():
