@@ -94,7 +94,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> None:
         ds.frames[: args.max_samples],
         ds.labels[: args.max_samples],
         rho=args.rho,
-        max_mechanism_samples=args.max_samples,
     )
     _emit(report.to_row(), args.out)
 
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="empirical health snapshot of a checkpoint")
     add_eval_args(p)
     p.add_argument("--rho", type=float, default=0.1, help="probe radius for the sharpness gap")
-    p.add_argument("--max-samples", type=int, default=64)
+    p.add_argument("--max-samples", type=int, default=64, help="diagnose the first N samples")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_diagnose)
 

@@ -30,7 +30,6 @@ from .gradients import (
     batch_loss,
     cross_entropy,
     logit_jacobians,
-    per_sample_gradients,
 )
 from .network import (
     HARD_MODE,
@@ -305,12 +304,18 @@ def gram_min_singular(j_w: np.ndarray) -> float:
     return math.sqrt(max(lam_min, 0.0))
 
 
+# A sample is conditioned when its parameter Jacobian's smallest singular
+# value exceeds SIGMA_TOL; its bound then holds up to a relative REL_SLACK.
+SIGMA_TOL = 1e-6
+REL_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class MechanismRecord:
     """One sample's parameter-to-input gradient link.
 
     ``conditioned`` requires the parameter Jacobian's smallest singular
-    value to clear the tolerance; only then is the bound
+    value to clear ``SIGMA_TOL``; only then is the bound
     ``||grad_x|| <= (||J_x|| / sigma_min) * ||grad_w||`` asserted.
     """
 
@@ -323,14 +328,7 @@ class MechanismRecord:
     holds: bool
 
 
-def mechanism_check(
-    params: NetworkParams,
-    spec: SurrogateSpec,
-    frames: np.ndarray,
-    label: int,
-    sigma_tol: float = 1e-6,
-    rel_slack: float = 1e-9,
-) -> MechanismRecord:
+def mechanism_check(params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray, label: int) -> MechanismRecord:
     """Check the conditioned gradient link on one sample.
 
     Both gradients are assembled from the same logit Jacobians used for the
@@ -346,9 +344,9 @@ def mechanism_check(
     jx_norm = float(np.linalg.svd(j_x, compute_uv=False)[0]) if j_x.any() else 0.0
     param_norm = float(np.linalg.norm(grad_w))
     input_norm = float(np.linalg.norm(grad_x))
-    conditioned = sigma_min > sigma_tol
+    conditioned = sigma_min > SIGMA_TOL
     bound = jx_norm / sigma_min * param_norm if conditioned else math.inf
-    holds = (not conditioned) or input_norm <= bound * (1.0 + rel_slack) + 1e-15
+    holds = (not conditioned) or input_norm <= bound * (1.0 + REL_SLACK) + 1e-15
     return MechanismRecord(
         param_grad_norm=param_norm,
         input_grad_norm=input_norm,
@@ -401,35 +399,20 @@ def diagnose(
     frames: np.ndarray,
     labels: np.ndarray,
     rho: float,
-    max_mechanism_samples: int = 64,
-    seed: int = 0,
 ) -> DiagnosticsReport:
-    """Full diagnostic sweep of one checkpoint on held-out data."""
-    if max_mechanism_samples < 1:
-        raise ValueError(f"max_mechanism_samples must be at least 1, got {max_mechanism_samples}")
+    """Full diagnostic sweep of one checkpoint on held-out data.  Every
+    sample gets one mechanism check, and the gradient-norm and conditioning
+    statistics are those of its record."""
+    if len(frames) == 0:
+        raise ValueError("diagnose needs at least one sample")
     labels = np.asarray(labels, dtype=np.int64)
     batch = Batch(frames, labels)
     m_theta_hat, gamma_hat = observed_contraction([params], spec)
-    secant = secant_smoothness(params, spec, batch, seed=seed)
-    gap = sam_gap(params, spec, batch, rho, seed=seed)
+    secant = secant_smoothness(params, spec, batch)
+    gap = sam_gap(params, spec, batch, rho)
     acc_s = accuracy(params, spec, frames, labels, SURROGATE_MODE)
     acc_h = accuracy(params, spec, frames, labels, HARD_MODE)
-
-    bundle = per_sample_gradients(params, spec, batch)
-    input_norms = np.sqrt((bundle.input_grads**2).sum(axis=(1, 2)))
-
-    n_mech = min(max_mechanism_samples, batch.n_samples)
-    sigma_mins = []
-    unconditioned = 0
-    violations = 0
-    for i in range(n_mech):
-        rec = mechanism_check(params, spec, batch.inputs[i], int(labels[i]))
-        sigma_mins.append(rec.sigma_min)
-        if not rec.conditioned:
-            unconditioned += 1
-        elif not rec.holds:
-            violations += 1
-
+    records = [mechanism_check(params, spec, x, int(y)) for x, y in zip(batch.inputs, labels)]
     return DiagnosticsReport(
         m_theta_hat=m_theta_hat,
         gamma_hat=gamma_hat,
@@ -438,11 +421,11 @@ def diagnose(
         surrogate_acc=acc_s,
         hard_acc=acc_h,
         transfer_gap=acc_s - acc_h,
-        n_unconditioned=unconditioned,
-        mechanism_violations=violations,
-        param_grad_norm=SampleStats.from_values(bundle.per_sample_grad_norms),
-        input_grad_norm=SampleStats.from_values(input_norms),
-        sigma_min=SampleStats.from_values(sigma_mins),
+        n_unconditioned=sum(not r.conditioned for r in records),
+        mechanism_violations=sum(r.conditioned and not r.holds for r in records),
+        param_grad_norm=SampleStats.from_values([r.param_grad_norm for r in records]),
+        input_grad_norm=SampleStats.from_values([r.input_grad_norm for r in records]),
+        sigma_min=SampleStats.from_values([r.sigma_min for r in records]),
     )
 
 

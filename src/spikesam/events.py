@@ -174,8 +174,9 @@ class SynthTaskConfig:
             raise ValueError("need at least one coordinate and one bin per class")
         if self.style not in (BLOCK_STYLE, RATE_STYLE):
             raise ValueError(f"unknown task style {self.style!r}")
-        if self.n_polarities < 1:
-            raise ValueError(f"n_polarities must be at least 1, got {self.n_polarities}")
+        for name in ("n_polarities", "n_train", "n_val", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (0.0 < self.duration < math.inf):  # NaN fails too
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
         for name in ("rate_active", "rate_background"):

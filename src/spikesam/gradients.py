@@ -96,7 +96,6 @@ class GradientBundle:
     loss: float | np.ndarray  # (M,) for stacked networks
     grads: ParamGrads
     input_grads: np.ndarray | None = None  # (n, T, d0), per-sample sweeps only
-    per_sample_grad_norms: np.ndarray | None = None
     per_sample_grad_vectors: np.ndarray | None = None  # (n, P), alpha excluded
 
 
@@ -307,7 +306,6 @@ def per_sample_gradients(params: NetworkParams, spec: SurrogateSpec, batch: Batc
         loss=loss,
         grads=ParamGrads(vectors.sum(axis=0) / n, float(np.sum(d_alpha)) / n),
         input_grads=input_grads,
-        per_sample_grad_norms=np.linalg.norm(vectors, axis=1),
         per_sample_grad_vectors=vectors,
     )
 

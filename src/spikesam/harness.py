@@ -154,6 +154,8 @@ class TrainSettings:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):  # each seed trains into its own seed_<s>/
+            raise ValueError(f"seeds must not repeat a seed, got {list(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -266,10 +268,10 @@ def load_data(cfg: DataConfig) -> SplitDataset:
             raise ValueError(f"file data source needs a {name}_path")
     headers = {name: events.dataset_header(path) for name, path in paths.items()}
     for name in ("val", "test"):
-        for field in ("n_classes", "width"):
-            got, want = headers[name][field], headers["train"][field]
+        for key in ("n_classes", "width"):
+            got, want = headers[name][key], headers["train"][key]
             if got != want:
-                raise ValueError(f"{name} split has {field} {got}, but the train split has {want}")
+                raise ValueError(f"{name} split has {key} {got}, but the train split has {want}")
     return SplitDataset(**{name: load_frames(path) for name, path in paths.items()})
 
 
@@ -838,13 +840,13 @@ def robustness_sweep(
     curves: dict[str, dict[str, list[float]]] = {}
     auc: dict[str, dict[str, float]] = {}
 
-    def accuracies(frames: np.ndarray) -> dict[str, float]:
+    def in_both_modes(frames: np.ndarray) -> dict[str, float]:
         return {m: accuracy(params, spec, frames, ds.labels, m) for m in modes}
 
-    clean = accuracies(ds.frames) if 0.0 in sev else {}
+    clean = in_both_modes(ds.frames) if 0.0 in sev else {}
     for family in families:
         points = [
-            clean if s == 0.0 else accuracies(corrupted_copy(ds.frames, family, s, corruption_seed))
+            clean if s == 0.0 else in_both_modes(corrupted_copy(ds.frames, family, s, corruption_seed))
             for s in sev
         ]
         curves[family] = {mode: [point[mode] for point in points] for mode in modes}
@@ -1039,16 +1041,17 @@ class OverheadReport:
     two_pass_bytes: int
 
 
-def measure_overhead(
-    cfg: RunConfig,
-    data: SplitDataset | None = None,
-    n_steps: int = 20,
-    warmup: int = 3,
-) -> OverheadReport:
+# Steps timed by ``measure_overhead``, after its untimed warm-up steps.
+OVERHEAD_STEPS = 20
+OVERHEAD_WARMUP = 3
+
+
+def measure_overhead(cfg: RunConfig, data: SplitDataset | None = None) -> OverheadReport:
     """Time matched single-pass and two-pass updates on identical batches.
 
     Both variants walk the same batch schedule from the same initial
-    parameters; reported times are medians over the timed steps.  The two
+    parameters; reported times are medians over the ``OVERHEAD_STEPS``
+    timed steps, which follow ``OVERHEAD_WARMUP`` untimed ones.  The two
     variants' steps alternate, so a change in machine speed during the
     measurement moves both medians alike.  Memory is the analytic per-step
     estimate (the arrays are exact, allocator slack is not modeled).
@@ -1061,7 +1064,7 @@ def measure_overhead(
     n = data.train.n_samples
     bs = cfg.train.batch_size
     batches = []
-    for _ in range(n_steps + warmup):
+    for _ in range(OVERHEAD_STEPS + OVERHEAD_WARMUP):
         idx = rng.choice(n, size=min(bs, n), replace=False)
         idx2 = rng.choice(n, size=min(bs, n), replace=False)
         batches.append(
@@ -1082,7 +1085,7 @@ def measure_overhead(
         single, _ = single_opt.baseline_step(single, spec, batch)
         t1 = time.perf_counter()
         double, _ = double_opt.sast_step(double, spec, batch, second)
-        if i >= warmup:
+        if i >= OVERHEAD_WARMUP:
             single_times.append(t1 - t0)
             double_times.append(time.perf_counter() - t1)
     t_single = float(np.median(single_times))

@@ -46,10 +46,10 @@ class OptimizerConfig:
     train_threshold: bool = True
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise ValueError("step size must be positive")
-        if self.rho < 0.0:
-            raise ValueError("perturbation radius must be non-negative")
+        if not (0.0 < self.eta < math.inf):  # NaN fails too
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if not (0.0 <= self.rho < math.inf):
+            raise ValueError(f"rho must be non-negative and finite, got {self.rho}")
         if self.second_batch not in (REUSED, INDEPENDENT):
             raise ValueError(f"unknown second-batch policy {self.second_batch!r}")
 

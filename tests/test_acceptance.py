@@ -270,10 +270,7 @@ def test_criterion_06_gradient_link_thousand_samples(tmp_path):
     violations = 0
     unconditioned = 0
     for i in range(data.test.n_samples):
-        rec = mechanism_check(
-            params, spec, data.test.frames[i], int(data.test.labels[i]),
-            sigma_tol=1e-6, rel_slack=1e-9,
-        )
+        rec = mechanism_check(params, spec, data.test.frames[i], int(data.test.labels[i]))
         if not rec.conditioned:
             unconditioned += 1  # counted, never asserted
         elif not rec.holds:
@@ -316,7 +313,7 @@ def test_criterion_07_transfer_gap_halves(tmp_path):
 
 def test_criterion_08_overhead_factors(tmp_path):
     cfg = default_transfer_config(str(tmp_path / "overhead"))
-    report = measure_overhead(cfg, n_steps=20, warmup=3)
+    report = measure_overhead(cfg)
     ok = 1.5 <= report.time_factor <= 2.5 and 0.9 <= report.memory_factor <= 1.2
     _report(
         8,

@@ -30,7 +30,7 @@ from spikesam.diagnostics import (
     secant_smoothness,
     secant_smoothness_from_grad,
 )
-from spikesam.gradients import backward
+from spikesam.gradients import backward, per_sample_gradients
 from spikesam import diagnostics
 from spikesam.network import InstabilityError, forward, init_network
 from spikesam.optim import THETA_FLOOR
@@ -105,7 +105,7 @@ def test_probes_around_thresholds_at_the_floor_stay_admissible():
     # probes below zero, and ``diagnose`` crashed the training run.
     params = tiny_net(dims=(4, 3), n_classes=2, theta=THETA_FLOOR, weight_scale=0.5, seed=74)
     batch = spike_batch(params, n_samples=4, n_steps=3, seed=75)
-    report = diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.5, max_mechanism_samples=2)
+    report = diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.5)
     assert math.isfinite(report.beta_sec) and report.beta_sec > 0.0
     assert math.isfinite(report.sam_gap)
 
@@ -252,7 +252,7 @@ def test_accuracies_raise_the_blown_up_nets_own_instability(mode, monkeypatch):
 def test_transfer_gap_sign_convention():
     params = tiny_net(seed=76)
     batch = spike_batch(params, n_samples=8, seed=77)
-    report = diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.05, max_mechanism_samples=2)
+    report = diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.05)
     smooth = accuracy(params, ARCTAN_PI, batch.inputs, batch.labels, SURROGATE_MODE)
     hard = accuracy(params, ARCTAN_PI, batch.inputs, batch.labels, HARD_MODE)
     assert (report.surrogate_acc, report.hard_acc) == (smooth, hard)
@@ -314,10 +314,11 @@ def test_mechanism_sigma_min_at_least_one_from_readout_bias():
     assert rec.conditioned and rec.holds
 
 
-def test_mechanism_check_unconditioned_is_vacuous():
+def test_mechanism_check_unconditioned_is_vacuous(monkeypatch):
     params = tiny_net(dims=(5, 4), n_classes=3, seed=84)
     frames = dense_batch(params, n_samples=1, n_steps=4, seed=85).inputs[0]
-    rec = mechanism_check(params, ARCTAN_PI, frames, label=0, sigma_tol=1e9)
+    monkeypatch.setattr(diagnostics, "SIGMA_TOL", 1e9)
+    rec = mechanism_check(params, ARCTAN_PI, frames, label=0)
     assert not rec.conditioned
     assert rec.holds  # counted, never asserted
     assert math.isinf(rec.bound)
@@ -338,13 +339,36 @@ def test_diagnose_smoke():
     assert isinstance(row, dict) and "beta_sec" in row
 
 
-@pytest.mark.parametrize("n", [0, -2])
-def test_diagnose_refuses_max_mechanism_samples_below_one(monkeypatch, n):
+def test_diagnose_checks_each_sample_once_and_reports_its_records(monkeypatch):
+    params = tiny_net(dims=(5, 4), n_classes=2, seed=86)
+    batch = spike_batch(params, n_samples=10, n_steps=4, seed=87)
+    records = []
+
+    def recorded(*args):
+        records.append(mechanism_check(*args))
+        return records[-1]
+
+    monkeypatch.setattr(diagnostics, "mechanism_check", recorded)
+    report = diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.05)
+    assert len(records) == batch.n_samples
+    for name in ("param_grad_norm", "input_grad_norm", "sigma_min"):
+        assert getattr(report, name) == SampleStats.from_values([getattr(r, name) for r in records])
+    # The records' norms are the per-sample sweep's, up to rounding.
+    per = per_sample_gradients(params, ARCTAN_PI, batch)
+    np.testing.assert_allclose(
+        [r.param_grad_norm for r in records], np.linalg.norm(per.per_sample_grad_vectors, axis=1), rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        [r.input_grad_norm for r in records], np.linalg.norm(per.input_grads, axis=(1, 2)), rtol=1e-12
+    )
+
+
+def test_diagnose_refuses_an_empty_sample(monkeypatch):
     params = tiny_net(dims=(5, 4), n_classes=2, seed=86)
     batch = spike_batch(params, n_samples=8, n_steps=4, seed=87)
     monkeypatch.setattr(diagnostics, "secant_smoothness", _no_pass)
-    with pytest.raises(ValueError, match=f"max_mechanism_samples must be at least 1, got {n}"):
-        diagnose(params, ARCTAN_PI, batch.inputs, batch.labels, rho=0.05, max_mechanism_samples=n)
+    with pytest.raises(ValueError, match="^diagnose needs at least one sample$"):
+        diagnose(params, ARCTAN_PI, batch.inputs[:0], batch.labels[:0], rho=0.05)
 
 
 def test_mode_constants():

@@ -311,6 +311,10 @@ def test_synth_task_validation():
         ("rate_active", float("nan")),
         ("rate_active", float("inf")),
         ("rate_background", float("nan")),
+        ("n_train", 0),
+        ("n_val", 0),
+        ("n_test", 0),
+        ("n_val", -3),
     ],
 )
 def test_synth_task_refuses_degenerate_fields_by_name(field, value):

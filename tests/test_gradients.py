@@ -179,13 +179,8 @@ def test_per_sample_gradients_average_to_batch_gradient():
     np.testing.assert_allclose(singles.mean(axis=0), whole, rtol=1e-12, atol=1e-14)
     single_leaks = [per_sample_gradients(params, ARCTAN_PI, b).grads.alpha for b in single_batches]
     np.testing.assert_allclose(np.mean(single_leaks), per.grads.alpha, rtol=1e-12, atol=1e-14)
-    assert per.per_sample_grad_norms.shape == (batch.n_samples,)
-    # Norms consistent with the single-sample sweeps (alpha excluded there).
-    want_norms = [
-        float(np.linalg.norm(backward(params, ARCTAN_PI, Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1])).grads.vector()))
-        for i in range(batch.n_samples)
-    ]
-    np.testing.assert_allclose(per.per_sample_grad_norms, want_norms, rtol=1e-10)
+    # Rows consistent with the single-sample sweeps (alpha excluded there).
+    np.testing.assert_allclose(per.per_sample_grad_vectors, singles, rtol=1e-10, atol=1e-14)
 
 
 def test_per_sample_mean_gradient_is_the_sum_of_the_rows_over_n():

@@ -279,6 +279,13 @@ def test_train_settings_select_validation():
         ("train.checkpoint_every=-1", "checkpoint_every must be non-negative, got -1"),
         ("train.diagnostics_every=-2", "diagnostics_every must be non-negative, got -2"),
         ("train.seeds=[]", "seeds must name at least one seed"),
+        ("train.seeds=[0,0]", "seeds must not repeat a seed, got [0, 0]"),
+        ("optimizer.rho=NaN", "rho must be non-negative and finite, got nan"),
+        ("optimizer.rho=Infinity", "rho must be non-negative and finite, got inf"),
+        ("optimizer.eta=Infinity", "eta must be positive and finite, got inf"),
+        ("optimizer.eta=NaN", "eta must be positive and finite, got nan"),
+        ("optimizer.eta=0", "eta must be positive and finite, got 0"),
+        ("optimizer.rho=-0.1", "rho must be non-negative and finite, got -0.1"),
     ],
 )
 def test_cli_refuses_an_out_of_range_train_setting_by_name(tmp_path, capsys, setting, message):

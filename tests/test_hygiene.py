@@ -74,6 +74,55 @@ def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+def shadowed_imports(source: str) -> list[str]:
+    """Function-local names that shadow a name the module imports at its top
+    level: arguments, assigned names and nested ``def``s or classes, each
+    reported under the innermost function that binds it."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        where = getattr(fn, "name", "<lambda>")
+        a = fn.args
+        bound = [(arg.lineno, arg.arg) for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg]
+        todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.append((node.lineno, node.name))  # its body is a scope of its own
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.append((node.lineno, node.id))
+            elif not isinstance(node, ast.Lambda):
+                todo.extend(ast.iter_child_nodes(node))
+        found.update((line, where, name) for line, name in bound if name in imported)
+    return [f"{where}:{line}: {name}" for line, where, name in sorted(found)]
+
+
+def test_detector_flags_a_local_name_that_shadows_an_import():
+    source = (
+        "import numpy as np\n"
+        "from dataclasses import field, fields\n"
+        "def f(np, x):\n"
+        "    for field in x:\n"
+        "        pass\n"
+        "    def fields():\n"
+        "        return [field for field in x]\n"
+        "    return lambda np: np\n"
+        "def g(y, *, flag=np.pi):\n"
+        "    return field(y), fields, np\n"
+    )
+    assert shadowed_imports(source) == [
+        "f:3: np", "f:4: field", "f:6: fields", "fields:7: field", "<lambda>:8: np"
+    ]
+
+
 def test_detector_flags_an_unused_import():
     assert unused_imports("import os\nimport numpy as np\nnp.zeros(1)\n") == ["line 1: os"]
     assert unused_imports("from a.b import c, d as e\nprint(c, e)\n") == []
@@ -208,6 +257,11 @@ def test_benchmark_scripts_read_only_names_that_exist():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_local_name_shadows_an_import(path):
+    assert shadowed_imports(path.read_text()) == []
 
 
 def test_every_private_helper_is_referenced():
