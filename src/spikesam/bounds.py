@@ -57,6 +57,9 @@ class AssumptionSet:
         return len(self.dims) - 1
 
 
+INIT_CAP_MARGIN = 2.0  # training and the convergence experiment inflate their initial caps by this
+
+
 def assumptions_from(
     params: NetworkParams, spec: SurrogateSpec, r_x: float, n_steps: int, margin: float = 1.0
 ) -> AssumptionSet:

@@ -28,7 +28,7 @@ from typing import Sequence, TextIO, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import events
-from .bounds import TheoryConstants, assumptions_from, compute_constants, save_constants
+from .bounds import INIT_CAP_MARGIN, TheoryConstants, assumptions_from, compute_constants, save_constants
 from .diagnostics import HARD_MODE, SURROGATE_MODE, SampleStats, accuracies, accuracy, diagnose
 from .events import (
     CORRUPTION_FAMILIES,
@@ -56,7 +56,7 @@ from .network import (
     save_checkpoint,
     stack,
 )
-from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer, step_plan
+from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer, epoch_chunks, step_plan
 
 METRICS_COLUMNS = (
     "seed",
@@ -537,7 +537,8 @@ def _train_seed(cfgs: Sequence[RunConfig], data: SplitDataset, r_x: float, seed:
     """Train one seed's runs in lockstep and write their files; each run's result."""
     spec = cfgs[0].surrogate.spec()
     params = _initial_network(cfgs[0], data, seed)
-    constants = compute_constants(assumptions_from(params, spec, r_x, data.train.frames.shape[1], margin=2.0))
+    assume = assumptions_from(params, spec, r_x, data.train.frames.shape[1], margin=INIT_CAP_MARGIN)
+    constants = compute_constants(assume)
     with contextlib.ExitStack() as files:
         arms = [_Arm.start(cfg, seed, data.val, params, constants, files) for cfg in cfgs]
         _run_epochs(arms, spec, data, np.random.default_rng([seed, 202]))
@@ -658,9 +659,7 @@ def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: 
     while live:
         epoch += 1
         t0 = time.perf_counter()
-        order = rng.permutation(n)
-        chunks = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
-        _run_steps(live, spec, data.train, chunks)
+        _run_steps(live, spec, data.train, epoch_chunks(n, batch_size, rng))
         nets = [arm.params for arm in live]
         acc_s = accuracies(nets, spec, data.val.frames, data.val.labels, SURROGATE_MODE)
         acc_h = accuracies(nets, spec, data.val.frames, data.val.labels, HARD_MODE)

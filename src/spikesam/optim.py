@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import assumptions_from, check_caps, compute_constants, convergence_rhs
+from .bounds import INIT_CAP_MARGIN, assumptions_from, check_caps, compute_constants, convergence_rhs
 from .events import measured_input_bound
 from .gradients import Batch, backward
 from .network import InstabilityError, NetworkParams, SurrogateSpec, _all_finite, threshold_slices
@@ -89,6 +89,13 @@ def sam_perturbation(grad: np.ndarray, rho: float) -> np.ndarray:
     grad_norm = float(np.linalg.norm(grad))
     assert _ascent_scaled(grad_norm, grad_norm, rho) <= rho * (1.0 + 1e-12)  # ||eps||, with no entry of eps squared
     return _ascent_scaled(grad, grad_norm, rho)
+
+
+def epoch_chunks(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """One epoch's minibatches over ``n`` samples: the consecutive full
+    ``batch_size`` chunks of one ``rng.permutation(n)``; a partial last chunk is dropped."""
+    order = rng.permutation(n)
+    return [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
 
 
 def step_plan(cfg: OptimizerConfig, n_chunks: int) -> list[tuple[int, ...]]:
@@ -248,17 +255,15 @@ class SastOptimizer:
 class ConvergenceTask:
     """A fixed finite-sum objective for the convergence experiment.
 
-    ``batch_size = None`` runs full-batch (both passes see the whole set, so
-    the gradient-noise level is exactly zero).  ``margin`` inflates the caps
-    measured at the initial point so they can stay valid along the run; cap
-    validity is re-checked on the fly and reported.
+    ``batch_size = None``, or one that covers the data, runs full-batch
+    (both passes see the whole set, so the gradient-noise level is exactly
+    zero).
     """
 
     params0: NetworkParams
     spec: SurrogateSpec
     data: Batch
     batch_size: int | None = None
-    margin: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -288,26 +293,16 @@ class ConvergenceReport:
         return self.lhs <= self.rhs
 
 
-def _chunk_stream(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Endless stream of disjoint index chunks, reshuffling each data pass."""
-    while True:
-        order = rng.permutation(n)
-        for start in range(0, n - batch_size + 1, batch_size):
-            yield order[start : start + batch_size]
-
-
 def _gradient_noise_sq(
     params: NetworkParams, task: ConvergenceTask, full: np.ndarray, train_threshold: bool, rng: np.random.Generator
 ) -> float:
     """Mean squared deviation of minibatch gradients at ``params`` from ``full``, its full-data gradient.
 
-    The minibatches are one random partition of the task's data.
+    The minibatches are one epoch's chunks of the task's data.
     """
-    data, size = task.data, task.batch_size
-    order = rng.permutation(data.n_samples)
+    data = task.data
     devs = []
-    for start in range(0, data.n_samples - size + 1, size):
-        idx = order[start : start + size]
+    for idx in epoch_chunks(data.n_samples, task.batch_size, rng):
         _, g = _trained_gradient(params, task.spec, Batch(data.inputs[idx], data.labels[idx]), train_threshold)
         devs.append(float(np.sum((g - full) ** 2)))
     return float(np.mean(devs))
@@ -323,23 +318,29 @@ def convergence_trial(
 
     The left side averages the full-objective squared gradient norm over
     iterates and seeds; the right side uses the closed-form smoothness
-    constant from caps measured at the start (inflated by ``task.margin``),
-    the observed best loss as the lower-bound proxy, and a measured
-    gradient-noise level (zero for full-batch runs, the largest partition
-    estimate seen for minibatch runs — refreshed once per data pass).
+    constant from caps measured at the start (inflated by
+    ``INIT_CAP_MARGIN``), the observed best loss as the lower-bound proxy,
+    and a measured gradient-noise level (zero for full-batch runs, the
+    largest partition estimate seen for minibatch runs).
+
+    A minibatch run walks training's schedule: each epoch refreshes the
+    noise estimate, draws :func:`epoch_chunks` and runs one step of
+    :func:`step_plan` per update; an epoch that plans no step is refused.
 
     A step size above the admissible threshold ``1 / (4 beta)`` does not
     abort the run but is flagged, since the guarantee does not cover it.
     """
     data = task.data
+    full_batch = task.batch_size is None or task.batch_size >= data.n_samples
+    plan = None if full_batch else step_plan(cfg, data.n_samples // task.batch_size)
+    if not (full_batch or plan):
+        raise ValueError(f"batch_size {task.batch_size} leaves no step in an epoch of the {data.n_samples}-sample task")
     r_x = measured_input_bound(data.inputs)
     n_steps = data.inputs.shape[1]
-    assume = assumptions_from(task.params0, task.spec, r_x, n_steps, margin=task.margin)
+    assume = assumptions_from(task.params0, task.spec, r_x, n_steps, margin=INIT_CAP_MARGIN)
     constants = compute_constants(assume)
     beta = constants.beta
     eta_admissible = cfg.eta <= constants.max_stable_step * (1.0 + 1e-12)
-
-    full_batch = task.batch_size is None or task.batch_size >= data.n_samples
 
     grad_traces: list[tuple[float, ...]] = []
     loss_traces: list[tuple[float, ...]] = []
@@ -351,12 +352,6 @@ def convergence_trial(
         rng = np.random.default_rng(seed)
         opt = SastOptimizer(cfg)
         params = task.params0
-        chunks = None
-        steps_per_pass = 1
-        if not full_batch:
-            chunks = _chunk_stream(data.n_samples, task.batch_size, rng)
-            pairs = 2 if cfg.second_batch == INDEPENDENT else 1
-            steps_per_pass = max(1, data.n_samples // task.batch_size // pairs)
         grads_sq = []
         losses = []
         for k in range(n_updates):
@@ -367,21 +362,13 @@ def convergence_trial(
             if k % CAP_CHECK_EVERY == 0 and not check_caps(params, assume):
                 caps_held = False
             if full_batch:
-                batch = second = data
+                batches = (data, data)
             else:
-                if k % steps_per_pass == 0:
-                    sigma_sq = max(
-                        sigma_sq,
-                        _gradient_noise_sq(params, task, g_full, cfg.train_threshold, rng),
-                    )
-                idx = next(chunks)
-                batch = Batch(data.inputs[idx], data.labels[idx])
-                if cfg.second_batch == INDEPENDENT:
-                    idx2 = next(chunks)
-                    second = Batch(data.inputs[idx2], data.labels[idx2])
-                else:
-                    second = batch
-            params, _ = opt.sast_step(params, task.spec, batch, second)
+                if k % len(plan) == 0:
+                    sigma_sq = max(sigma_sq, _gradient_noise_sq(params, task, g_full, cfg.train_threshold, rng))
+                    chunks = epoch_chunks(data.n_samples, task.batch_size, rng)
+                batches = tuple(Batch(data.inputs[chunks[i]], data.labels[chunks[i]]) for i in plan[k % len(plan)])
+            params, _ = opt._step(params, task.spec, batches)
         final = backward(params, task.spec, data)
         loss_star = min(loss_star, final.loss)
         if not check_caps(params, assume):

@@ -16,6 +16,7 @@ import numpy as np
 
 from conftest import tiny_net
 from spikesam.bounds import (
+    INIT_CAP_MARGIN,
     AssumptionSet,
     assumptions_from,
     compute_constants,
@@ -202,13 +203,13 @@ def test_criterion_04_convergence_inequality_full_and_minibatch():
     data = Batch(frames, labels)
 
     r_x = float(np.sqrt((frames**2).sum(axis=2)).max())
-    beta = compute_constants(assumptions_from(params, spec, r_x, 4, margin=2.0)).beta
+    beta = compute_constants(assumptions_from(params, spec, r_x, 4, margin=INIT_CAP_MARGIN)).beta
     eta = 0.9 * 0.25 / beta
     cfg = OptimizerConfig(eta=eta, rho=1e-3, second_batch=INDEPENDENT)
 
     reports = {}
     for name, batch_size in (("full-batch", None), ("minibatch", 8)):
-        task = ConvergenceTask(params0=params, spec=spec, data=data, batch_size=batch_size, margin=2.0)
+        task = ConvergenceTask(params0=params, spec=spec, data=data, batch_size=batch_size)
         reports[name] = convergence_trial(task, cfg, n_updates=30, seeds=(0, 1, 2, 3, 4))
 
     elapsed = time.perf_counter() - t0

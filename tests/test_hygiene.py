@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every private helper of the package is used somewhere in the package, the
 names the README, the docstrings and the benchmark scripts refer to exist,
-and the README's Python quick start runs as written.
+the README's Python quick start runs as written, and one function draws the
+minibatch permutation.
 
 The package's ``__init__.py`` is left out of the import check, since it
 imports names only to re-export them.
@@ -343,6 +344,51 @@ def test_detector_flags_a_wrapped_reduction_outside_an_error_path():
 def test_the_hot_path_calls_ufunc_reductions_without_their_wrappers(module):
     source = (ROOT / "src" / "spikesam" / f"{module}.py").read_text()
     assert wrapped_reduction_calls(source, HOT_PATH[module]) == []
+
+
+PERMUTING = ("permutation", "permuted", "shuffle")  # Generator methods that draw a permutation
+
+
+def permutation_draws(source: str) -> list[str]:
+    """Calls of a ``permutation``, ``permuted`` or ``shuffle`` method in
+    ``source``, each under the qualified name of the function that makes it
+    (``<module>`` outside any function)."""
+    found = []
+
+    def walk(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr in PERMUTING:
+                found.append(f"{where or '<module>'}:{child.lineno}")
+            walk(child, where)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def test_detector_flags_a_permutation_draw():
+    source = (
+        "order = rng.permutation(4)\n"
+        "def chunks(rng, n):\n"
+        "    return [rng.permutation(n)]\n"
+        "class Box:\n"
+        "    def method(self, rng, a):\n"
+        "        rng.shuffle(a)\n"
+        "        return sorted(a)\n"
+        "def quiet(n):\n"
+        "    return np.arange(n)\n"
+    )
+    assert permutation_draws(source) == ["<module>:1", "chunks:3", "Box.method:6"]
+
+
+def test_only_epoch_chunks_permutes_sample_indices():
+    # One schedule of minibatches: training, the convergence experiment and
+    # its noise estimate all draw their epochs from optim.epoch_chunks.  The
+    # synthetic task's label permutation is the one other draw.
+    draws = [f"{path.stem}.{where}" for path in PACKAGE for where in permutation_draws(path.read_text())]
+    assert [draw.split(":")[0] for draw in draws] == ["events._synth_split", "optim.epoch_chunks"], draws
 
 
 def test_readme_python_quick_start_runs():

@@ -26,6 +26,7 @@ from spikesam.optim import (
     OptimizerConfig,
     SastOptimizer,
     convergence_trial,
+    epoch_chunks,
     sam_perturbation,
     single_pass_update,
     step_plan,
@@ -279,14 +280,14 @@ def test_steps_leave_the_input_network_untouched(train_threshold):
 # ---------------------------------------------------------------------------
 
 
-def _tiny_task(batch_size=None) -> ConvergenceTask:
+def _tiny_task(batch_size=None, n_samples=8) -> ConvergenceTask:
     params = tiny_net(dims=(4, 3), n_classes=2, theta=0.3, weight_scale=0.4, seed=64)
     # Fresh nets have exactly-zero biases; a multiplicative cap margin needs a
     # generic start point, so nudge them off the measure-zero coincidence.
     rng = np.random.default_rng(66)
     for layer in params.layers:
         layer.bias += 0.05 * rng.standard_normal(layer.bias.shape)
-    data = spike_batch(params, n_samples=8, n_steps=3, seed=65)
+    data = spike_batch(params, n_samples=n_samples, n_steps=3, seed=65)
     return ConvergenceTask(params0=params, spec=ARCTAN_PI, data=data, batch_size=batch_size)
 
 
@@ -338,3 +339,59 @@ def test_convergence_trial_flags_inadmissible_step():
     task = _tiny_task()
     report = convergence_trial(task, OptimizerConfig(eta=10.0, rho=0.0), n_updates=4, seeds=(0,))
     assert not report.eta_admissible
+
+
+def test_epoch_chunks_follow_the_permutation_and_drop_a_partial_chunk():
+    order = np.random.default_rng(5).permutation(7)
+    chunks = epoch_chunks(7, 2, np.random.default_rng(5))
+    assert [c.tolist() for c in chunks] == [order[0:2].tolist(), order[2:4].tolist(), order[4:6].tolist()]
+    assert epoch_chunks(7, 8, np.random.default_rng(5)) == []
+
+
+@pytest.mark.parametrize("rho, second_batch", [(1e-3, INDEPENDENT), (1e-3, REUSED), (0.0, INDEPENDENT)])
+def test_a_minibatch_trial_reads_the_chunks_that_step_plan_plans(monkeypatch, rho, second_batch):
+    # 7 samples in chunks of 2: three chunks and a dropped sample per epoch, so
+    # an independent pair leaves each epoch's last chunk unread.
+    task = _tiny_task(batch_size=2, n_samples=7)
+    rows = {frames.tobytes(): i for i, frames in enumerate(task.data.inputs)}
+    assert len(rows) == 7
+    reads = []
+    step = SastOptimizer._step
+
+    def recorded(self, params, spec, batches):
+        reads.append([sorted(rows[f.tobytes()] for f in batch.inputs) for batch in batches])
+        return step(self, params, spec, batches)
+
+    monkeypatch.setattr(SastOptimizer, "_step", recorded)
+    cfg = OptimizerConfig(eta=1e-6, rho=rho, second_batch=second_batch)
+    convergence_trial(task, cfg, n_updates=5, seeds=(3,))
+
+    rng, planned = np.random.default_rng(3), []
+    plan = step_plan(cfg, 3)
+    while len(planned) < 5:
+        epoch_chunks(7, 2, rng)  # the noise estimate's partition comes first
+        chunks = epoch_chunks(7, 2, rng)
+        planned += [[sorted(chunks[i].tolist()) for i in pair] for pair in plan]
+    assert reads == planned[:5]
+    if second_batch == INDEPENDENT and rho > 0.0:
+        assert plan == [(0, 1)]  # one pair per epoch: its last chunk goes unread
+
+
+def test_a_zero_radius_trial_is_the_same_under_either_second_batch_policy():
+    task = _tiny_task(batch_size=2)
+    independent, reused = (
+        convergence_trial(task, OptimizerConfig(eta=1e-3, rho=0.0, second_batch=policy), n_updates=6, seeds=(0, 1))
+        for policy in (INDEPENDENT, REUSED)
+    )
+    assert independent == reused
+
+
+def test_a_batch_size_whose_epoch_plans_no_step_is_refused_before_any_pass(monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the schedule must be refused before any pass")
+
+    monkeypatch.setattr(optim, "backward", no_pass)
+    task = _tiny_task(batch_size=5)  # one chunk of the 8 samples: no independent pair
+    with pytest.raises(ValueError, match="^batch_size 5 leaves no step in an epoch of the 8-sample task$"):
+        convergence_trial(task, OptimizerConfig(eta=1e-6, rho=1e-3, second_batch=INDEPENDENT), n_updates=4)
+
