@@ -100,6 +100,16 @@ class ModelConfig:
     theta_init: float = 0.5
     weight_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ValueError(f"hidden_dims must list at least one width, each at least 1, got {list(self.hidden_dims)}")
+        if not (0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (0.0 < self.theta_init < math.inf):  # NaN fails too
+            raise ValueError(f"theta_init must be positive and finite, got {self.theta_init}")
+        if not math.isfinite(self.weight_scale):
+            raise ValueError(f"weight_scale must be finite, got {self.weight_scale}")
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -832,6 +842,8 @@ def robustness_sweep(
         if family not in CORRUPTION_FAMILIES:
             raise ValueError(f"unknown corruption family {family!r}; expected one of {CORRUPTION_FAMILIES}")
     sev = [float(s) for s in severities]
+    if len(sev) < 2:
+        raise ValueError(f"a severity grid needs at least two points to have an area, got {sev}")
     for prev, s in zip([-math.inf, *sev], sev):
         if not (prev < s and 0.0 <= s <= 1.0):
             raise ValueError(f"severity {s} breaks the grid {sev}: severities must increase strictly within [0, 1]")

@@ -299,6 +299,8 @@ def init_network(
     """
     if len(dims) < 2:
         raise ValueError("dims must list the input width and at least one layer width")
+    if min(dims) < 1:
+        raise ValueError(f"widths must be at least 1, got {list(dims)}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):

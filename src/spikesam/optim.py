@@ -82,8 +82,8 @@ def sam_perturbation(grad: np.ndarray, rho: float) -> np.ndarray:
     The floor ``DELTA`` makes the zero-gradient case well defined (returns
     the zero vector); the result's norm never exceeds ``rho``.
     """
-    if rho < 0.0:
-        raise ValueError("perturbation radius must be non-negative")
+    if not (0.0 <= rho < math.inf):  # NaN fails too
+        raise ValueError(f"perturbation radius must be non-negative and finite, got {rho}")
     if rho == 0.0:
         return np.zeros_like(grad)
     grad_norm = float(np.linalg.norm(grad))
@@ -265,6 +265,10 @@ class ConvergenceTask:
     data: Batch
     batch_size: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -331,6 +335,10 @@ def convergence_trial(
     abort the run but is flagged, since the guarantee does not cover it.
     """
     data = task.data
+    if n_updates < 1:
+        raise ValueError(f"n_updates must be at least 1, got {n_updates}")
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
     full_batch = task.batch_size is None or task.batch_size >= data.n_samples
     plan = None if full_batch else step_plan(cfg, data.n_samples // task.batch_size)
     if not (full_batch or plan):

@@ -286,6 +286,14 @@ def test_train_settings_select_validation():
         ("optimizer.eta=NaN", "eta must be positive and finite, got nan"),
         ("optimizer.eta=0", "eta must be positive and finite, got 0"),
         ("optimizer.rho=-0.1", "rho must be non-negative and finite, got -0.1"),
+        ("model.hidden_dims=[]", "hidden_dims must list at least one width, each at least 1, got []"),
+        ("model.hidden_dims=[0]", "hidden_dims must list at least one width, each at least 1, got [0]"),
+        ("model.hidden_dims=[6,-3]", "hidden_dims must list at least one width, each at least 1, got [6, -3]"),
+        ("model.alpha=1", "alpha must lie in (0, 1), got 1.0"),
+        ("model.alpha=0", "alpha must lie in (0, 1), got 0.0"),
+        ("model.theta_init=0", "theta_init must be positive and finite, got 0.0"),
+        ("model.theta_init=Infinity", "theta_init must be positive and finite, got inf"),
+        ("model.weight_scale=NaN", "weight_scale must be finite, got nan"),
     ],
 )
 def test_cli_refuses_an_out_of_range_train_setting_by_name(tmp_path, capsys, setting, message):
@@ -1165,8 +1173,13 @@ def test_sweep_corrupts_and_evaluates_each_noisy_cell_once(monkeypatch):
         (CORRUPTION_FAMILIES, (0.0, float("nan")), "severity nan breaks"),
         (("salt",), (0.0,), "unknown corruption family 'salt'"),
         ((EVENT_DROP, "salt"), (0.0, 0.2), "unknown corruption family 'salt'"),
+        (CORRUPTION_FAMILIES, (), r"at least two points to have an area, got \[\]"),
+        (CORRUPTION_FAMILIES, (0.2,), r"at least two points to have an area, got \[0.2\]"),
     ],
-    ids=["descending", "repeated", "above_one", "negative", "nan", "unknown_family_clean_grid", "unknown_family"],
+    ids=[
+        "descending", "repeated", "above_one", "negative", "nan", "unknown_family_clean_grid", "unknown_family",
+        "empty", "one_point",
+    ],
 )
 def test_robustness_sweep_refuses_a_grid_it_cannot_score(monkeypatch, families, severities, match):
     params, spec, ds = evaluation_fixture()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
 import struct
 import tracemalloc
 import warnings
@@ -623,6 +624,12 @@ def test_init_network_is_seed_deterministic():
     assert not np.array_equal(parameter_vector(a), parameter_vector(c))
     assert np.all(a.b_out == 0.0)
     assert np.all(a.layers[0].threshold == 0.4)
+
+
+@pytest.mark.parametrize("dims", [(4, 0), (4, 3, -3), (0, 3)])
+def test_init_network_refuses_a_width_below_one_by_value(dims):
+    with pytest.raises(ValueError, match=re.escape(f"widths must be at least 1, got {list(dims)}")):
+        init_network(dims, 2)
 
 
 def test_parameter_vector_roundtrip():

@@ -11,6 +11,8 @@ the wide minimum.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,12 @@ def test_sam_perturbation_norm_and_direction():
     assert sam_perturbation(g, 0.0).tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
         sam_perturbation(g, -0.1)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_sam_perturbation_refuses_a_radius_that_is_not_finite(rho):
+    with pytest.raises(ValueError, match=f"perturbation radius must be non-negative and finite, got {rho}"):
+        sam_perturbation(np.array([1.0, 0.0, 2.0]), rho)
 
 
 def test_optimizer_config_validation():
@@ -395,3 +403,17 @@ def test_a_batch_size_whose_epoch_plans_no_step_is_refused_before_any_pass(monke
     with pytest.raises(ValueError, match="^batch_size 5 leaves no step in an epoch of the 8-sample task$"):
         convergence_trial(task, OptimizerConfig(eta=1e-6, rho=1e-3, second_batch=INDEPENDENT), n_updates=4)
 
+
+@pytest.mark.parametrize("batch_size", [0, -2])
+def test_a_convergence_task_refuses_a_batch_size_below_one(batch_size):
+    with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+        _tiny_task(batch_size=batch_size)
+
+
+@pytest.mark.parametrize(
+    "n_updates, seeds, match",
+    [(0, (0,), "n_updates must be at least 1, got 0"), (3, (), "seeds must name at least one seed")],
+)
+def test_a_convergence_trial_refuses_an_empty_run(n_updates, seeds, match):
+    with pytest.raises(ValueError, match=match):
+        convergence_trial(_tiny_task(), OptimizerConfig(eta=1e-6, rho=1e-3), n_updates=n_updates, seeds=seeds)
