@@ -220,8 +220,9 @@ class TheoryConstants:
 
     @property
     def max_stable_step(self) -> float:
-        """Largest step size the convergence guarantee covers: 1 / (4 beta)."""
-        return 0.25 / self.beta
+        """Largest step size the convergence guarantee covers: 1 / (4 beta),
+        unbounded for a network with ``beta = 0`` (all-zero weights)."""
+        return 0.25 / self.beta if self.beta > 0.0 else math.inf
 
 
 def compute_constants(assume: AssumptionSet) -> TheoryConstants:

@@ -514,7 +514,7 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
     answers them all, and each run's slice of it is bit-identical to its
     lone pass.  The configurations must share the model, surrogate, seeds
     and batch size.  The seeds are split into shares that train on every
-    core the process may run on (see :func:`_seed_shares`).
+    core the process may run on (see :func:`_shares`).
     """
     first = cfgs[0]
     shared = [(c.model, c.surrogate, c.train.seeds, c.train.batch_size) for c in cfgs]
@@ -532,8 +532,11 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
         save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     r_x = events.measured_input_bound(data.train.frames)
     dims = (data.train.frames.shape[2], *first.model.hidden_dims)
-    shares = _seed_shares(first.train.seeds, sum(planned_passes(cfg, n_train) for cfg in cfgs), dims)
-    per_seed = _run_shares(shares, lambda seeds: [_train_seed(cfgs, data, r_x, seed) for seed in seeds])
+    passes = sum(planned_passes(cfg, n_train) for cfg in cfgs)
+    shares = _shares(first.train.seeds, passes, _FORK_MIN_PASSES, dims)
+    per_seed = _run_shares(
+        shares, lambda seeds: [_train_seed(cfgs, data, r_x, seed) for seed in seeds], "training", "seeds"
+    )
     runs = [
         TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=list(results))
         for cfg, results in zip(cfgs, zip(*per_seed))
@@ -564,8 +567,8 @@ def _train_seed(cfgs: Sequence[RunConfig], data: SplitDataset, r_x: float, seed:
 # Children are forked copies of this process: they inherit the data and the
 # configurations, and only their results cross a pipe.  It is imported with
 # this module: an import inside a run would count in that run's traced memory.
-# Where the platform cannot fork (Windows) it is None, and every seed trains
-# in this process.
+# Where the platform cannot fork (Windows) it is None, and all work runs in
+# this process.
 _FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 # Planned passes per seed group (summed over its runs) below which every
@@ -577,6 +580,23 @@ _FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all
 # one-epoch run of that study (24 passes a group) in this process.
 _FORK_MIN_PASSES = 100
 
+# Sequence-cells (sequences x cells) below which a robustness sweep runs
+# in this process.  A cell cost 11-12 us a sequence (a corrupted copy and a
+# forward in each mode, on the 48-16-16-16 net).  Forked on two cores, this
+# process keeps 7 of the 13 cells of the default grid, and the fork, its
+# copy-on-write faults and the collection added 8-12 ms in a 50 MB process
+# that had just run the benchmark's other phases.  A sweep over 128
+# sequences (1664 sequence-cells) then took 1.06 times its one-process time
+# when forked, and one over 256 (3328) 0.73 times (medians of six each,
+# 2-vCPU Xeon): it breaks even near 2000.  4096 leaves a margin, and keeps
+# the sweeps of test-size splits in this process.
+_FORK_MIN_SWEEP_CELLS = 4096
+
+# True in a forked share's child, whose own work then runs in one process:
+# the children of a child would only contend for the cores its parent's
+# shares already hold.
+_IN_SHARE = False
+
 
 def _cores() -> int:
     """The cores this process may run on (all of the machine's where the
@@ -586,40 +606,46 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _seed_shares(seeds: Sequence[int], group_passes: int, dims: Sequence[int]) -> list[tuple[int, ...]]:
-    """The seeds in consecutive shares, one per core the process may run on,
-    or a single share when a seed group plans fewer than ``_FORK_MIN_PASSES``,
-    when the platform cannot fork, or when a network of widths ``dims`` has a
-    drive too wide to keep off OpenBLAS's thread pool.  That pool already
-    spreads such a drive over the cores, and a forked share would wake a
-    pool of its own: a study at hidden widths of 256 took 1.5 to 2.1 times its
+def _shares(items: Sequence, size: int, min_size: int, dims: Sequence[int]) -> list[tuple]:
+    """Independent ``items`` in consecutive shares, one per core the process
+    may run on and at most one per item, for :func:`_run_shares`.
+
+    It is a single share when ``size``, the size of all the items' work, is
+    below ``min_size``, when the platform cannot fork, when this process is
+    itself a forked share, or when a network of widths ``dims`` has a drive
+    too wide to keep off OpenBLAS's thread pool.  That pool already spreads
+    such a drive over the cores, and a forked share would wake a pool of its
+    own: a study at hidden widths of 256 took 1.5 to 2.1 times its
     one-process wall time when forked (two runs each, 2-vCPU Xeon).
 
-    Every seed group plans ``group_passes`` passes, so shares of equal seed
-    counts, give or take one, are balanced by planned passes; the larger
-    shares come first.
+    Shares of equal item counts, give or take one, balance items of equal
+    work; the larger shares come first.
     """
-    forks = _FORK is not None and group_passes >= _FORK_MIN_PASSES and drives_stay_serial(dims)
-    n_shares = min(_cores(), len(seeds)) if forks else 1
-    return [tuple(share.tolist()) for share in np.array_split(np.asarray(seeds), n_shares)]
+    forks = _FORK is not None and not _IN_SHARE and size >= min_size and drives_stay_serial(dims)
+    n_shares = max(1, min(_cores(), len(items))) if forks else 1
+    per_share, extra = divmod(len(items), n_shares)
+    ends = [k * per_share + min(k, extra) for k in range(n_shares + 1)]
+    return [tuple(items[a:b]) for a, b in zip(ends, ends[1:])]
 
 
-def _run_shares(shares: list[tuple[int, ...]], work) -> list:
+def _run_shares(shares: list[tuple], work, verb: str, noun: str) -> list:
     """``work(share)`` for every share, concatenated in share order.
 
     This process runs the first share; a child forked before it starts runs
     each other one and sends back its results and its calibration-op count,
-    which is added to this process's.  A child's exception is raised here,
-    once this process's share is done, with the child's traceback as its
-    cause.  Every child has ended when this returns or raises: one still
-    running when this process's share raises is terminated.
+    which is added to this process's.  A child is named by ``noun`` and its
+    share's items (``"seeds 1"``), and its errors by ``verb`` too.  A
+    child's exception is raised here, once this process's share is done,
+    with the child's traceback as its cause.  Every child has ended when
+    this returns or raises: one still running when this process's share
+    raises is terminated.
     """
     global _CALIBRATION_OPS
     children = []
     try:
         for share in shares[1:]:
             receiver, sender = _FORK.Pipe(duplex=False)
-            name = "seeds " + ", ".join(map(str, share))
+            name = f"{noun} " + ", ".join(map(str, share))
             child = _FORK.Process(target=_share_child, args=(work, share, sender), name=name)
             child.start()
             sender.close()
@@ -630,9 +656,9 @@ def _run_shares(shares: list[tuple[int, ...]], work) -> list:
                 outcome, payload, extra = receiver.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(f"the child training {child.name} exited with code {child.exitcode}") from None
+                raise RuntimeError(f"the child {verb} {child.name} exited with code {child.exitcode}") from None
             if outcome == "error":
-                raise payload from RuntimeError(f"in the child training {child.name}:\n{extra}")
+                raise payload from RuntimeError(f"in the child {verb} {child.name}:\n{extra}")
             results += payload
             _CALIBRATION_OPS += extra
         return results
@@ -646,9 +672,12 @@ def _run_shares(shares: list[tuple[int, ...]], work) -> list:
             receiver.close()
 
 
-def _share_child(work, share: tuple[int, ...], sender) -> None:
+def _share_child(work, share: tuple, sender) -> None:
     """A forked child's body: send ``("ok", work(share), calibration ops)``,
-    or ``("error", exception, traceback text)``."""
+    or ``("error", exception, traceback text)``.  A planner called in it
+    returns a single share (see :func:`_shares`)."""
+    global _IN_SHARE
+    _IN_SHARE = True
     ops = _CALIBRATION_OPS
     try:
         message = ("ok", work(share), _CALIBRATION_OPS - ops)
@@ -763,19 +792,6 @@ def _write_summary(result: TrainResult) -> None:
         fh.write("\n")
 
 
-def metrics_equal(path_a: str, path_b: str) -> bool:
-    """Whether two metrics tables agree outside the wall-clock columns."""
-
-    def rows(path: str) -> list[dict]:
-        with open(path, newline="") as fh:
-            return [
-                {k: v for k, v in row.items() if k not in NONDETERMINISTIC_COLUMNS}
-                for row in csv.DictReader(fh)
-            ]
-
-    return rows(path_a) == rows(path_b)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation and robustness
 # ---------------------------------------------------------------------------
@@ -836,7 +852,11 @@ def robustness_sweep(
 
     Severity 0 leaves frames unchanged, so every family's severity-0 point
     is the clean accuracy, evaluated once per mode.  The summary reports
-    the trapezoidal area under each curve; a grid it cannot score is refused.
+    the trapezoidal area under each curve; a grid it cannot score, and a
+    label the network cannot emit, are refused before any forward.  The
+    cells (the clean point, then each family's nonzero severities) are
+    independent, so a sweep of ``_FORK_MIN_SWEEP_CELLS`` sequence-cells or
+    more runs them in shares on every core (see :func:`_shares`).
     """
     for family in families:
         if family not in CORRUPTION_FAMILIES:
@@ -847,20 +867,22 @@ def robustness_sweep(
     for prev, s in zip([-math.inf, *sev], sev):
         if not (prev < s and 0.0 <= s <= 1.0):
             raise ValueError(f"severity {s} breaks the grid {sev}: severities must increase strictly within [0, 1]")
+    _check_labels(ds.labels, params.n_classes)
     modes = (SURROGATE_MODE, HARD_MODE)
-    curves: dict[str, dict[str, list[float]]] = {}
-    auc: dict[str, dict[str, float]] = {}
+    cells = ([None] if 0.0 in sev else []) + [(f, s) for f in families for s in sev if s != 0.0]
 
-    def in_both_modes(frames: np.ndarray) -> dict[str, float]:
+    def in_both_modes(cell: tuple[str, float] | None) -> dict[str, float]:
+        frames = ds.frames if cell is None else corrupted_copy(ds.frames, *cell, corruption_seed)
         return {m: accuracy(params, spec, frames, ds.labels, m) for m in modes}
 
-    clean = in_both_modes(ds.frames) if 0.0 in sev else {}
+    shares = _shares(range(len(cells)), ds.n_samples * len(cells), _FORK_MIN_SWEEP_CELLS, params.dims)
+    results = _run_shares(shares, lambda share: [in_both_modes(cells[i]) for i in share], "sweeping", "cells")
+    points = dict(zip(cells, results))
+    curves: dict[str, dict[str, list[float]]] = {}
+    auc: dict[str, dict[str, float]] = {}
     for family in families:
-        points = [
-            clean if s == 0.0 else in_both_modes(corrupted_copy(ds.frames, family, s, corruption_seed))
-            for s in sev
-        ]
-        curves[family] = {mode: [point[mode] for point in points] for mode in modes}
+        family_points = [points[None if s == 0.0 else (family, s)] for s in sev]
+        curves[family] = {mode: [point[mode] for point in family_points] for mode in modes}
         auc[family] = {
             mode: float(np.trapezoid(np.asarray(curves[family][mode]), x=np.asarray(sev)))
             for mode in modes

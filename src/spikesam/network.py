@@ -21,6 +21,7 @@ import functools
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator, Sequence
 
@@ -34,6 +35,10 @@ HARD = "hard"
 _FAMILIES = (ARCTAN, FAST_SIGMOID, HARD)
 _FAMILY_CODES = {ARCTAN: 1, FAST_SIGMOID: 2, HARD: 3}
 _CODE_FAMILIES = {v: k for k, v in _FAMILY_CODES.items()}
+
+# The largest slope whose squared slope, and so each family's curvature
+# bound, stays finite.
+_MAX_SLOPE = math.sqrt(sys.float_info.max)
 
 # 0-d: the cheapest ufunc scalars
 _ZERO, _HALF, _ONE, _PI = np.array(0.0), np.array(0.5), np.array(1.0), np.array(math.pi)
@@ -69,8 +74,8 @@ class SurrogateSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        if self.family != HARD and not (np.isfinite(self.slope) and self.slope > 0.0):
-            raise ValueError(f"slope must be positive and finite, got {self.slope}")
+        if self.family != HARD and not (0.0 < self.slope <= _MAX_SLOPE):  # NaN fails too
+            raise ValueError(f"slope must be positive and at most {_MAX_SLOPE!r}, got {self.slope}")
 
     @property
     def derivative_bound(self) -> float:

@@ -327,9 +327,12 @@ def convergence_trial(
     and a measured gradient-noise level (zero for full-batch runs, the
     largest partition estimate seen for minibatch runs).
 
-    A minibatch run walks training's schedule: each epoch refreshes the
-    noise estimate, draws :func:`epoch_chunks` and runs one step of
-    :func:`step_plan` per update; an epoch that plans no step is refused.
+    A full-batch update takes the iterate's gradient as its first pass, so
+    it runs one more pass at ``rho > 0`` and none at ``rho = 0``, the
+    single-pass step.  A minibatch run walks training's schedule: each
+    epoch refreshes the noise estimate, draws :func:`epoch_chunks` and runs
+    one step of :func:`step_plan` per update; an epoch that plans no step
+    is refused.
 
     A step size above the admissible threshold ``1 / (4 beta)`` does not
     abort the run but is flagged, since the guarantee does not cover it.
@@ -369,14 +372,17 @@ def convergence_trial(
             loss_star = min(loss_star, loss)
             if k % CAP_CHECK_EVERY == 0 and not check_caps(params, assume):
                 caps_held = False
-            if full_batch:
-                batches = (data, data)
+            if full_batch:  # the iterate's gradient is the step's first pass
+                g = g_full
+                if cfg.rho > 0.0:
+                    g = backward(opt.advance(params, g, last=False), task.spec, data).grads.buffer
+                params = opt.advance(params, g, last=True)
             else:
                 if k % len(plan) == 0:
                     sigma_sq = max(sigma_sq, _gradient_noise_sq(params, task, g_full, cfg.train_threshold, rng))
                     chunks = epoch_chunks(data.n_samples, task.batch_size, rng)
                 batches = tuple(Batch(data.inputs[chunks[i]], data.labels[chunks[i]]) for i in plan[k % len(plan)])
-            params, _ = opt._step(params, task.spec, batches)
+                params, _ = opt._step(params, task.spec, batches)
         final = backward(params, task.spec, data)
         loss_star = min(loss_star, final.loss)
         if not check_caps(params, assume):

@@ -7,12 +7,14 @@ sweep, and both only stay cheap and well-conditioned at desk scale.
 
 from __future__ import annotations
 
+import csv
 import multiprocessing
 
 import numpy as np
 import pytest
 
 from spikesam.gradients import Batch
+from spikesam.harness import NONDETERMINISTIC_COLUMNS
 from spikesam.network import NetworkParams, SurrogateSpec, init_network
 
 
@@ -72,3 +74,16 @@ def dense_batch(
 
 
 ARCTAN_PI = SurrogateSpec("arctan", float(np.pi))
+
+
+def metrics_equal(path_a: str, path_b: str) -> bool:
+    """Whether two metrics tables agree outside the wall-clock columns."""
+
+    def rows(path: str) -> list[dict]:
+        with open(path, newline="") as fh:
+            return [
+                {k: v for k, v in row.items() if k not in NONDETERMINISTIC_COLUMNS}
+                for row in csv.DictReader(fh)
+            ]
+
+    return rows(path_a) == rows(path_b)

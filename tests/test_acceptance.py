@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import tiny_net
+from conftest import metrics_equal, tiny_net
 from spikesam.bounds import (
     INIT_CAP_MARGIN,
     AssumptionSet,
@@ -44,7 +44,6 @@ from spikesam.harness import (
     evaluate,
     load_data,
     measure_overhead,
-    metrics_equal,
     reset_calibration_ops,
     robustness_sweep,
     run_transfer_study,

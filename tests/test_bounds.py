@@ -39,7 +39,7 @@ from spikesam.bounds import (
     temporal_gain,
 )
 from spikesam.gradients import Batch, backward, batch_loss
-from spikesam.network import SurrogateSpec, forward, parameter_vector, replace_parameters
+from spikesam.network import SurrogateSpec, forward, init_network, parameter_vector, replace_parameters
 
 FROZEN = AssumptionSet(
     r_x=2.0,
@@ -149,6 +149,15 @@ def test_compute_constants_consistent_with_pieces():
     assert tc.beta == smoothness_beta(tc.l_w, tc.h_w)
     assert tc.max_stable_step == pytest.approx(0.25 / tc.beta, rel=1e-15)
     np.testing.assert_allclose(tc.r_u, state_bounds(FROZEN))
+
+
+def test_a_zero_network_admits_every_step_size():
+    # All-zero weights make the loss smooth with beta = 0: no step is too large.
+    params = init_network((4, 3), 2, weight_scale=0.0)
+    tc = compute_constants(assumptions_from(params, SurrogateSpec("arctan", 1.0), 1.0, 4))
+    assert tc.beta == 0.0
+    assert tc.max_stable_step == math.inf
+    assert constants_to_dict(tc)["max_stable_step"] == math.inf
 
 
 def test_constants_serialization(tmp_path):

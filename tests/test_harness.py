@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import metrics_equal
 from spikesam import diagnostics, events, gradients, harness, network, optim
 from spikesam.diagnostics import HARD_MODE, SURROGATE_MODE, accuracy
 from spikesam.gradients import Batch, batch_loss
@@ -49,7 +50,6 @@ from spikesam.harness import (
     load_config,
     load_data,
     match_compute,
-    metrics_equal,
     planned_passes,
     report,
     reset_calibration_ops,
@@ -760,9 +760,8 @@ def test_a_programming_error_in_one_lockstep_arm_propagates_and_closes_every_fil
 # ---------------------------------------------------------------------------
 
 
-def fork_every_share(monkeypatch) -> list[str]:
-    """Split every run's seeds over two shares and fork the second, however
-    small the run; the names of the children started, as they start."""
+def counted_forks(monkeypatch) -> list[str]:
+    """Plan shares for two cores; the names of the children started, as they start."""
     started = []
 
     class Counted(harness._FORK.Process):
@@ -770,19 +769,27 @@ def fork_every_share(monkeypatch) -> list[str]:
             started.append(self.name)
             super().start()
 
-    monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
     monkeypatch.setattr(harness, "_cores", lambda: 2)
     monkeypatch.setattr(harness._FORK, "Process", Counted)
     return started
+
+
+def fork_every_share(monkeypatch) -> list[str]:
+    """Split every run's seeds and every sweep's cells over two shares and
+    fork the second, however small the work; the names of the children
+    started, as they start."""
+    monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
+    monkeypatch.setattr(harness, "_FORK_MIN_SWEEP_CELLS", 0)
+    return counted_forks(monkeypatch)
 
 
 def test_a_platform_without_fork_or_affinity_trains_every_seed_here(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert harness._seed_shares((0, 1, 2), 1, (48, 16)) == [(0, 1), (2,)]
+    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 16)) == [(0, 1), (2,)]
     monkeypatch.setattr(harness, "_FORK", None)  # as on Windows
-    assert harness._seed_shares((0, 1, 2), 1, (48, 16)) == [(0, 1, 2)]
+    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 16)) == [(0, 1, 2)]
     pids = []
     real = harness._train_seed
 
@@ -797,10 +804,10 @@ def test_a_platform_without_fork_or_affinity_trains_every_seed_here(tmp_path, mo
 
 def test_a_network_too_wide_for_serial_drives_trains_every_seed_here(monkeypatch):
     started = fork_every_share(monkeypatch)
-    assert harness._seed_shares((0, 1, 2), 1, (48, 16, 16, 16)) == [(0, 1), (2,)]
+    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 16, 16, 16)) == [(0, 1), (2,)]
     # At 48->32 a drive block under 2^18 would hold 170 rows: too short to cut.
-    assert harness._seed_shares((0, 1, 2), 1, (48, 32)) == [(0, 1, 2)]
-    assert harness._seed_shares((0, 1, 2), 1, (48, 16, 256)) == [(0, 1, 2)]
+    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 32)) == [(0, 1, 2)]
+    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 16, 256)) == [(0, 1, 2)]
     assert not started
 
 
@@ -892,6 +899,89 @@ def test_a_radius_at_the_top_of_the_float_range_trains_or_records_divergence(tmp
     res = train(replace(cfg, optimizer=replace(cfg.optimizer, second_batch=REUSED)))
     for seed in res.seeds:  # 2 epochs of 4 reused two-pass steps, or a divergence that says why
         assert seed.passes == 2 * 4 * 2 or (seed.diverged and seed.diverged_reason)
+
+
+# ---------------------------------------------------------------------------
+# Sweep cells in forked shares
+# ---------------------------------------------------------------------------
+
+SWEEP_GRIDS = {  # families, severities, the cells of the forked share
+    "default": (CORRUPTION_FAMILIES, events.SEVERITY_GRID, "cells 7, 8, 9, 10, 11, 12"),
+    "no_clean_point": ((events.TIME_JITTER, EVENT_DROP), (0.1, 0.3, 0.5), "cells 3, 4, 5"),
+}
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS)
+def test_a_forked_sweep_equals_the_in_process_sweep(monkeypatch, grid):
+    params, spec, ds = evaluation_fixture()
+    families, severities, child = SWEEP_GRIDS[grid]
+    here = robustness_sweep(params, spec, ds, families=families, severities=severities, corruption_seed=3)
+    started = fork_every_share(monkeypatch)
+    forked = robustness_sweep(params, spec, ds, families=families, severities=severities, corruption_seed=3)
+    assert started == [child]
+    assert (forked.severities, forked.curves, forked.auc) == (here.severities, here.curves, here.auc)
+    assert json.dumps(asdict(forked)) == json.dumps(asdict(here))
+
+
+def test_an_instability_in_a_forked_cell_is_raised_here(monkeypatch):
+    params, spec, ds = evaluation_fixture()
+    started = fork_every_share(monkeypatch)
+    real = harness.corrupted_copy
+    message = "non-finite membrane potential in layer 1"
+
+    def unstable(frames, family, severity, base_seed):
+        if (family, severity) == (CORRUPTION_FAMILIES[-1], 0.4):  # the last cell, in the child's share
+            raise InstabilityError(message)
+        return real(frames, family, severity, base_seed)
+
+    monkeypatch.setattr(harness, "corrupted_copy", unstable)
+    with pytest.raises(InstabilityError) as excinfo:
+        robustness_sweep(params, spec, ds)
+    assert type(excinfo.value) is InstabilityError and str(excinfo.value) == message
+    assert "in the child sweeping cells 7, 8, 9, 10, 11, 12" in str(excinfo.value.__cause__)
+    assert started == ["cells 7, 8, 9, 10, 11, 12"]
+    assert not multiprocessing.active_children()
+
+
+def test_a_planner_in_a_forked_share_plans_a_single_share(monkeypatch):
+    fork_every_share(monkeypatch)
+
+    def plan(share):
+        return [harness._shares((0, 1, 2), 1, 0, (48, 16))]
+
+    assert harness._run_shares([(0,), (1,)], plan, "planning", "items") == [[(0, 1), (2,)], [(0, 1, 2)]]
+
+
+def test_study_size_sweeps_and_wide_nets_stay_in_one_process(monkeypatch):
+    started = counted_forks(monkeypatch)
+    cells = range(1 + len(CORRUPTION_FAMILIES) * (len(events.SEVERITY_GRID) - 1))  # the clean point first
+
+    def plan(n_sequences, dims=(48, 16, 16, 16), cells=cells):
+        return harness._shares(cells, n_sequences * len(cells), harness._FORK_MIN_SWEEP_CELLS, dims)
+
+    assert plan(128) == [tuple(cells)]  # the benchmark's study split
+    assert plan(1024, cells=range(2)) == [(0, 1)]  # its memory pass: one family at (0, 0.2)
+    assert plan(1024) == [tuple(cells[:7]), tuple(cells[7:])]  # its eval split
+    assert plan(1024, dims=(48, 32)) == [tuple(cells)]
+    params, spec, ds = evaluation_fixture()
+    robustness_sweep(params, spec, ds)  # a test-size split
+    monkeypatch.setattr(harness, "_FORK_MIN_SWEEP_CELLS", 0)
+    rng = np.random.default_rng(6)
+    wide = Dataset((rng.random((8, 4, 48)) < 0.3).astype(np.float64), np.arange(8) % 2, 2)
+    robustness_sweep(init_network((48, 32), 2, seed=np.random.default_rng(7)), spec, wide)
+    assert not started
+
+
+@pytest.mark.parametrize("case", ["unknown_family", "bad_grid", "label"])
+def test_a_sweep_refuses_before_any_fork(monkeypatch, case):
+    params, spec, ds = evaluation_fixture()
+    started = fork_every_share(monkeypatch)
+    options = {"unknown_family": {"families": ("salt",)}, "bad_grid": {"severities": (0.3, 0.1)}, "label": {}}
+    if case == "label":
+        ds = Dataset(ds.frames, np.full(ds.n_samples, params.n_classes), params.n_classes + 1)
+    with pytest.raises(ValueError, match="salt|breaks the grid|label exceeds the network's class count"):
+        robustness_sweep(params, spec, ds, **options[case])
+    assert not started
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import math
 import pickle
 import re
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -194,6 +195,19 @@ def test_spec_validation():
         SurrogateSpec(ARCTAN, 0.0)
     with pytest.raises(ValueError):
         SurrogateSpec(ARCTAN, math.inf)
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID])
+@pytest.mark.parametrize("slope", [1e308, 1.35e154])
+def test_a_slope_whose_curvature_bound_overflows_is_refused(family, slope):
+    with pytest.raises(ValueError, match=f"^slope must be positive and at most .*, got {re.escape(str(slope))}$"):
+        SurrogateSpec(family, slope)
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID])
+def test_the_largest_admitted_slope_has_finite_bounds(family):
+    spec = SurrogateSpec(family, math.sqrt(sys.float_info.max))
+    assert math.isfinite(spec.derivative_bound) and math.isfinite(spec.curvature_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,22 @@ def test_convergence_trial_computes_each_full_data_gradient_once(monkeypatch):
     assert calls.count(task.data.n_samples) == 9
 
 
+@pytest.mark.parametrize("rho, passes", [(1e-3, 9), (0.0, 5)])
+def test_a_full_batch_update_takes_the_iterate_gradient_as_its_first_pass(monkeypatch, rho, passes):
+    # 4 updates: the iterate's gradient, a second pass at the perturbed point
+    # when rho > 0, and the final iterate's gradient.
+    task = _tiny_task()
+    calls = []
+
+    def counted(params, spec, batch):
+        calls.append(batch.n_samples)
+        return backward(params, spec, batch)
+
+    monkeypatch.setattr(optim, "backward", counted)
+    convergence_trial(task, OptimizerConfig(eta=1e-3, rho=rho), n_updates=4, seeds=(0,))
+    assert calls == [task.data.n_samples] * passes
+
+
 def test_convergence_trial_flags_inadmissible_step():
     task = _tiny_task()
     report = convergence_trial(task, OptimizerConfig(eta=10.0, rho=0.0), n_updates=4, seeds=(0,))
