@@ -26,6 +26,9 @@ CORRUPTION_FAMILIES = (EVENT_DROP, TIME_JITTER, BIN_DROP)
 # Shared severity grid for robustness sweeps.
 SEVERITY_GRID = (0.0, 0.1, 0.2, 0.3, 0.4)
 
+# The largest mean count NumPy's Poisson sampler takes (its ``lam`` limit).
+_MAX_RATE = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 
 def _time_bins(times: np.ndarray, duration: float, n_bins: int) -> np.ndarray:
     """Each event time's index among ``n_bins`` uniform bins over [0, duration];
@@ -169,9 +172,12 @@ class SynthTaskConfig:
 
     def __post_init__(self) -> None:
         if self.n_classes < 2:
-            raise ValueError("need at least two classes")
-        if self.n_coords < self.n_classes or self.n_steps < self.n_classes:
-            raise ValueError("need at least one coordinate and one bin per class")
+            raise ValueError(f"n_classes must be at least 2, got {self.n_classes}")
+        for name in ("n_steps", "n_coords"):  # each class has its own bins and coordinates
+            if getattr(self, name) < self.n_classes:
+                raise ValueError(f"{name} must be at least n_classes ({self.n_classes}), got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.style not in (BLOCK_STYLE, RATE_STYLE):
             raise ValueError(f"unknown task style {self.style!r}")
         for name in ("n_polarities", "n_train", "n_val", "n_test"):
@@ -179,13 +185,13 @@ class SynthTaskConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (0.0 < self.duration < math.inf):  # NaN fails too
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
-        for name in ("rate_active", "rate_background"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.rate_background < 0.0:
-            raise ValueError("rates are mean event counts and cannot be negative")
-        if self.rate_active <= self.rate_background:
-            raise ValueError("active rate must exceed the background rate")
+        if not (0.0 <= self.rate_background < math.inf):  # NaN fails too
+            raise ValueError(f"rate_background must be a non-negative, finite mean count, got {self.rate_background}")
+        if not (self.rate_background < self.rate_active <= _MAX_RATE):
+            raise ValueError(
+                f"rate_active must exceed rate_background ({self.rate_background}) and be at most {_MAX_RATE:.6g},"
+                f" got {self.rate_active}"
+            )
 
     @property
     def frame_width(self) -> int:

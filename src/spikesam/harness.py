@@ -23,7 +23,7 @@ import os
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Sequence, TextIO, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Sequence, TextIO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -505,6 +505,16 @@ def _write_row(fh: TextIO, row: dict) -> None:
     csv.DictWriter(fh, fieldnames=list(row)).writerow(row)
 
 
+class _ArmSeed(NamedTuple):
+    """One configuration's run of one seed: a share item of :func:`_train_lockstep`."""
+
+    seed: int
+    cfg: RunConfig
+
+    def __str__(self) -> str:  # the run's seed directory, below the run's parent
+        return f"{os.path.basename(os.path.normpath(self.cfg.out_dir))}/seed_{self.seed}"
+
+
 def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[TrainResult]:
     """Train every configuration seed by seed, with the seed's runs in lockstep.
 
@@ -513,8 +523,14 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
     every independent-batch radius read the same chunk: one stacked pass
     answers them all, and each run's slice of it is bit-identical to its
     lone pass.  The configurations must share the model, surrogate, seeds
-    and batch size.  The seeds are split into shares that train on every
-    core the process may run on (see :func:`_shares`).
+    and batch size.
+
+    The arm-seeds (seed-major, runs in configuration order) are split into
+    shares that train on every core the process may run on (see
+    :func:`_shares`).  A share trains each of its seeds' runs in lockstep,
+    so a seed whose runs two shares split trains half in each; both halves
+    start from the same network and draw the same permutations, so every
+    result is the one a single process writes.
     """
     first = cfgs[0]
     shared = [(c.model, c.surrogate, c.train.seeds, c.train.batch_size) for c in cfgs]
@@ -532,14 +548,20 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
         save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     r_x = events.measured_input_bound(data.train.frames)
     dims = (data.train.frames.shape[2], *first.model.hidden_dims)
-    passes = sum(planned_passes(cfg, n_train) for cfg in cfgs)
-    shares = _shares(first.train.seeds, passes, _FORK_MIN_PASSES, dims)
-    per_seed = _run_shares(
-        shares, lambda seeds: [_train_seed(cfgs, data, r_x, seed) for seed in seeds], "training", "seeds"
-    )
+    passes = len(first.train.seeds) * sum(planned_passes(cfg, n_train) for cfg in cfgs)
+    arm_seeds = [_ArmSeed(seed, cfg) for seed in first.train.seeds for cfg in cfgs]
+
+    def train_share(share: tuple[_ArmSeed, ...]) -> list[SeedResult]:
+        return [
+            result
+            for seed, group in itertools.groupby(share, key=lambda item: item.seed)
+            for result in _train_seed([item.cfg for item in group], data, r_x, seed)
+        ]
+
+    results = _run_shares(_shares(arm_seeds, passes, _FORK_MIN_PASSES, dims), train_share, "training", "arm-seeds")
     runs = [
-        TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=list(results))
-        for cfg, results in zip(cfgs, zip(*per_seed))
+        TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=results[k :: len(cfgs)])
+        for k, cfg in enumerate(cfgs)
     ]
     for run in runs:
         _write_summary(run)
@@ -571,14 +593,19 @@ def _train_seed(cfgs: Sequence[RunConfig], data: SplitDataset, r_x: float, seed:
 # this process.
 _FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
-# Planned passes per seed group (summed over its runs) below which every
-# seed trains in this process.  Forking and collecting an empty share took
-# about 4 ms, and the copy-on-write faults of a share that trains added
-# 10-40 ms, while a planned pass took about 0.9 ms (the benchmark's
-# two-seed, three-run study on a 2-vCPU Xeon).  A one-seed share thus
-# breaks even at 20 to 50 planned passes; 100 leaves a margin, and keeps a
-# one-epoch run of that study (24 passes a group) in this process.
-_FORK_MIN_PASSES = 100
+# Planned passes of a training group (summed over all its arm-seeds) below
+# which every arm-seed trains in this process.  The benchmark's eval study
+# (one seed, the baseline and one radius: a one-run share each) was timed
+# forked on two cores and in one process, alternately, in a process that had
+# run the benchmark's other phases (2-vCPU Xeon).  Forked it took 0.99-1.07
+# times its one-process time at 8 planned passes a share (one epoch), 0.90-0.95
+# at 16 and 0.80-0.86 at 48 (medians of 21 pairs, two runs); one earlier run
+# of 11 pairs, in a faster spell for the one process, still read 1.04 at 48.
+# A share thus breaks even near 8 to 16 planned passes.  64, a share of 32
+# on two cores, leaves a margin, forks that study (96 passes), and keeps the
+# benchmark's one-epoch studies (16 and 48 passes) in this process, where
+# its memory pass traces them.
+_FORK_MIN_PASSES = 64
 
 # Sequence-cells (sequences x cells) below which a robustness sweep runs
 # in this process.  A cell cost 11-12 us a sequence (a corrupted copy and a
@@ -619,7 +646,8 @@ def _shares(items: Sequence, size: int, min_size: int, dims: Sequence[int]) -> l
     one-process wall time when forked (two runs each, 2-vCPU Xeon).
 
     Shares of equal item counts, give or take one, balance items of equal
-    work; the larger shares come first.
+    work (not a reused-policy run's arm-seeds, which plan twice a
+    baseline's passes); the larger shares come first.
     """
     forks = _FORK is not None and not _IN_SHARE and size >= min_size and drives_stay_serial(dims)
     n_shares = max(1, min(_cores(), len(items))) if forks else 1
@@ -852,12 +880,15 @@ def robustness_sweep(
 
     Severity 0 leaves frames unchanged, so every family's severity-0 point
     is the clean accuracy, evaluated once per mode.  The summary reports
-    the trapezoidal area under each curve; a grid it cannot score, and a
-    label the network cannot emit, are refused before any forward.  The
-    cells (the clean point, then each family's nonzero severities) are
-    independent, so a sweep of ``_FORK_MIN_SWEEP_CELLS`` sequence-cells or
-    more runs them in shares on every core (see :func:`_shares`).
+    the trapezoidal area under each curve; a family list that is empty or
+    repeats a family, a grid it cannot score, and a label the network
+    cannot emit are refused before any forward.  The cells (the clean
+    point, then each family's nonzero severities) are independent, so a
+    sweep of ``_FORK_MIN_SWEEP_CELLS`` sequence-cells or more runs them in
+    shares on every core (see :func:`_shares`).
     """
+    if not families or len(set(families)) < len(families):
+        raise ValueError(f"families must name at least one corruption family, each once, got {list(families)}")
     for family in families:
         if family not in CORRUPTION_FAMILIES:
             raise ValueError(f"unknown corruption family {family!r}; expected one of {CORRUPTION_FAMILIES}")

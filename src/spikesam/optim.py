@@ -51,7 +51,7 @@ class OptimizerConfig:
         if not (0.0 <= self.rho < math.inf):
             raise ValueError(f"rho must be non-negative and finite, got {self.rho}")
         if self.second_batch not in (REUSED, INDEPENDENT):
-            raise ValueError(f"unknown second-batch policy {self.second_batch!r}")
+            raise ValueError(f"second_batch must be {INDEPENDENT!r} or {REUSED!r}, got {self.second_batch!r}")
 
 
 @dataclass(frozen=True)

@@ -294,6 +294,14 @@ def test_train_settings_select_validation():
         ("model.theta_init=0", "theta_init must be positive and finite, got 0.0"),
         ("model.theta_init=Infinity", "theta_init must be positive and finite, got inf"),
         ("model.weight_scale=NaN", "weight_scale must be finite, got nan"),
+        ("data.synth.n_classes=1", "n_classes must be at least 2, got 1"),
+        ("data.synth.n_steps=1", "n_steps must be at least n_classes (2), got 1"),
+        ("data.synth.n_coords=1", "n_coords must be at least n_classes (2), got 1"),
+        ("data.synth.rate_active=0.1", "rate_active must exceed rate_background (0.2) and be at most 9.22337e+18"),
+        ("data.synth.rate_active=1e19", "rate_active must exceed rate_background (0.2) and be at most 9.22337e+18"),
+        ("data.synth.rate_background=-1", "rate_background must be a non-negative, finite mean count, got -1"),
+        ("data.synth.seed=-1", "seed must be non-negative, got -1"),
+        ('optimizer.second_batch="same"', "second_batch must be 'independent' or 'reused', got 'same'"),
     ],
 )
 def test_cli_refuses_an_out_of_range_train_setting_by_name(tmp_path, capsys, setting, message):
@@ -811,10 +819,45 @@ def test_a_network_too_wide_for_serial_drives_trains_every_seed_here(monkeypatch
     assert not started
 
 
+class Planned(Exception):
+    """Raised in place of training, with the names of each planned share's arm-seeds."""
+
+
+def planned_study_shares(monkeypatch, cfg: RunConfig, rho_grid, data) -> list[list[str]]:
+    """The arm-seed shares ``run_transfer_study`` plans on two cores, trained by none."""
+    monkeypatch.setattr(harness, "_cores", lambda: 2)
+
+    def run_shares(shares, work, verb, noun):
+        raise Planned([[str(item) for item in share] for share in shares])
+
+    monkeypatch.setattr(harness, "_run_shares", run_shares)
+    with pytest.raises(Planned) as excinfo:
+        run_transfer_study(cfg, rho_grid=rho_grid, data=data)
+    return excinfo.value.args[0]
+
+
+def test_arm_seed_shares_split_the_packaged_study_evenly_and_keep_one_epoch_studies_here(tmp_path, monkeypatch):
+    cfg = default_transfer_config(str(tmp_path / "study"))
+    data = load_data(cfg.data)
+    halves = planned_study_shares(monkeypatch, cfg, RHO_GRID, data)
+    assert [len(share) for share in halves] == [20, 20]  # 5 seeds x 8 runs, seed-major
+    assert [[name for name in share if name.endswith("seed_2")] for share in halves] == [
+        ["baseline/seed_2", "sast-rho0.02/seed_2", "sast-rho0.05/seed_2", "sast-rho0.1/seed_2"],
+        ["sast-rho0.2/seed_2", "sast-rho0.3/seed_2", "sast-rho0.4/seed_2", "sast-rho0.5/seed_2"],
+    ]
+    # the benchmark's eval study (6 epochs, one seed, two runs: 96 planned passes) forks
+    brief = replace(cfg, train=replace(cfg.train, epochs=6, seeds=(0,)))
+    assert planned_study_shares(monkeypatch, brief, (0.1,), data) == [["baseline/seed_0"], ["sast-rho0.1/seed_0"]]
+    # its memory pass's one-epoch studies (16 and 48 planned passes) stay in this process
+    for seeds, rho_grid in (((0,), (0.1,)), ((0, 1), (0.1, 0.3))):
+        one_epoch = replace(cfg, train=replace(cfg.train, epochs=1, seeds=seeds))
+        assert len(planned_study_shares(monkeypatch, one_epoch, rho_grid, data)) == 1
+
+
 @pytest.mark.parametrize("policy", [INDEPENDENT, REUSED])
 def test_a_forked_study_writes_what_an_in_process_study_writes(tmp_path, monkeypatch, policy):
     blow_up_one_radius(monkeypatch)
-    base = micro_config(str(tmp_path / "in_process"), epochs=3, seeds=(0, 1))
+    base = micro_config(str(tmp_path / "in_process"), epochs=3, seeds=(0, 1, 2))
     base = replace(
         base,
         optimizer=replace(base.optimizer, second_batch=policy),
@@ -826,14 +869,15 @@ def test_a_forked_study_writes_what_an_in_process_study_writes(tmp_path, monkeyp
     started = fork_every_share(monkeypatch)
     forked = run_transfer_study(replace(base, out_dir=str(tmp_path / "forked")), rho_grid=rho_grid, data=data)
 
-    assert started == ["seeds 1"]
+    # nine arm-seeds split 5/4: seed 1's blown-up radius trains in the child, its other runs here
+    assert started == ["arm-seeds sast-rho0.3/seed_1, baseline/seed_2, sast-rho0.05/seed_2, sast-rho0.3/seed_2"]
     files = run_files(tmp_path / "forked")
     assert set(files) == set(run_files(tmp_path / "in_process"))
     assert_runs_match(files, run_files(tmp_path / "in_process"))
-    # seed 1 trained in the child, and its blown-up radius diverged there as it does here
+    # the blown-up radius diverged in the child as it does here
     blown = [(s.seed, s.diverged_reason, s.diverged_step) for s in forked.by_rho[BLOWN_UP_RHO].seeds]
     assert blown == [(s.seed, s.diverged_reason, s.diverged_step) for s in in_process.by_rho[BLOWN_UP_RHO].seeds]
-    assert [seed for seed, reason, step in blown if reason and step] == [0, 1]
+    assert [seed for seed, reason, step in blown if reason and step] == [0, 1, 2]
 
 
 def test_an_error_in_a_forked_share_is_raised_here_with_every_file_closed(tmp_path, monkeypatch):
@@ -841,18 +885,21 @@ def test_an_error_in_a_forked_share_is_raised_here_with_every_file_closed(tmp_pa
     real = harness._Arm.end_epoch
 
     def end_epoch(arm, epoch, *args):
-        if arm.seed == 1 and epoch == 2:  # in the child's share only
+        if (arm.seed, arm.cfg.optimizer.rho, epoch) == (1, 0.2, 2):  # the child's half of seed 1
             raise ValueError("shapes (8, 6) and (5,) not aligned")
         return real(arm, epoch, *args)
 
     monkeypatch.setattr(harness._Arm, "end_epoch", end_epoch)
     with pytest.raises(ValueError, match=r"^shapes \(8, 6\) and \(5,\) not aligned$") as excinfo:
-        run_transfer_study(micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0, 1)), rho_grid=(0.1, 0.2))
-    assert "in the child training seeds 1" in str(excinfo.value.__cause__)
+        run_transfer_study(micro_config(str(tmp_path / "bug"), epochs=3, seeds=(0, 1, 2)), rho_grid=(0.1, 0.2))
+    child = "arm-seeds sast-rho0.2/seed_1, baseline/seed_2, sast-rho0.1/seed_2, sast-rho0.2/seed_2"
+    assert f"in the child training {child}" in str(excinfo.value.__cause__)
     for arm in ("baseline", "sast-rho0.1", "sast-rho0.2"):
-        for seed, epochs in ((0, ["1", "2", "3"]), (1, ["1"])):
+        for seed in (0, 1):
+            epochs = ["1"] if (arm, seed) == ("sast-rho0.2", 1) else ["1", "2", "3"]
             with open(tmp_path / "bug" / arm / f"seed_{seed}" / "metrics.csv", newline="") as fh:
                 assert [row["epoch"] for row in csv.DictReader(fh)] == epochs, (arm, seed)
+        assert not (tmp_path / "bug" / arm / "seed_2").exists()  # the child raised before seed 2
 
 
 def test_an_error_in_this_process_share_ends_the_forked_shares(tmp_path, monkeypatch):
@@ -972,16 +1019,27 @@ def test_study_size_sweeps_and_wide_nets_stay_in_one_process(monkeypatch):
     assert not started
 
 
-@pytest.mark.parametrize("case", ["unknown_family", "bad_grid", "label"])
+SWEEP_REFUSALS = {  # options, the refusal
+    "unknown_family": ({"families": ("salt",)}, "salt"),
+    "no_family": ({"families": ()}, r"^families must name at least one corruption family, each once, got \[\]$"),
+    "repeated_family": ({"families": (EVENT_DROP, EVENT_DROP)}, "^families must .* each once"),
+    "bad_grid": ({"severities": (0.3, 0.1)}, "breaks the grid"),
+    "label": ({}, "label exceeds the network's class count"),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_REFUSALS)
 def test_a_sweep_refuses_before_any_fork(monkeypatch, case):
     params, spec, ds = evaluation_fixture()
     started = fork_every_share(monkeypatch)
-    options = {"unknown_family": {"families": ("salt",)}, "bad_grid": {"severities": (0.3, 0.1)}, "label": {}}
+    forwards = []
+    monkeypatch.setattr(harness, "accuracy", lambda *args: forwards.append(args))
+    options, refusal = SWEEP_REFUSALS[case]
     if case == "label":
         ds = Dataset(ds.frames, np.full(ds.n_samples, params.n_classes), params.n_classes + 1)
-    with pytest.raises(ValueError, match="salt|breaks the grid|label exceeds the network's class count"):
-        robustness_sweep(params, spec, ds, **options[case])
-    assert not started
+    with pytest.raises(ValueError, match=refusal):
+        robustness_sweep(params, spec, ds, **options)
+    assert not started and not forwards
 
 
 # ---------------------------------------------------------------------------
