@@ -10,11 +10,14 @@ The reverse sweep mirrors the forward recursion by hand.  Writing with
 with ``gu[l, T+1] = 0``.  Layers are processed top-down (the cross-layer
 term needs the full time course of ``gu[l+1]``), time backwards within each
 layer.  Thresholds receive two contributions: through the spike argument
-``u - theta`` and through the reset term ``-theta * z[l, t-1]``.
+``u - theta`` and through the reset term ``-theta * z[l, t-1]``.  The sweep
+reads the smooth forward's trace, the spike arguments ``s = k (u - theta)``
+and ``r`` with ``z = A + B r`` (see ``network.smooth_layer``), so
+``sigma'`` comes from ``s`` and every term that reads ``z`` reads ``r``.
 
 Working set beyond the forward trace and the gradient buffer ((P,), or
 (n, P) per sample): three (T, n, d) arrays of the layer being swept
-(``sigma'``, ``gz`` and ``gu``) plus the ``gu`` of the layer above, held
+(``sigma'``, written over ``s`` in a batch sweep, ``gz`` and ``gu``) plus the ``gu`` of the layer above, held
 while this layer is swept; for the bottom layer also a time-major copy of
 the input frames (batch) or the (n, T, d0) input gradients (per sample).
 """
@@ -36,9 +39,11 @@ from .network import (
     _all_finite,
     _layout,
     _ZERO,
+    _activity,
+    _argument_derivative,
+    _membrane,
     forward,
     replace_parameters,
-    surrogate_derivative,
 )
 
 _CE_GRAD_L2_CAP = math.sqrt(2.0)
@@ -200,14 +205,20 @@ def _reverse_sweep(
     Returns the canonical parameter gradient, the leak gradient and the
     input gradients.  The batch sweep gives the parameter gradient (P,) and
     ``None`` for the other two.  It is its trace's last reader: it writes
-    over each layer's ``u`` and drops each layer's states once swept, so
-    the working set shrinks as it goes.  Stacked ``params`` and trace (see
-    :func:`network.stack`) take ``v`` as (M, n, C) and give each model's
-    gradient as a row of an (M, P) array, bit-identical to its lone sweep.
-    With ``per_sample=True`` the batch axis is never summed over: the
-    parameter gradient is (n, P), the leak gradient (n,), one row each per
-    sample (the exact gradient of that sample's own objective ``v_i @ o_i``),
-    and the input gradients (n, T, d0).  A non-finite gradient raises.
+    ``sigma'`` over each layer's spike arguments ``s`` and drops each
+    layer's ``s`` and ``r`` once swept, so the working set shrinks as it
+    goes.  Stacked ``params`` and trace (see :func:`network.stack`) take
+    ``v`` as (M, n, C) and give each model's gradient as a row of an
+    (M, P) array, bit-identical to its lone sweep.  With
+    ``per_sample=True`` the batch axis is never summed over: the parameter
+    gradient is (n, P), the leak gradient (n,), one row each per sample
+    (the exact gradient of that sample's own objective ``v_i @ o_i``), and
+    the input gradients (n, T, d0).  A non-finite gradient raises.
+
+    ``sigma'`` comes from ``s`` directly (see ``network._argument_derivative``).
+    The terms that read the activity ``z = A + B r`` take ``r`` and a rank-1
+    correction, and the batch sweep's sums over time and samples are
+    products with a ones vector, which BLAS runs faster than ``add.reduce``.
     """
     spec = trace.spec
     if params.buffer.ndim == 2 and per_sample:
@@ -215,6 +226,8 @@ def _reverse_sweep(
     n, n_steps, _ = trace.inputs.shape
     models = params.buffer.shape[:-1]  # () or (M,)
     alpha = np.array(params.alpha, dtype=np.float64)  # 0-d: the cheapest ufunc scalar
+    a, b = spec._affine
+    a_over_b = spec._folding[2]
     n_layers = params.n_layers
     layer_slots, (w_out_slot, b_out_slot), size = _layout(params.dims, params.n_classes)
     lead = (n,) if per_sample else models
@@ -228,27 +241,30 @@ def _reverse_sweep(
 
     gzbar = np.matmul(v, params.w_out)  # (n, d_L), or stacked (M, n, d_L)
     d_alpha = np.zeros(n)
-    axes = 0 if per_sample else (0, 1)  # the time (and batch) axes of time-major arrays
+    ones = np.ones(n_steps * n)
+
+    def total(x: np.ndarray) -> np.ndarray:
+        """The sum of a time-major array over its time (and batch) axes."""
+        return np.add.reduce(x, axis=0) if per_sample else np.matmul(ones[: len(x) * n], _rows(x))
 
     for idx in range(n_layers - 1, -1, -1):
         layer = params.layers[idx]
-        u = trace.u[idx].swapaxes(0, -2)  # time-major (T, n, d) or (T, n, M, d) views
-        z = trace.z[idx].swapaxes(0, -2)
+        s = trace.s[idx].swapaxes(0, -2)  # time-major (T, n, d) or (T, n, M, d) views
+        r = trace.r[idx].swapaxes(0, -2)
         if not per_sample:  # the batch sweep is the trace's last reader: each layer's states go once swept
-            trace.u[idx] = trace.z[idx] = None
-        block = u.shape[1:]
+            trace.s[idx] = trace.r[idx] = None
+        block = s.shape[1:]
         theta = np.empty(block)  # one contiguous block per step
         theta[...] = layer.threshold
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
-            sp = np.subtract(u, theta, out=None if per_sample else u)  # only the leak gradient reads u again
-            surrogate_derivative(spec, sp, out=sp)
+            sp = _argument_derivative(spec, s, out=np.empty(s.shape) if per_sample else s)  # the leak reads s again
             # gz starts as the cross-layer term; each step subtracts the reset term
             # and then scales by sigma', which leaves the threshold's
             # spike-argument contribution sigma' * gz in place.
             if idx == n_layers - 1:
-                gz = np.broadcast_to((gzbar / n_steps).swapaxes(0, -2), u.shape).copy()
+                gz = np.broadcast_to((gzbar / n_steps).swapaxes(0, -2), s.shape).copy()
             else:  # ``gu`` is still the layer above's
-                gz = np.empty(u.shape)
+                gz = np.empty(s.shape)
                 np.matmul(_rows(gu), params.layers[idx + 1].weight, out=_rows(gz))
             # Once spent, the layer above's cotangents give their buffer to this layer's, if it fits.
             gu = gu if idx < n_layers - 1 and gu.shape == gz.shape else np.empty_like(gz)
@@ -260,15 +276,24 @@ def _reverse_sweep(
             )
 
         w_slot, b_slot, th_slot = layer_slots[idx]
+        gu_total = total(gu)
         if per_sample:  # one (d, T) @ (T, d_in) product per sample
-            put(w_slot, np.matmul(gu.transpose(1, 2, 0), trace.z[idx - 1] if idx > 0 else trace.inputs))
-        else:  # one product over all (t, sample) rows per model; only the input frames are copied to time-major
-            below = trace.z[idx - 1].swapaxes(0, -2) if idx > 0 else trace.inputs.transpose(1, 0, 2)
-            put(w_slot, np.matmul(_rows(gu).swapaxes(-1, -2), _rows(below)))
-        put(b_slot, gu.sum(axis=axes))
-        reset = np.multiply(z[:-1], gu[1:], out=sp[1:]).sum(axis=axes)  # sigma' is spent
-        put(th_slot, -(gz.sum(axis=axes) + reset))
+            below = _activity(spec, trace.r[idx - 1]) if idx > 0 else trace.inputs
+            put(w_slot, np.matmul(gu.transpose(1, 2, 0), below))
+        elif idx > 0:  # one product over all (t, sample) rows per model: W's gradient is B gu r' + A gu 1
+            g_w = np.matmul(_rows(gu).swapaxes(-1, -2), _rows(trace.r[idx - 1].swapaxes(0, -2)))
+            g_w *= b
+            g_w += a * gu_total[..., None]
+            put(w_slot, g_w)
+        else:  # only the input frames are copied to time-major
+            put(w_slot, np.matmul(_rows(gu).swapaxes(-1, -2), _rows(trace.inputs.transpose(1, 0, 2))))
+        put(b_slot, gu_total)
+        # The reset term sums z[t-1] gu[t] = B (r[t-1] + A / B) gu[t]; sigma' is spent.
+        reset = total(np.multiply(np.add(r[:-1], a_over_b, out=sp[1:]), gu[1:], out=sp[1:]))
+        reset *= b
+        put(th_slot, -(total(gz) + reset))
         if per_sample:
+            u = _membrane(spec, trace.s[idx], layer.threshold).swapaxes(0, 1)  # time-major
             d_alpha += (u[:-1] * gu[1:]).sum(axis=(0, 2))
             if idx == 0:
                 input_grads = (_rows(gu) @ layer.weight).reshape(n_steps, n, layer.d_in).transpose(1, 0, 2)

@@ -294,6 +294,7 @@ def load_data(cfg: DataConfig) -> SplitDataset:
 class SeedResult:
     seed: int
     best_epoch: int
+    selected_epoch: int  # the epoch of the checkpoint the accuracies come from (see ``_Arm.selected``)
     best_params: NetworkParams
     final_params: NetworkParams
     passes: int
@@ -367,6 +368,7 @@ class _Arm:
     best: tuple[float, int, NetworkParams]  # (val surrogate acc, epoch, params)
     passes: int = 0
     steps: int = 0
+    epoch: int = 0  # the last epoch recorded: the final iterate's
     diverged_reason: str | None = None  # the error message, or "non-finite loss"
     diagnostics: TextIO | None = None
     losses: list[float] = field(default_factory=list)  # this epoch's first-pass losses
@@ -431,6 +433,7 @@ class _Arm:
     def end_epoch(self, epoch: int, acc_s: float, acc_h: float, wall_s: float) -> bool:
         """Record the epoch; whether the arm trains another one."""
         train = self.cfg.train
+        self.epoch = epoch
         _write_row(
             self.metrics,
             {
@@ -483,6 +486,7 @@ class _Arm:
         return SeedResult(
             seed=self.seed,
             best_epoch=self.best[1],
+            selected_epoch=self.epoch if selected_final else self.best[1],
             best_params=self.best[2],
             final_params=self.params,
             passes=self.passes,
@@ -548,8 +552,8 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
         save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     r_x = events.measured_input_bound(data.train.frames)
     dims = (data.train.frames.shape[2], *first.model.hidden_dims)
-    passes = len(first.train.seeds) * sum(planned_passes(cfg, n_train) for cfg in cfgs)
     arm_seeds = [_ArmSeed(seed, cfg) for seed in first.train.seeds for cfg in cfgs]
+    passes = [planned_passes(item.cfg, n_train) for item in arm_seeds]
 
     def train_share(share: tuple[_ArmSeed, ...]) -> list[SeedResult]:
         return [
@@ -558,7 +562,8 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
             for result in _train_seed([item.cfg for item in group], data, r_x, seed)
         ]
 
-    results = _run_shares(_shares(arm_seeds, passes, _FORK_MIN_PASSES, dims), train_share, "training", "arm-seeds")
+    shares = _shares(arm_seeds, sum(passes), _FORK_MIN_PASSES, dims, weights=passes)
+    results = _run_shares(shares, train_share, "training", "arm-seeds")
     runs = [
         TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=results[k :: len(cfgs)])
         for k, cfg in enumerate(cfgs)
@@ -633,7 +638,9 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _shares(items: Sequence, size: int, min_size: int, dims: Sequence[int]) -> list[tuple]:
+def _shares(
+    items: Sequence, size: int, min_size: int, dims: Sequence[int], weights: Sequence[int] | None = None
+) -> list[tuple]:
     """Independent ``items`` in consecutive shares, one per core the process
     may run on and at most one per item, for :func:`_run_shares`.
 
@@ -645,14 +652,21 @@ def _shares(items: Sequence, size: int, min_size: int, dims: Sequence[int]) -> l
     own: a study at hidden widths of 256 took 1.5 to 2.1 times its
     one-process wall time when forked (two runs each, 2-vCPU Xeon).
 
-    Shares of equal item counts, give or take one, balance items of equal
-    work (not a reused-policy run's arm-seeds, which plan twice a
-    baseline's passes); the larger shares come first.
+    ``weights`` are the items' shares of ``size`` (equal if not given; a
+    reused-policy run's arm-seed plans twice a baseline's passes).  Share
+    ``k`` of ``n`` ends at the item where the cumulative weight comes
+    nearest ``k / n`` of the total, the later item on a tie, and every share
+    keeps at least one item.  So two shares of equal weights split the items
+    evenly, the larger share first.
     """
     forks = _FORK is not None and not _IN_SHARE and size >= min_size and drives_stay_serial(dims)
     n_shares = max(1, min(_cores(), len(items))) if forks else 1
-    per_share, extra = divmod(len(items), n_shares)
-    ends = [k * per_share + min(k, extra) for k in range(n_shares + 1)]
+    cumulative = list(itertools.accumulate([1] * len(items) if weights is None else weights, initial=0))
+    total, ends = cumulative[-1], [0]
+    for k in range(1, n_shares):
+        cuts = range(ends[-1] + 1, len(items) - n_shares + k + 1)
+        ends.append(min(cuts, key=lambda i: (abs(cumulative[i] * n_shares - k * total), -i)))
+    ends.append(len(items))
     return [tuple(items[a:b]) for a, b in zip(ends, ends[1:])]
 
 

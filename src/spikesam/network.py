@@ -11,7 +11,10 @@ time step ``t`` (states at ``t = 0`` are zero):
 ``z[0, t]`` is the input frame at step ``t``.  The same reset-by-subtraction
 recursion is used in both modes; only the spike nonlinearity changes.  The
 hard step uses the convention ``step(0) = 1`` so that a membrane potential
-exactly at threshold fires.
+exactly at threshold fires.  A smooth forward runs the same recursion on the
+spike argument ``k (u - theta)`` instead of on ``u`` (see :func:`smooth_layer`),
+which takes fewer elementwise passes a step; it equals the membrane
+recursion up to rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +94,20 @@ class SurrogateSpec:
         return np.array(self.slope, dtype=np.float64), np.array(self.derivative_bound, dtype=np.float64)
 
     @functools.cached_property
+    def _affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(A, B)`` as 0-d arrays, with ``sigma(x) = A + B g(k x)``: ``g`` is ``arctan``
+        and ``B = 1 / pi``, or, for the fast sigmoid, ``g(s) = s / (1 + |s|)`` and ``B = 1/2``."""
+        if self.family == HARD:
+            raise ValueError("the hard step has no smooth spike function")
+        return _HALF, np.array(1.0 / math.pi if self.family == ARCTAN else 0.5)
+
+    @functools.cached_property
+    def _folding(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``k``, ``k B`` and ``A / B`` as 0-d arrays: the factors :func:`fold` scales by."""
+        a, b = self._affine
+        return self._operands[0], np.array(self.slope * b), np.array(a / b)
+
+    @functools.cached_property
     def _hard(self) -> SurrogateSpec:
         """The hard step at this slope: the spec :func:`mode_spec` gives for hard mode, built once."""
         return SurrogateSpec(HARD, self.slope)
@@ -132,16 +149,21 @@ def surrogate_derivative(spec: SurrogateSpec, x: np.ndarray, out: np.ndarray | N
     if out is None:
         x = np.asarray(x, dtype=np.float64)
         out = np.empty_like(x)
-    k, bound = spec._operands
-    y = np.multiply(k, x, out=out)
-    if spec.family == ARCTAN:  # (k / pi) / (1 + (k x)^2)
-        np.square(y, out=y)
+    y = np.multiply(spec._operands[0], x, out=out)
+    return _argument_derivative(spec, y, out=y)
+
+
+def _argument_derivative(spec: SurrogateSpec, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sigma'`` at spike arguments ``s = k x``, into ``out`` (it may be ``s``): three
+    passes for the arctan family, four for the fast sigmoid."""
+    if spec.family == ARCTAN:  # (k / pi) / (1 + s^2)
+        y = np.square(s, out=out)
         y += _ONE
-    else:  # (k / 2) / (1 + |k x|)^2
-        np.abs(y, out=y)
+    else:  # (k / 2) / (1 + |s|)^2
+        y = np.abs(s, out=out)
         y += _ONE
         np.square(y, out=y)
-    np.divide(bound, y, out=y)
+    np.divide(spec._operands[1], y, out=y)
     return y if y.ndim else y[()]
 
 
@@ -320,21 +342,56 @@ def init_network(
 class StateTrace:
     """Everything a forward pass produced, kept for the reverse sweep.
 
-    ``u[l]`` and ``z[l]`` have shape (n, T, d_l) for layer ``l`` (0-based
+    ``s[l]`` and ``r[l]`` have shape (n, T, d_l) for layer ``l`` (0-based
     list index for layer ``l + 1`` of the recursion); :func:`forward` makes
-    them views of time-major (T, n, d_l) buffers.  A forward run with
-    ``keep_states=False`` leaves both lists empty.  ``zbar`` is the
+    them views of time-major (T, n, d_l) buffers.  They hold the variables
+    the recursion runs on.  For a smooth spec these are the spike argument
+    ``s = k (u - theta)`` and ``r = g(s)``, so that ``z = A + B r`` (see
+    :func:`smooth_layer`); for the hard step, the membrane states ``u`` and
+    the spikes ``z`` themselves.  :attr:`u` and :attr:`z` derive the
+    membrane states and activity from them on each read.  A forward run
+    with ``keep_states=False`` leaves both lists empty.  ``zbar`` is the
     time-averaged top-layer activity and ``logits`` the readout output.  A
-    stacked forward puts a model axis in front of ``u``, ``z``, ``zbar`` and
-    ``logits``; ``inputs`` are shared.
+    stacked forward puts a model axis in front of ``s``, ``r``, ``zbar``,
+    ``logits`` and ``thresholds``; ``inputs`` are shared.
     """
 
     inputs: np.ndarray  # (n, T, d_0)
-    u: list[np.ndarray]
-    z: list[np.ndarray]
+    s: list[np.ndarray]
+    r: list[np.ndarray]
     zbar: np.ndarray  # (n, d_L)
     logits: np.ndarray  # (n, n_classes)
     spec: SurrogateSpec
+    thresholds: list[np.ndarray]  # each layer's (d_l,), copied: u is derived from them
+
+    @property
+    def u(self) -> list[np.ndarray]:
+        """Each layer's membrane states ``s / k + theta``, (n, T, d_l); for the hard step, ``s``."""
+        if self.spec.family == HARD:
+            return self.s
+        return [_membrane(self.spec, s, th) for s, th in zip(self.s, self.thresholds)]
+
+    @property
+    def z(self) -> list[np.ndarray]:
+        """Each layer's activity ``A + B r``, (n, T, d_l); for the hard step, the spikes ``r``."""
+        if self.spec.family == HARD:
+            return self.r
+        return [_activity(self.spec, r) for r in self.r]
+
+
+def _membrane(spec: SurrogateSpec, s: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Membrane states ``s / k + theta`` from sample-major spike arguments (model axis first if stacked)."""
+    u = s / spec._operands[0]
+    u += theta[..., None, None, :]
+    return u
+
+
+def _activity(spec: SurrogateSpec, r: np.ndarray) -> np.ndarray:
+    """Activity ``A + B r`` from ``r = g(s)``."""
+    a, b = spec._affine
+    z = b * r
+    z += a
+    return z
 
 
 # OpenBLAS, as NumPy ships it, runs a dgemm on its thread pool once m·n·k
@@ -382,7 +439,7 @@ def drives_stay_serial(dims: Sequence[int]) -> bool:
 _gemm = np.matmul  # every drive product is issued through this name, so a test can see each one
 
 
-def layer_drive(layer: LayerParams, x: np.ndarray) -> np.ndarray:
+def layer_drive(layer: LayerParams | Fold, x: np.ndarray) -> np.ndarray:
     """A layer's drive ``W z + b`` over time-major inputs ``x`` (T, n, d_in), time-major.
 
     One matrix product over every (t, sample) row, issued in row blocks
@@ -395,7 +452,7 @@ def layer_drive(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     (T, n, M, d_out): one model's rows over (t, n) are then one strided
     matrix, and its drive is the same product a lone model runs.  The
     thresholds do not enter, so several threshold settings can share one
-    drive.
+    drive.  A :class:`Fold` gives its folded drive ``D`` the same way.
     """
     n_steps, n = x.shape[:2]
     models, (d, d_in) = layer.weight.shape[:-2], layer.weight.shape[-2:]
@@ -431,8 +488,11 @@ def lif_layer(
     keep_states: bool = True,
     drive: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one spiking layer over time-major inputs ``x`` (T, n, d_in).
+    """Run one spiking layer over time-major inputs ``x`` (T, n, d_in) on its membrane states.
 
+    This is the recursion as the model states it, and it runs every hard
+    forward, calibration, and the search that names the layer and step of a
+    non-finite smooth state; smooth forwards run :func:`smooth_layer`.
     Returns ``(u, z)``: the membrane states and activity, time-major
     (T, n, d_out), or (T, n, M, d_out) for M stacked models (see
     :func:`layer_drive`).  With ``keep_states=False`` only the activity is
@@ -477,15 +537,109 @@ def lif_layer(
     return (u if keep_states else u_t), z
 
 
-def readout(params: NetworkParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Fold(NamedTuple):
+    """One smooth layer's parameters folded into the spike-argument recursion (see :func:`fold`)."""
+
+    weight: np.ndarray  # (d_out, d_in): k B W, or k W for the input layer
+    bias: np.ndarray  # (d_out,): k (b + A W 1) - k (1 - alpha + A) theta, without A W 1 for the input layer
+    reset: np.ndarray  # (d_out,): c = k B theta
+    start: np.ndarray  # (d_out,): k (A - alpha) theta, the first step's offset from the zero state
+
+
+def fold(layer: LayerParams, alpha: float, spec: SurrogateSpec, first: bool) -> Fold:
+    """The constants :func:`smooth_layer` runs ``layer`` on: per-call copies of its
+    weight and bias with the slope ``k``, the leak offset and the map ``z = A + B r``
+    of the layer below folded in (the input layer reads the frames themselves).
+    A stacked layer gives each constant a leading model axis."""
+    k, kb, a_over_b = spec._folding
+    a = float(spec._affine[0])
+    theta = layer.threshold
+    weight = np.multiply(k if first else kb, layer.weight)
+    bias = np.multiply(k, layer.bias)
+    if not first:  # k A W 1 = (A / B) (k B W) 1
+        ones = np.add.reduce(weight, axis=-1)
+        ones *= a_over_b
+        bias += ones
+    bias -= np.multiply(spec.slope * (1.0 - alpha + a), theta)
+    return Fold(weight, bias, np.multiply(kb, theta), np.multiply(spec.slope * (a - alpha), theta))
+
+
+def smooth_layer(
+    folded: Fold,
+    alpha: float,
+    spec: SurrogateSpec,
+    x: np.ndarray,
+    *,
+    keep_states: bool = True,
+    drive: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one smooth layer over time-major inputs ``x`` (T, n, d_in) on its spike argument.
+
+    With ``s = k (u - theta)`` and ``sigma(u - theta) = A + B g(s)`` (see
+    ``SurrogateSpec._affine``), the membrane recursion becomes
+
+        s_t = alpha s_{t-1} + D_t - c r_{t-1},    r_t = g(s_t),
+
+    with the folded drive ``D`` and ``c = k B theta`` from ``folded`` (see
+    :func:`fold`): ``x`` is the layer below's ``r``, or the frames for the
+    input layer.  From the zero state, ``s_0 = D_0 + k (A - alpha) theta``.
+    An arctan step is five ufuncs, a fast-sigmoid step seven.
+
+    Returns ``(s, r)``, time-major (T, n, d_out), or (T, n, M, d_out) for
+    M stacked models.  With ``keep_states=False`` ``s`` is the last step's
+    argument.  Without ``drive`` the layer computes its own and writes the
+    arguments (without states, ``r``) over it where it is contiguous; a
+    given drive is only read.
+    Non-finite arguments are left for the caller to detect; once non-finite,
+    an argument stays so to the last step.
+    """
+    own = drive is None
+    if own:
+        drive = layer_drive(folded, x)
+    n_steps, block = drive.shape[0], drive.shape[1:]  # one step's arguments
+    reset = np.empty(block)  # a filled buffer: cheaper to build than a copied broadcast
+    reset[...] = folded.reset
+    alpha = np.array(alpha, dtype=np.float64)
+    arctan = spec.family == ARCTAN
+    # An own contiguous drive takes the arguments, or without states r, since each
+    # step reads drive[t] once; without states every step writes its argument over one buffer.
+    spare = drive if own and drive.flags.c_contiguous else None
+    if keep_states:
+        s, r = (np.empty((n_steps, *block)) if spare is None else spare), np.empty((n_steps, *block))
+    else:
+        s, r = [np.empty(block)] * n_steps, (np.empty((n_steps, *block)) if spare is None else spare)
+    a, b = np.empty(block), np.empty(block)
+    for t in range(n_steps):  # s_{t-1} and drive[t] are read before s[t] is written
+        if t:
+            np.multiply(alpha, s_t, out=a)
+            s_t = np.subtract(drive[t], np.multiply(reset, r_t, out=b), out=s[t])
+            s_t += a
+        else:
+            s_t = np.add(drive[0], folded.start, out=s[0])
+        if arctan:
+            r_t = np.arctan(s_t, out=r[t])
+        else:
+            np.abs(s_t, out=a)
+            a += _ONE
+            r_t = np.divide(s_t, a, out=r[t])
+    return (s if keep_states else s_t), r
+
+
+def readout(params: NetworkParams, z: np.ndarray, spec: SurrogateSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Time-averaged top-layer activity and logits from its time-major activity.
 
     ``z`` is (T, n, d_L), or (T, n, M, d_L) for stacked ``params``; returns
     ``zbar`` (n, d_L) and ``logits`` (n, n_classes), or each with a leading
-    model axis.
+    model axis.  With a smooth ``spec``, ``z`` is the top layer's ``r`` and
+    ``zbar`` is ``A + B`` times its mean.
     """
     zbar = np.add.reduce(z, axis=0)  # z.mean(axis=0)'s sum and division, without its wrapper
-    zbar /= z.shape[0]
+    if spec is None or spec.family == HARD:
+        zbar /= z.shape[0]
+    else:
+        a, b = spec._affine
+        zbar *= b / z.shape[0]
+        zbar += a
     zbar = zbar.swapaxes(0, -2)
     logits = np.matmul(zbar, params.w_out.swapaxes(-1, -2))
     logits += params.b_out[..., None, :]
@@ -498,11 +652,16 @@ def forward(
     """Run the unrolled dynamics on a batch of frame sequences.
 
     ``frames`` is (n, T, d_0) or a single (T, d_0) sequence.  Smooth specs
-    produce graded activations; the hard spec produces binary spikes via the
-    step rule.  Raises :class:`InstabilityError` if any membrane state goes
-    non-finite.  ``keep_states=False`` keeps only the layer below's activity
-    while each layer runs and returns a trace with empty ``u`` and ``z``; its
-    ``zbar`` and ``logits`` are bit-identical to the full pass's.
+    produce graded activations, on the spike-argument recursion of
+    :func:`smooth_layer`; the hard spec produces binary spikes via the step
+    rule, on the membrane recursion of :func:`lif_layer`.  Raises
+    :class:`InstabilityError` if any state goes non-finite, naming the
+    first layer and step where a membrane state does (found on the membrane
+    recursion, in either mode), or, failing that, where a smooth spike
+    argument does: the folded slope can overflow it a step before the
+    membrane state.  ``keep_states=False`` keeps only the layer below's
+    activity while each layer runs and returns a trace with empty ``s`` and
+    ``r``; its ``zbar`` and ``logits`` are bit-identical to the full pass's.
 
     Stacked ``params`` (see :func:`stack`) run M models on the same frames
     in one pass; each model's slice of the trace is bit-identical to its
@@ -516,27 +675,60 @@ def forward(
     d0 = params.layers[0].d_in
     if x.shape[2] != d0:
         raise ValueError(f"frame width {x.shape[2]} does not match input width {d0}")
+    run = _membrane_pass if spec.family == HARD else _argument_pass
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported as InstabilityError
+        states, activity, top = run(params, spec, x, keep_states)
+    zbar, logits = readout(params, top, spec)
+    thresholds = [layer.threshold.copy() for layer in params.layers] if keep_states else []
+    return StateTrace(x, states, activity, zbar, logits, spec, thresholds)
 
-    # Layer buffers are time-major, (T, n, d) or stacked (T, n, M, d), so every
-    # step works on contiguous blocks; swapping axes 0 and -2 gives the
-    # trace's (n, T, d) or (M, n, T, d) views.
+
+# Layer buffers are time-major, (T, n, d) or stacked (T, n, M, d), so every
+# step works on contiguous blocks; swapping axes 0 and -2 gives the trace's
+# (n, T, d) or (M, n, T, d) views.
+
+
+def _membrane_pass(
+    params: NetworkParams, spec: SurrogateSpec, x: np.ndarray, keep_states: bool
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Every layer on :func:`lif_layer`: the states and activity kept, and the top
+    layer's time-major activity.  A non-finite state raises, naming its layer and step."""
     z = x.transpose(1, 0, 2)
     us: list[np.ndarray] = []
     zs: list[np.ndarray] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, as InstabilityError
-        for idx, layer in enumerate(params.layers):
-            u, z = lif_layer(layer, params.alpha, spec, z, keep_states=keep_states)
-            if not _all_finite(u):
-                if not keep_states:  # a non-finite state stays so to the last step; locate it
-                    forward(params, spec, frames)
-                bad = np.argwhere(~np.isfinite(np.moveaxis(u, 0, -2)))[0]  # (sample, [model,] step, unit)
-                raise InstabilityError(f"non-finite membrane state at layer {idx + 1}, step {bad[-2] + 1}")
-            if keep_states:
-                us.append(u.swapaxes(0, -2))
-                zs.append(z.swapaxes(0, -2))
+    for idx, layer in enumerate(params.layers):
+        u, z = lif_layer(layer, params.alpha, spec, z, keep_states=keep_states)
+        if not _all_finite(u):
+            if not keep_states:  # a non-finite state stays so to the last step; locate it
+                _membrane_pass(params, spec, x, True)
+            bad = np.argwhere(~np.isfinite(np.moveaxis(u, 0, -2)))[0]  # (sample, [model,] step, unit)
+            raise InstabilityError(f"non-finite membrane state at layer {idx + 1}, step {bad[-2] + 1}")
+        if keep_states:
+            us.append(u.swapaxes(0, -2))
+            zs.append(z.swapaxes(0, -2))
+    return us, zs, z
 
-    zbar, logits = readout(params, z)
-    return StateTrace(inputs=x, u=us, z=zs, zbar=zbar, logits=logits, spec=spec)
+
+def _argument_pass(
+    params: NetworkParams, spec: SurrogateSpec, x: np.ndarray, keep_states: bool
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Every layer on :func:`smooth_layer`: the arguments and ``r`` kept, and the top
+    layer's time-major ``r``.  A non-finite argument raises (see :func:`forward`)."""
+    r = x.transpose(1, 0, 2)
+    ss: list[np.ndarray] = []
+    rs: list[np.ndarray] = []
+    for idx, layer in enumerate(params.layers):
+        s, r = smooth_layer(fold(layer, params.alpha, spec, not idx), params.alpha, spec, r, keep_states=keep_states)
+        if not _all_finite(s[-1] if keep_states else s):  # the last step shows any non-finite argument
+            _membrane_pass(params, spec, x, True)  # raises where a membrane state itself goes non-finite
+            if not keep_states:
+                _argument_pass(params, spec, x, True)
+            bad = np.argwhere(~np.isfinite(np.moveaxis(s, 0, -2)))[0]
+            raise InstabilityError(f"non-finite spike argument at layer {idx + 1}, step {bad[-2] + 1}")
+        if keep_states:
+            ss.append(s.swapaxes(0, -2))
+            rs.append(r.swapaxes(0, -2))
+    return ss, rs, r
 
 
 # ---------------------------------------------------------------------------

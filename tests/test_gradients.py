@@ -269,7 +269,7 @@ def test_per_sample_gradients_match_einsum_reference_at_the_study_shape(spec):
 def test_reverse_sweep_names_the_layer_and_step_of_a_non_finite_gradient():
     params, batch = study_net_and_batch()
     trace = forward(params, ARCTAN_PI, batch.inputs)
-    trace.u[0][0, 2, 0] = np.nan  # poisons steps 3, 2 and 1 of layer 1 on the way back
+    trace.s[0][0, 2, 0] = np.nan  # a poisoned spike argument: steps 3, 2 and 1 of layer 1 on the way back
     v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -290,7 +290,7 @@ def test_stacked_reverse_sweep_equals_lone_sweeps_bit_for_bit(spec):
     v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
     grads, d_alpha, input_grads = _reverse_sweep(stack(nets), trace, v)
     assert grads.shape == (3, nets[0].buffer.size) and d_alpha is None and input_grads is None
-    assert trace.u == [None] * 3 and trace.z == [None] * 3  # the sweep read the trace last
+    assert trace.s == [None] * 3 and trace.r == [None] * 3  # the sweep read the trace last
     stacked = backward(stack(nets), spec, batch)
     assert stacked.loss.shape == (3,) and stacked.grads.buffer.shape == grads.shape
     for m, net in enumerate(nets):
@@ -348,6 +348,24 @@ def test_reverse_sweep_equals_the_zero_state_sweep_bit_for_bit(monkeypatch, swee
     want = sweep_once()
     for g, w in zip(got, want):
         assert (g is None and w is None) or np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("spec", [ARCTAN_PI, SurrogateSpec(FAST_SIGMOID, 2.0)], ids=["arctan", "fast_sigmoid"])
+@pytest.mark.parametrize("n_steps", [1, 2, 8])
+def test_sums_over_time_and_samples_keep_stacked_sweeps_equal_to_lone_ones(spec, n_steps):
+    # The bias, threshold and reset sums are products with a ones vector:
+    # each stacked model's is one strided matrix, as in the drive products.
+    rng = np.random.default_rng(77)
+    nets = [init_network((48, 16, 16, 16), 2, alpha=0.6, theta=0.5, weight_scale=1.5, seed=rng) for _ in range(3)]
+    for net in nets:
+        for layer in net.layers:
+            layer.bias += 0.1 * rng.standard_normal(layer.bias.shape)
+            layer.threshold *= rng.uniform(0.8, 1.2, layer.threshold.shape)
+    batch = spike_batch(nets[0], n_samples=32, n_steps=n_steps, rate=0.4, seed=78)
+    stacked = backward(stack(nets), spec, batch)
+    for m, net in enumerate(nets):
+        lone = backward(net, spec, batch)
+        assert stacked.loss[m] == lone.loss and stacked.grads.buffer[m].tobytes() == lone.grads.buffer.tobytes()
 
 
 def reference_softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray):

@@ -415,6 +415,25 @@ def test_checkpoint_selection_rule(tmp_path):
         assert got == pytest.approx(s.test_acc_hard, abs=1e-12)
 
 
+@pytest.mark.parametrize("select", ["best", "final"])
+def test_selected_epoch_names_the_checkpoint_the_record_comes_from(tmp_path, select):
+    data = load_data(micro_config("unused").data)
+    cfg = micro_config(str(tmp_path / select), rho=0.05, epochs=4, seeds=(0, 1), select=select)
+    run = train(replace(cfg, train=replace(cfg.train, checkpoint_every=1)), data)
+    with open(os.path.join(run.run_dir, "summary.json")) as fh:
+        recorded = [r["selected_epoch"] for r in json.load(fh)["per_seed"]]
+    assert recorded == [s.selected_epoch for s in run.seeds]
+    for s in run.seeds:
+        want = s.best_epoch if select == "best" else cfg.train.epochs
+        assert s.selected_epoch == want and not s.diverged
+        epoch_path = os.path.join(run.run_dir, f"seed_{s.seed}", "checkpoints", f"epoch_{s.selected_epoch:03d}.bin")
+        with open(epoch_path, "rb") as epoch_file, open(s.checkpoint_path, "rb") as selected:
+            assert epoch_file.read() == selected.read()
+        params, spec = load_checkpoint(epoch_path)
+        assert evaluate(params, spec, data.test, SURROGATE_MODE).accuracy == s.test_acc_surrogate
+        assert evaluate(params, spec, data.test, HARD_MODE).accuracy == s.test_acc_hard
+
+
 def evaluation_fixture():
     cfg = micro_config("unused")
     data = load_data(cfg.data)
@@ -624,7 +643,7 @@ DIAGNOSTICS_HEADER = (
       for stat in ("mean", "std", "median", "iqr")),
 )
 PER_SEED_KEYS = {
-    "seed", "best_epoch", "passes", "steps",
+    "seed", "best_epoch", "selected_epoch", "passes", "steps",
     "val_acc_surrogate", "val_acc_hard", "val_transfer_gap",
     "test_acc_surrogate", "test_acc_hard", "test_transfer_gap",
     "diverged", "diverged_reason", "diverged_step",
@@ -852,6 +871,44 @@ def test_arm_seed_shares_split_the_packaged_study_evenly_and_keep_one_epoch_stud
     for seeds, rho_grid in (((0,), (0.1,)), ((0, 1), (0.1, 0.3))):
         one_epoch = replace(cfg, train=replace(cfg.train, epochs=1, seeds=seeds))
         assert len(planned_study_shares(monkeypatch, one_epoch, rho_grid, data)) == 1
+
+
+def mixed_policy_runs(root: Path) -> list[RunConfig]:
+    """A one-seed micro study whose reused-policy radius comes first: it plans
+    24 passes, the baseline and the independent radius 12 each."""
+    base = micro_config(str(root / "baseline"), epochs=3, seeds=(0,))
+    base = replace(base, train=replace(base.train, checkpoint_every=1))
+    reused = replace(base, out_dir=str(root / "sast-rho0.1"), optimizer=replace(base.optimizer, rho=0.1, second_batch=REUSED))
+    independent = replace(base, out_dir=str(root / "sast-rho0.05"), optimizer=replace(base.optimizer, rho=0.05))
+    return [reused, base, independent]
+
+
+def test_arm_seed_shares_balance_planned_passes_and_write_what_one_process_writes(tmp_path, monkeypatch):
+    data = load_data(micro_config("unused").data)
+    cfgs = mixed_policy_runs(tmp_path / "planned")
+    assert [planned_passes(cfg, data.train.n_samples) for cfg in cfgs] == [24, 12, 12]
+    monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
+    monkeypatch.setattr(harness, "_cores", lambda: 2)
+
+    def run_shares(shares, work, verb, noun):
+        raise Planned([[str(item) for item in share] for share in shares])
+
+    with monkeypatch.context() as planning:
+        planning.setattr(harness, "_run_shares", run_shares)
+        with pytest.raises(Planned) as excinfo:
+            harness._train_lockstep(cfgs, data)
+    # 24 | 12 + 12 passes, where equal item counts would split 36 | 12
+    assert excinfo.value.args[0] == [["sast-rho0.1/seed_0"], ["baseline/seed_0", "sast-rho0.05/seed_0"]]
+
+    monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 1 << 30)
+    harness._train_lockstep(mixed_policy_runs(tmp_path / "one_process"), data)
+    monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
+    started = counted_forks(monkeypatch)
+    harness._train_lockstep(mixed_policy_runs(tmp_path / "forked"), data)
+    assert started == ["arm-seeds baseline/seed_0, sast-rho0.05/seed_0"]
+    files = run_files(tmp_path / "forked")
+    assert set(files) == set(run_files(tmp_path / "one_process")) and len(files) == 3 * 9  # 4 files, 5 checkpoints
+    assert_runs_match(files, run_files(tmp_path / "one_process"))
 
 
 @pytest.mark.parametrize("policy", [INDEPENDENT, REUSED])

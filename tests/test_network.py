@@ -557,6 +557,144 @@ def test_a_shared_drive_is_read_and_left_unchanged(family, keep_states, layout):
         assert not np.shares_memory(z, drive)
 
 
+# ---------------------------------------------------------------------------
+# The spike-argument recursion of smooth forwards
+# ---------------------------------------------------------------------------
+
+
+def affine(spec: SurrogateSpec) -> tuple[float, float]:
+    """``(A, B)`` with ``sigma(x) = A + B g(k x)``."""
+    return 0.5, (1.0 / math.pi if spec.family == ARCTAN else 0.5)
+
+
+def argument_g(spec: SurrogateSpec, s: np.ndarray) -> np.ndarray:
+    return np.arctan(s) if spec.family == ARCTAN else s / (np.abs(s) + 1.0)
+
+
+def reference_fold(layer: LayerParams, alpha: float, spec: SurrogateSpec, first: bool) -> network.Fold:
+    """The folded constants written out: ``W' = k B W`` (``k W`` for the input layer),
+    ``b' = k b + (A / B) W' 1 - k (1 - alpha + A) theta`` (no ``W' 1`` term for the
+    input layer), ``c = k B theta`` and the first step's ``k (A - alpha) theta``."""
+    k, (a, b) = spec.slope, affine(spec)
+    weight = (k if first else k * b) * layer.weight
+    bias = k * layer.bias if first else k * layer.bias + weight.sum(axis=-1) * (a / b)
+    bias = bias - (k * (1.0 - alpha + a)) * layer.threshold
+    return network.Fold(weight, bias, (k * b) * layer.threshold, (k * (a - alpha)) * layer.threshold)
+
+
+def reference_smooth_layer(folded: network.Fold, alpha: float, spec: SurrogateSpec, drive: np.ndarray):
+    """``s_0 = D_0 + start`` and ``s_t = (D_t - c r_{t-1}) + alpha s_{t-1}``, ``r_t = g(s_t)``,
+    step by step; returns every step's (s, r)."""
+    ss, rs = [], []
+    for t in range(len(drive)):
+        s = drive[0] + folded.start if not t else (drive[t] - folded.reset * rs[-1]) + alpha * ss[-1]
+        ss.append(s)
+        rs.append(argument_g(spec, s))
+    return np.stack(ss), np.stack(rs)
+
+
+def reference_argument_forward(params: NetworkParams, spec: SurrogateSpec, frames: np.ndarray):
+    """The smooth forward on the spike argument, layer by layer from the reference
+    fold and recursion; the logits and each layer's time-major (s, r)."""
+    a, b = affine(spec)
+    r, states = frames.transpose(1, 0, 2), []
+    for idx, layer in enumerate(params.layers):
+        folded = reference_fold(layer, params.alpha, spec, idx == 0)
+        s, r = reference_smooth_layer(folded, params.alpha, spec, layer_drive(folded, r))
+        states.append((s, r))
+    zbar = (r.sum(axis=0) * (b / len(r)) + a).swapaxes(0, -2)
+    return np.matmul(zbar, params.w_out.swapaxes(-1, -2)) + params.b_out[..., None, :], states
+
+
+def smooth_nets(n_models: int) -> NetworkParams:
+    nets = three_study_nets()[:n_models]
+    return stack(nets)
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID])
+@pytest.mark.parametrize("n_models", [1, 3], ids=["lone", "stacked"])
+@pytest.mark.parametrize("n_steps", [1, 2, 8])
+def test_smooth_forward_equals_the_argument_recursion_bit_for_bit(family, n_models, n_steps):
+    params = smooth_nets(n_models)
+    frames = spike_batch(three_study_nets()[0], n_samples=32, n_steps=n_steps, rate=0.4, seed=64 + n_steps).inputs
+    spec = SurrogateSpec(family, 0.7)
+    want_logits, want_states = reference_argument_forward(params, spec, frames)
+    trace = forward(params, spec, frames)
+    assert trace.logits.tobytes() == want_logits.tobytes()
+    for s, r, (want_s, want_r) in zip(trace.s, trace.r, want_states):
+        assert s.swapaxes(0, -2).tobytes() == want_s.tobytes() and r.swapaxes(0, -2).tobytes() == want_r.tobytes()
+    assert forward(params, spec, frames, keep_states=False).logits.tobytes() == want_logits.tobytes()
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID])
+@pytest.mark.parametrize("n_models", [1, 3], ids=["lone", "stacked"])
+def test_derived_states_and_activity_match_the_membrane_recursion(family, n_models):
+    # The membrane recursion as first written, layer by layer over the same drives.
+    lone = three_study_nets()[0]
+    params = smooth_nets(n_models)
+    frames = spike_batch(lone, n_samples=32, n_steps=8, rate=0.4, seed=65).inputs
+    spec = SurrogateSpec(family, 0.7)
+    trace = forward(params, spec, frames)
+    z = frames.transpose(1, 0, 2)
+    for idx, layer in enumerate(params.layers):
+        want_u, z = reference_lif_layer(layer, params.alpha, spec, layer_drive(layer, z))
+        np.testing.assert_allclose(trace.u[idx], want_u.swapaxes(0, -2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.z[idx], z.swapaxes(0, -2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.logits.reshape(-1, 32, 2)[0], naive_forward_logits(lone, spec, frames), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID])
+@pytest.mark.parametrize("n_models", [1, 3], ids=["lone", "stacked"])
+@pytest.mark.parametrize("n_steps", [1, 2, 8])
+def test_smooth_layer_equals_the_zero_state_argument_recursion_bit_for_bit(family, n_models, n_steps):
+    rng = np.random.default_rng(66 + n_steps)
+    layer = smooth_nets(n_models).layers[1]
+    spec = SurrogateSpec(family, 0.7)
+    folded = network.fold(layer, 0.6, spec, first=False)
+    x = rng.random((n_steps, 6, 16))
+    own = layer_drive(folded, x)
+    for drive, given in ((own, None), (own.copy(), own.copy())):  # without a drive, the layer computes its own
+        want_s, want_r = reference_smooth_layer(folded, 0.6, spec, drive)
+        s, r = network.smooth_layer(folded, 0.6, spec, x, drive=given)
+        assert s.tobytes() == want_s.tobytes() and r.tobytes() == want_r.tobytes()
+        last_s, lean_r = network.smooth_layer(folded, 0.6, spec, x, keep_states=False, drive=given)
+        assert last_s.tobytes() == want_s[-1].tobytes() and lean_r.tobytes() == want_r.tobytes()
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID])
+@pytest.mark.parametrize("keep_states", [True, False], ids=["states", "lean"])
+@pytest.mark.parametrize("layout", ["frames", "time_major", "stacked"])
+def test_a_shared_folded_drive_is_read_and_left_unchanged(family, keep_states, layout):
+    layer, x = study_layer_inputs(layout)
+    spec = SurrogateSpec(family, 0.7)
+    folded = network.fold(layer, 0.6, spec, first=layout != "time_major")
+    drive = layer_drive(folded, x)
+    before = drive.copy()
+    shared = [network.smooth_layer(folded, 0.6, spec, x, keep_states=keep_states, drive=drive) for _ in range(2)]
+    own = network.smooth_layer(folded, 0.6, spec, x, keep_states=keep_states)
+    assert drive.tobytes() == before.tobytes()
+    for s, r in shared:
+        assert s.tobytes() == own[0].tobytes() and r.tobytes() == own[1].tobytes()
+        assert not np.shares_memory(r, drive)
+
+
+@pytest.mark.parametrize("keep_states", [True, False], ids=["states", "lean"])
+def test_an_argument_that_overflows_before_its_membrane_state_is_named(keep_states):
+    # At slope 1e154 a drive of about 1e155 is a finite membrane state, but
+    # its spike argument k (u - theta) overflows.
+    params = tiny_net(dims=(6, 5, 4), seed=8)
+    params.layers[0].weight[:] = 1.0
+    frames = np.full((3, 4, params.dims[0]), 1e-300)
+    frames[1, 2:] = 1e155
+    spec = SurrogateSpec(ARCTAN, 1e154)
+    with np.errstate(over="ignore"):  # the membrane recursion's z = sigma(u - theta) overflows k (u - theta) inside
+        assert all(np.isfinite(u).all() for u in network._membrane_pass(params, spec, frames, True)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="^non-finite spike argument at layer 1, step 3$"):
+            forward(params, spec, frames, keep_states=keep_states)
+
+
 def test_drive_products_stay_under_the_blas_threading_threshold(monkeypatch):
     # OpenBLAS threads a product once m*n*k passes 2^18; at B=1024, T=8 the
     # packaged net's layer-1 drive is 8192 x 48 x 16, twelve times that.
