@@ -42,6 +42,7 @@ from .network import (
     _activity,
     _argument_derivative,
     _membrane,
+    _view,
     forward,
     replace_parameters,
 )
@@ -241,7 +242,7 @@ def _reverse_sweep(
 
     gzbar = np.matmul(v, params.w_out)  # (n, d_L), or stacked (M, n, d_L)
     d_alpha = np.zeros(n)
-    ones = np.ones(n_steps * n)
+    ones = None  # made once the top layer's buffers have peaked, so that it does not add to that peak
 
     def total(x: np.ndarray) -> np.ndarray:
         """The sum of a time-major array over its time (and batch) axes."""
@@ -275,19 +276,16 @@ def _reverse_sweep(
                 f"non-finite gradient first appears at layer {idx + 1}, step {bad_t + 1}"
             )
 
+        if ones is None and not per_sample:
+            ones = np.ones(n_steps * n)
         w_slot, b_slot, th_slot = layer_slots[idx]
-        gu_total = total(gu)
         if per_sample:  # one (d, T) @ (T, d_in) product per sample
             below = _activity(spec, trace.r[idx - 1]) if idx > 0 else trace.inputs
             put(w_slot, np.matmul(gu.transpose(1, 2, 0), below))
-        elif idx > 0:  # one product over all (t, sample) rows per model: W's gradient is B gu r' + A gu 1
-            g_w = np.matmul(_rows(gu).swapaxes(-1, -2), _rows(trace.r[idx - 1].swapaxes(0, -2)))
-            g_w *= b
-            g_w += a * gu_total[..., None]
-            put(w_slot, g_w)
-        else:  # only the input frames are copied to time-major
-            put(w_slot, np.matmul(_rows(gu).swapaxes(-1, -2), _rows(trace.inputs.transpose(1, 0, 2))))
-        put(b_slot, gu_total)
+        else:  # one product over all (t, sample) rows per model; only the input frames are copied to time-major
+            below = trace.r[idx - 1].swapaxes(0, -2) if idx > 0 else trace.inputs.transpose(1, 0, 2)
+            put(w_slot, np.matmul(_rows(gu).swapaxes(-1, -2), _rows(below)))
+        put(b_slot, total(gu))
         # The reset term sums z[t-1] gu[t] = B (r[t-1] + A / B) gu[t]; sigma' is spent.
         reset = total(np.multiply(np.add(r[:-1], a_over_b, out=sp[1:]), gu[1:], out=sp[1:]))
         reset *= b
@@ -298,6 +296,11 @@ def _reverse_sweep(
             if idx == 0:
                 input_grads = (_rows(gu) @ layer.weight).reshape(n_steps, n, layer.d_in).transpose(1, 0, 2)
 
+    if not per_sample:  # above the input layer W's gradient is B gu r' + A gu 1, and gu 1 is b's gradient
+        for w_slot, b_slot, _ in layer_slots[1:]:
+            g_w = np.multiply(_view(grads, w_slot), b)
+            g_w += a * _view(grads, b_slot)[..., None]
+            put(w_slot, g_w)
     return (grads, d_alpha, input_grads) if per_sample else (grads, None, None)
 
 

@@ -562,7 +562,7 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
             for result in _train_seed([item.cfg for item in group], data, r_x, seed)
         ]
 
-    shares = _shares(arm_seeds, sum(passes), _FORK_MIN_PASSES, dims, weights=passes)
+    shares = _shares(arm_seeds, passes, _FORK_MIN_PASSES, dims)
     results = _run_shares(shares, train_share, "training", "arm-seeds")
     runs = [
         TrainResult(run_dir=cfg.out_dir, config=cfg, seeds=results[k :: len(cfgs)])
@@ -638,31 +638,29 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _shares(
-    items: Sequence, size: int, min_size: int, dims: Sequence[int], weights: Sequence[int] | None = None
-) -> list[tuple]:
+def _shares(items: Sequence, weights: Sequence[int], min_size: int, dims: Sequence[int]) -> list[tuple]:
     """Independent ``items`` in consecutive shares, one per core the process
     may run on and at most one per item, for :func:`_run_shares`.
 
-    It is a single share when ``size``, the size of all the items' work, is
-    below ``min_size``, when the platform cannot fork, when this process is
-    itself a forked share, or when a network of widths ``dims`` has a drive
-    too wide to keep off OpenBLAS's thread pool.  That pool already spreads
-    such a drive over the cores, and a forked share would wake a pool of its
-    own: a study at hidden widths of 256 took 1.5 to 2.1 times its
-    one-process wall time when forked (two runs each, 2-vCPU Xeon).
+    ``weights`` are the sizes of the items' work (a reused-policy run's
+    arm-seed plans twice a baseline's passes).  It is a single share when
+    their sum is below ``min_size``, when the platform cannot fork, when
+    this process is itself a forked share, or when a network of widths
+    ``dims`` has a drive too wide to keep off OpenBLAS's thread pool.  That
+    pool already spreads such a drive over the cores, and a forked share
+    would wake a pool of its own: a study at hidden widths of 256 took 1.5
+    to 2.1 times its one-process wall time when forked (two runs each,
+    2-vCPU Xeon).
 
-    ``weights`` are the items' shares of ``size`` (equal if not given; a
-    reused-policy run's arm-seed plans twice a baseline's passes).  Share
-    ``k`` of ``n`` ends at the item where the cumulative weight comes
+    Share ``k`` of ``n`` ends at the item where the cumulative weight comes
     nearest ``k / n`` of the total, the later item on a tie, and every share
     keeps at least one item.  So two shares of equal weights split the items
     evenly, the larger share first.
     """
-    forks = _FORK is not None and not _IN_SHARE and size >= min_size and drives_stay_serial(dims)
-    n_shares = max(1, min(_cores(), len(items))) if forks else 1
-    cumulative = list(itertools.accumulate([1] * len(items) if weights is None else weights, initial=0))
+    cumulative = list(itertools.accumulate(weights, initial=0))
     total, ends = cumulative[-1], [0]
+    forks = _FORK is not None and not _IN_SHARE and total >= min_size and drives_stay_serial(dims)
+    n_shares = max(1, min(_cores(), len(items))) if forks else 1
     for k in range(1, n_shares):
         cuts = range(ends[-1] + 1, len(items) - n_shares + k + 1)
         ends.append(min(cuts, key=lambda i: (abs(cumulative[i] * n_shares - k * total), -i)))
@@ -920,7 +918,7 @@ def robustness_sweep(
         frames = ds.frames if cell is None else corrupted_copy(ds.frames, *cell, corruption_seed)
         return {m: accuracy(params, spec, frames, ds.labels, m) for m in modes}
 
-    shares = _shares(range(len(cells)), ds.n_samples * len(cells), _FORK_MIN_SWEEP_CELLS, params.dims)
+    shares = _shares(range(len(cells)), [ds.n_samples] * len(cells), _FORK_MIN_SWEEP_CELLS, params.dims)
     results = _run_shares(shares, lambda share: [in_both_modes(cells[i]) for i in share], "sweeping", "cells")
     points = dict(zip(cells, results))
     curves: dict[str, dict[str, list[float]]] = {}

@@ -571,7 +571,6 @@ def smooth_layer(
     x: np.ndarray,
     *,
     keep_states: bool = True,
-    drive: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one smooth layer over time-major inputs ``x`` (T, n, d_in) on its spike argument.
 
@@ -587,32 +586,32 @@ def smooth_layer(
 
     Returns ``(s, r)``, time-major (T, n, d_out), or (T, n, M, d_out) for
     M stacked models.  With ``keep_states=False`` ``s`` is the last step's
-    argument.  Without ``drive`` the layer computes its own and writes the
-    arguments (without states, ``r``) over it where it is contiguous; a
-    given drive is only read.
-    Non-finite arguments are left for the caller to detect; once non-finite,
-    an argument stays so to the last step.
+    argument.  The layer writes the arguments (without states, ``r``) over
+    its drive where that is contiguous.  Non-finite arguments are left for
+    the caller to detect; once non-finite, an argument stays so to the last
+    step.
     """
-    own = drive is None
-    if own:
-        drive = layer_drive(folded, x)
+    drive = layer_drive(folded, x)
     n_steps, block = drive.shape[0], drive.shape[1:]  # one step's arguments
     reset = np.empty(block)  # a filled buffer: cheaper to build than a copied broadcast
     reset[...] = folded.reset
     alpha = np.array(alpha, dtype=np.float64)
     arctan = spec.family == ARCTAN
-    # An own contiguous drive takes the arguments, or without states r, since each
-    # step reads drive[t] once; without states every step writes its argument over one buffer.
-    spare = drive if own and drive.flags.c_contiguous else None
+    # A contiguous drive takes the arguments, or without states r, since each step
+    # reads drive[t] once; without states every step writes its argument over one
+    # buffer, which also holds c r_{t-1} once alpha s_{t-1} is taken from it.
+    spare = drive if drive.flags.c_contiguous else None
     if keep_states:
         s, r = (np.empty((n_steps, *block)) if spare is None else spare), np.empty((n_steps, *block))
+        c_r = [np.empty(block)] * n_steps
     else:
         s, r = [np.empty(block)] * n_steps, (np.empty((n_steps, *block)) if spare is None else spare)
-    a, b = np.empty(block), np.empty(block)
+        c_r = s
+    a = np.empty(block)
     for t in range(n_steps):  # s_{t-1} and drive[t] are read before s[t] is written
         if t:
             np.multiply(alpha, s_t, out=a)
-            s_t = np.subtract(drive[t], np.multiply(reset, r_t, out=b), out=s[t])
+            s_t = np.subtract(drive[t], np.multiply(reset, r_t, out=c_r[t]), out=s[t])
             s_t += a
         else:
             s_t = np.add(drive[0], folded.start, out=s[0])
@@ -659,7 +658,9 @@ def forward(
     first layer and step where a membrane state does (found on the membrane
     recursion, in either mode), or, failing that, where a smooth spike
     argument does: the folded slope can overflow it a step before the
-    membrane state.  ``keep_states=False`` keeps only the layer below's
+    membrane state.  A smooth forward runs the membrane recursion only
+    where its parameters and frames are too large for :func:`_bounded` to
+    rule that out.  ``keep_states=False`` keeps only the layer below's
     activity while each layer runs and returns a trace with empty ``s`` and
     ``r``; its ``zbar`` and ``logits`` are bit-identical to the full pass's.
 
@@ -709,18 +710,67 @@ def _membrane_pass(
     return us, zs, z
 
 
+# OpenBLAS runs a dot product over more than 10000 entries on its thread pool,
+# which then busy-waits between calls (see _SERIAL_GEMM_SIZE); a longer vector
+# is summed in chunks of this many entries, one single-threaded dot each.
+_SERIAL_DOT_SIZE = 8192
+
+
+def _squared_norm(a: np.ndarray) -> float:
+    """The sum of the squares of ``a``'s entries, from dot products short enough
+    to run on the calling thread: one call each for up to four chunks, and one
+    batched product over the whole chunks of a longer vector."""
+    flat, size = a.reshape(-1), _SERIAL_DOT_SIZE
+    even = flat.size - flat.size % size if flat.size > 4 * size else 0
+    total = 0.0
+    if even:
+        chunks = flat[:even].reshape(-1, 1, size)
+        total = float(np.add.reduce(np.matmul(chunks, chunks.swapaxes(-1, -2)), axis=None))
+    for start in range(even, flat.size, size):
+        chunk = flat[start : start + size]
+        total += float(np.vdot(chunk, chunk))
+    return total
+
+
+# Any state of either recursion, and any partial sum on the way to one, is at
+# most 2 max(1, k) times the bound _bounded takes (see there); the rest of
+# this margin keeps it clear of the float range through rounding.
+_BOUND_LIMIT = sys.float_info.max / 256.0
+
+
+def _bounded(params: NetworkParams, spec: SurrogateSpec, x: np.ndarray) -> bool:
+    """Whether neither recursion of a smooth forward can leave the float range.
+
+    Every parameter is at most ``P``, the 2-norm of the buffer, and every
+    frame entry at most ``X``, the frames' 2-norm; a smooth activity lies in
+    [0, 1] and ``|r|`` under pi/2.  With ``d`` the buffer's length, more
+    than any layer's input width, every drive partial sum is then at most
+    ``d P max(X, 1) + P``, every membrane state at most
+    ``V = (d max(X, 1) + 4) P / (1 - alpha)``, and every spike argument,
+    and ``k (u - theta)``, at most ``2 k V``.  It costs a pass over the
+    parameters and one over the frames.
+    """
+    p = math.sqrt(_squared_norm(params.buffer))
+    x_max = max(math.sqrt(_squared_norm(x)), 1.0)  # max(NaN, 1.0) is NaN: NaN frames are not bounded
+    v = (params.buffer.shape[-1] * x_max + 4.0) * p / (1.0 - params.alpha)
+    return max(1.0, spec.slope) * v < _BOUND_LIMIT
+
+
 def _argument_pass(
     params: NetworkParams, spec: SurrogateSpec, x: np.ndarray, keep_states: bool
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Every layer on :func:`smooth_layer`: the arguments and ``r`` kept, and the top
-    layer's time-major ``r``.  A non-finite argument raises (see :func:`forward`)."""
+    layer's time-major ``r``.  Unless :func:`_bounded` vouches for the states, the
+    membrane recursion runs first and raises where a membrane state goes non-finite;
+    a non-finite argument then raises (see :func:`forward`)."""
+    if not _bounded(params, spec, x):
+        _membrane_pass(params, spec, x, False)
     r = x.transpose(1, 0, 2)
     ss: list[np.ndarray] = []
     rs: list[np.ndarray] = []
     for idx, layer in enumerate(params.layers):
         s, r = smooth_layer(fold(layer, params.alpha, spec, not idx), params.alpha, spec, r, keep_states=keep_states)
         if not _all_finite(s[-1] if keep_states else s):  # the last step shows any non-finite argument
-            _membrane_pass(params, spec, x, True)  # raises where a membrane state itself goes non-finite
             if not keep_states:
                 _argument_pass(params, spec, x, True)
             bad = np.argwhere(~np.isfinite(np.moveaxis(s, 0, -2)))[0]

@@ -814,9 +814,9 @@ def test_a_platform_without_fork_or_affinity_trains_every_seed_here(tmp_path, mo
     monkeypatch.setattr(harness, "_FORK_MIN_PASSES", 0)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 16)) == [(0, 1), (2,)]
+    assert harness._shares((0, 1, 2), (1, 1, 1), harness._FORK_MIN_PASSES, (48, 16)) == [(0, 1), (2,)]
     monkeypatch.setattr(harness, "_FORK", None)  # as on Windows
-    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 16)) == [(0, 1, 2)]
+    assert harness._shares((0, 1, 2), (1, 1, 1), harness._FORK_MIN_PASSES, (48, 16)) == [(0, 1, 2)]
     pids = []
     real = harness._train_seed
 
@@ -831,10 +831,10 @@ def test_a_platform_without_fork_or_affinity_trains_every_seed_here(tmp_path, mo
 
 def test_a_network_too_wide_for_serial_drives_trains_every_seed_here(monkeypatch):
     started = fork_every_share(monkeypatch)
-    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 16, 16, 16)) == [(0, 1), (2,)]
+    assert harness._shares((0, 1, 2), (1, 1, 1), harness._FORK_MIN_PASSES, (48, 16, 16, 16)) == [(0, 1), (2,)]
     # At 48->32 a drive block under 2^18 would hold 170 rows: too short to cut.
-    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 32)) == [(0, 1, 2)]
-    assert harness._shares((0, 1, 2), 1, harness._FORK_MIN_PASSES, (48, 16, 256)) == [(0, 1, 2)]
+    assert harness._shares((0, 1, 2), (1, 1, 1), harness._FORK_MIN_PASSES, (48, 32)) == [(0, 1, 2)]
+    assert harness._shares((0, 1, 2), (1, 1, 1), harness._FORK_MIN_PASSES, (48, 16, 256)) == [(0, 1, 2)]
     assert not started
 
 
@@ -1051,7 +1051,7 @@ def test_a_planner_in_a_forked_share_plans_a_single_share(monkeypatch):
     fork_every_share(monkeypatch)
 
     def plan(share):
-        return [harness._shares((0, 1, 2), 1, 0, (48, 16))]
+        return [harness._shares((0, 1, 2), (1, 1, 1), 0, (48, 16))]
 
     assert harness._run_shares([(0,), (1,)], plan, "planning", "items") == [[(0, 1), (2,)], [(0, 1, 2)]]
 
@@ -1061,7 +1061,7 @@ def test_study_size_sweeps_and_wide_nets_stay_in_one_process(monkeypatch):
     cells = range(1 + len(CORRUPTION_FAMILIES) * (len(events.SEVERITY_GRID) - 1))  # the clean point first
 
     def plan(n_sequences, dims=(48, 16, 16, 16), cells=cells):
-        return harness._shares(cells, n_sequences * len(cells), harness._FORK_MIN_SWEEP_CELLS, dims)
+        return harness._shares(cells, [n_sequences] * len(cells), harness._FORK_MIN_SWEEP_CELLS, dims)
 
     assert plan(128) == [tuple(cells)]  # the benchmark's study split
     assert plan(1024, cells=range(2)) == [(0, 1)]  # its memory pass: one family at (0, 0.2)

@@ -274,8 +274,8 @@ def test_every_private_helper_is_referenced():
 # most of its time.
 HOT_PATH = {
     "network": (
-        "forward", "_membrane_pass", "_argument_pass", "lif_layer", "fold", "smooth_layer", "layer_drive", "readout",
-        "replace_parameters", "_admissible", "_argument_derivative",
+        "forward", "_membrane_pass", "_argument_pass", "_bounded", "_squared_norm", "lif_layer", "fold", "smooth_layer",
+        "layer_drive", "readout", "replace_parameters", "_admissible", "_argument_derivative",
     ),
     "gradients": (
         "Batch.__post_init__", "_softmax_loss_and_grad", "batch_loss", "backward", "_reverse_sweep",

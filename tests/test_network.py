@@ -652,30 +652,11 @@ def test_smooth_layer_equals_the_zero_state_argument_recursion_bit_for_bit(famil
     spec = SurrogateSpec(family, 0.7)
     folded = network.fold(layer, 0.6, spec, first=False)
     x = rng.random((n_steps, 6, 16))
-    own = layer_drive(folded, x)
-    for drive, given in ((own, None), (own.copy(), own.copy())):  # without a drive, the layer computes its own
-        want_s, want_r = reference_smooth_layer(folded, 0.6, spec, drive)
-        s, r = network.smooth_layer(folded, 0.6, spec, x, drive=given)
-        assert s.tobytes() == want_s.tobytes() and r.tobytes() == want_r.tobytes()
-        last_s, lean_r = network.smooth_layer(folded, 0.6, spec, x, keep_states=False, drive=given)
-        assert last_s.tobytes() == want_s[-1].tobytes() and lean_r.tobytes() == want_r.tobytes()
-
-
-@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID])
-@pytest.mark.parametrize("keep_states", [True, False], ids=["states", "lean"])
-@pytest.mark.parametrize("layout", ["frames", "time_major", "stacked"])
-def test_a_shared_folded_drive_is_read_and_left_unchanged(family, keep_states, layout):
-    layer, x = study_layer_inputs(layout)
-    spec = SurrogateSpec(family, 0.7)
-    folded = network.fold(layer, 0.6, spec, first=layout != "time_major")
-    drive = layer_drive(folded, x)
-    before = drive.copy()
-    shared = [network.smooth_layer(folded, 0.6, spec, x, keep_states=keep_states, drive=drive) for _ in range(2)]
-    own = network.smooth_layer(folded, 0.6, spec, x, keep_states=keep_states)
-    assert drive.tobytes() == before.tobytes()
-    for s, r in shared:
-        assert s.tobytes() == own[0].tobytes() and r.tobytes() == own[1].tobytes()
-        assert not np.shares_memory(r, drive)
+    want_s, want_r = reference_smooth_layer(folded, 0.6, spec, layer_drive(folded, x))
+    s, r = network.smooth_layer(folded, 0.6, spec, x)
+    assert s.tobytes() == want_s.tobytes() and r.tobytes() == want_r.tobytes()
+    last_s, lean_r = network.smooth_layer(folded, 0.6, spec, x, keep_states=False)
+    assert last_s.tobytes() == want_s[-1].tobytes() and lean_r.tobytes() == want_r.tobytes()
 
 
 @pytest.mark.parametrize("keep_states", [True, False], ids=["states", "lean"])
@@ -693,6 +674,62 @@ def test_an_argument_that_overflows_before_its_membrane_state_is_named(keep_stat
         warnings.simplefilter("error")
         with pytest.raises(InstabilityError, match="^non-finite spike argument at layer 1, step 3$"):
             forward(params, spec, frames, keep_states=keep_states)
+
+
+@pytest.mark.parametrize("family", [ARCTAN, FAST_SIGMOID])
+@pytest.mark.parametrize("keep_states", [True, False], ids=["states", "lean"])
+@pytest.mark.parametrize("n_models", [1, 3], ids=["lone", "stacked"])
+def test_a_membrane_state_that_overflows_before_its_argument_is_named(family, keep_states, n_models):
+    # At slope 0.5 the folded weights 0.5e308 keep every spike argument finite
+    # (its steady state is about 1.5e308 / 0.9), but the membrane recursion's
+    # drive W x = 3e308 overflows at the first step.
+    nets = [tiny_net(dims=(3, 4), alpha=0.1, seed=8 + m) for m in range(n_models)]
+    nets[-1].layers[0].weight[:] = 1e308
+    params = stack(nets)
+    frames = np.ones((2, 4, 3))
+    spec = SurrogateSpec(family, 0.5)
+    folded = network.fold(nets[-1].layers[0], 0.1, spec, first=True)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(network.smooth_layer(folded, 0.1, spec, frames.transpose(1, 0, 2))[0]).all()
+    assert not network._bounded(params, spec, frames)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="^non-finite membrane state at layer 1, step 1$"):
+            forward(params, spec, frames, keep_states=keep_states)
+
+
+def test_the_bound_admits_the_packaged_study_and_refuses_non_finite_frames():
+    params, frames = smooth_nets(3), spike_batch(three_study_nets()[0], n_samples=32, n_steps=8, seed=67).inputs
+    assert network._bounded(params, SurrogateSpec(ARCTAN, math.pi), frames)
+    for bad in (np.nan, np.inf, 1e160):
+        poisoned = frames.copy()
+        poisoned[3, 2, 5] = bad
+        assert not network._bounded(params, SurrogateSpec(ARCTAN, math.pi), poisoned)
+
+
+@pytest.mark.parametrize("size", [0, 1, 8192, 8193, 12288, 4 * 8192 + 1, 48 * 8192 + 5])
+def test_squared_norms_take_dot_products_short_enough_for_one_thread(monkeypatch, size):
+    # OpenBLAS threads a dot product over more than 10000 entries, and its pool
+    # then busy-waits: forked training shares that bounded their frames with
+    # one such product ran at a third of their speed.
+    lengths = []
+    real_vdot, real_matmul = np.vdot, np.matmul
+
+    def vdot(a, b):
+        lengths.append(a.size)
+        return real_vdot(a, b)
+
+    def matmul(a, b):
+        lengths.append(a.shape[-1])
+        return real_matmul(a, b)
+
+    a = np.random.default_rng(size).standard_normal(size)
+    monkeypatch.setattr(np, "vdot", vdot)
+    monkeypatch.setattr(np, "matmul", matmul)
+    got = network._squared_norm(a)
+    monkeypatch.undo()
+    np.testing.assert_allclose(got, a @ a, rtol=1e-13)
+    assert max(lengths, default=0) <= 10000
 
 
 def test_drive_products_stay_under_the_blas_threading_threshold(monkeypatch):
