@@ -43,9 +43,12 @@ from .events import (
 )
 from .gradients import Batch, _check_labels, _softmax_loss_and_grad, backward
 from .network import (
+    ARCTAN,
+    FAST_SIGMOID,
     InstabilityError,
     NetworkParams,
     SurrogateSpec,
+    constant_bounds_extract,
     drives_stay_serial,
     forward,
     init_network,
@@ -53,6 +56,7 @@ from .network import (
     lif_layer,
     mode_spec,
     readout,
+    run_layers,
     save_checkpoint,
     stack,
 )
@@ -115,6 +119,11 @@ class ModelConfig:
 class SurrogateConfig:
     family: str = "arctan"
     slope: float = math.pi
+
+    def __post_init__(self) -> None:
+        if self.family not in (ARCTAN, FAST_SIGMOID):  # training runs the smooth forward
+            raise ValueError(f"family must be {ARCTAN!r} or {FAST_SIGMOID!r}, got {self.family!r}")
+        self.spec()  # refuses a slope out of range, naming it
 
     def spec(self) -> SurrogateSpec:
         return SurrogateSpec(self.family, self.slope)
@@ -341,6 +350,29 @@ def _initial_network(cfg: RunConfig, data: SplitDataset, seed: int) -> NetworkPa
     )
 
 
+# The model field that sets each initial cap (see bounds.assumptions_from).
+_CAP_FIELDS = (("m_a", "weight_scale"), ("m_theta", "theta_init"), ("m_out", "weight_scale"))
+
+
+def _seed_start(cfg: RunConfig, data: SplitDataset, r_x: float, seed: int) -> tuple[NetworkParams, TheoryConstants]:
+    """The seed's starting parameters and the constants of their caps, inflated by
+    ``INIT_CAP_MARGIN``.  A weight drawn, or a cap, out of the float range is
+    refused, naming the model field it comes from."""
+    model = cfg.model
+    try:
+        with np.errstate(over="ignore"):
+            params = _initial_network(cfg, data, seed)
+    except ValueError as exc:  # the other model fields are checked at decode: only the draw can fail
+        message = f"model.weight_scale={model.weight_scale!r} draws initial weights that overflow: {exc}"
+        raise ValueError(message) from None
+    caps = constant_bounds_extract(params)
+    for cap, name in _CAP_FIELDS:
+        if not math.isfinite(getattr(caps, cap) * INIT_CAP_MARGIN):
+            raise ValueError(f"model.{name}={getattr(model, name)!r} makes the initial cap {cap} overflow")
+    assume = assumptions_from(params, cfg.surrogate.spec(), r_x, data.train.frames.shape[1], margin=INIT_CAP_MARGIN)
+    return params, compute_constants(assume)
+
+
 def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
     """Train one configuration over its seed list.
 
@@ -547,10 +579,12 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
                 f"batch_size {cfg.train.batch_size} leaves {cfg.method_label} no training step"
                 f" in the {n_train}-sample train split"
             )
+    r_x = events.measured_input_bound(data.train.frames)
+    for seed in first.train.seeds:  # a start out of range is refused before any file; each share builds its own
+        _seed_start(first, data, r_x, seed)
     for cfg in cfgs:
         os.makedirs(cfg.out_dir, exist_ok=True)
         save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
-    r_x = events.measured_input_bound(data.train.frames)
     dims = (data.train.frames.shape[2], *first.model.hidden_dims)
     arm_seeds = [_ArmSeed(seed, cfg) for seed in first.train.seeds for cfg in cfgs]
     passes = [planned_passes(item.cfg, n_train) for item in arm_seeds]
@@ -576,9 +610,7 @@ def _train_lockstep(cfgs: Sequence[RunConfig], data: SplitDataset) -> list[Train
 def _train_seed(cfgs: Sequence[RunConfig], data: SplitDataset, r_x: float, seed: int) -> list[SeedResult]:
     """Train one seed's runs in lockstep and write their files; each run's result."""
     spec = cfgs[0].surrogate.spec()
-    params = _initial_network(cfgs[0], data, seed)
-    assume = assumptions_from(params, spec, r_x, data.train.frames.shape[1], margin=INIT_CAP_MARGIN)
-    constants = compute_constants(assume)
+    params, constants = _seed_start(cfgs[0], data, r_x, seed)
     with contextlib.ExitStack() as files:
         arms = [_Arm.start(cfg, seed, data.val, params, constants, files) for cfg in cfgs]
         _run_epochs(arms, spec, data, np.random.default_rng([seed, 202]))
@@ -739,11 +771,23 @@ def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: 
         epoch += 1
         t0 = time.perf_counter()
         _run_steps(live, spec, data.train, epoch_chunks(n, batch_size, rng))
-        nets = [arm.params for arm in live]
-        acc_s = accuracies(nets, spec, data.val.frames, data.val.labels, SURROGATE_MODE)
-        acc_h = accuracies(nets, spec, data.val.frames, data.val.labels, HARD_MODE)
+        acc_s, acc_h = (_validate(live, spec, data.val, mode) for mode in (SURROGATE_MODE, HARD_MODE))
         wall_s = time.perf_counter() - t0
         live = [arm for arm, s, h in zip(live, acc_s, acc_h) if arm.end_epoch(epoch, s, h, wall_s)]
+
+
+def _validate(arms: list[_Arm], spec: SurrogateSpec, val: Dataset, mode: str) -> list[float]:
+    """Each arm's validation accuracy in ``mode``, from stacked forwards.  A
+    diverged arm whose iterate's forward raises scores NaN; a training arm's
+    error is raised."""
+    try:
+        return accuracies([arm.params for arm in arms], spec, val.frames, val.labels, mode)
+    except InstabilityError:
+        if len(arms) > 1:
+            return [acc for arm in arms for acc in _validate([arm], spec, val, mode)]
+        if not arms[0].diverged:
+            raise
+        return [math.nan]
 
 
 def _run_steps(arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks: list[np.ndarray]) -> None:
@@ -999,8 +1043,9 @@ def calibrate_thresholds(
     stage computes the drive of its lowest layer once and every candidate
     runs over it: layer 1's drive also serves the uncalibrated pass, and a
     later stage computes the hard activity entering its lowest layer once,
-    under the scales already chosen.  A candidate runs from that layer up;
-    the accuracies are those of full forward passes.
+    under the scales already chosen.  A candidate runs from that layer up on
+    :func:`network.run_layers`; the accuracies, and the ``InstabilityError``
+    of a candidate that blows up, are those of full forward passes.
     """
     grid = _threshold_scales(grid)
     if not grid:
@@ -1014,18 +1059,13 @@ def calibrate_thresholds(
 
     def accuracy_from(net: NetworkParams, start: int, below: np.ndarray, drive: np.ndarray) -> float:
         # ``below`` is the time-major hard activity entering layer ``start``, ``drive`` that layer's drive
-        z = below
-        for layer in net.layers[start:]:
-            u, z = lif_layer(layer, net.alpha, hard, z, keep_states=False, drive=drive)
-            if not np.all(np.isfinite(u)):  # the full pass raises, naming the layer and step
-                return accuracy(net, spec, ds.frames, ds.labels, HARD_MODE)
-            drive = None  # the layers above compute their own
-        return float((readout(net, z)[1].argmax(axis=1) == ds.labels).mean())
+        top = run_layers(net, hard, below, False, True, start, drive)[2]  # a blow-up raises, as the forward's would
+        return float((readout(net, top)[1].argmax(axis=1) == ds.labels).mean())
 
     # One scale per stage: apply_threshold_scale spreads a lone scale over every layer.
     lambdas = [1.0] * len(stages)
     below = ds.frames.transpose(1, 0, 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises in accuracy_from
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises in run_layers
         drive = layer_drive(params.layers[0], below)
         base_acc = accuracy_from(params, 0, below, drive)
         for k, stage in enumerate(stages):

@@ -676,9 +676,11 @@ def forward(
     d0 = params.layers[0].d_in
     if x.shape[2] != d0:
         raise ValueError(f"frame width {x.shape[2]} does not match input width {d0}")
-    run = _membrane_pass if spec.family == HARD else _argument_pass
+    membrane, below = spec.family == HARD, x.transpose(1, 0, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported as InstabilityError
-        states, activity, top = run(params, spec, x, keep_states)
+        if not (membrane or _bounded(params, spec, x)):  # the membrane recursion raises first, where it fails
+            run_layers(params, spec, below, False, True)
+        states, activity, top = run_layers(params, spec, below, keep_states, membrane)
     zbar, logits = readout(params, top, spec)
     thresholds = [layer.threshold.copy() for layer in params.layers] if keep_states else []
     return StateTrace(x, states, activity, zbar, logits, spec, thresholds)
@@ -689,25 +691,46 @@ def forward(
 # (n, T, d) or (M, n, T, d) views.
 
 
-def _membrane_pass(
-    params: NetworkParams, spec: SurrogateSpec, x: np.ndarray, keep_states: bool
+def run_layers(
+    params: NetworkParams,
+    spec: SurrogateSpec,
+    below: np.ndarray,
+    keep_states: bool,
+    membrane: bool,
+    start: int = 0,
+    drive: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Every layer on :func:`lif_layer`: the states and activity kept, and the top
-    layer's time-major activity.  A non-finite state raises, naming its layer and step."""
-    z = x.transpose(1, 0, 2)
-    us: list[np.ndarray] = []
-    zs: list[np.ndarray] = []
-    for idx, layer in enumerate(params.layers):
-        u, z = lif_layer(layer, params.alpha, spec, z, keep_states=keep_states)
-        if not _all_finite(u):
-            if not keep_states:  # a non-finite state stays so to the last step; locate it
-                _membrane_pass(params, spec, x, True)
+    """Run layers ``start + 1`` to ``L`` over ``below``, the time-major activity
+    entering the first of them: on :func:`lif_layer` if ``membrane``, else on
+    :func:`fold` and :func:`smooth_layer`, which read the ``r`` of the layer
+    below (or the frames).  ``drive``, the first layer's :func:`layer_drive`,
+    lets a membrane caller run several thresholds over one drive.  Returns the
+    states and activity kept, sample-major, and the top layer's time-major
+    activity.  A non-finite state raises, naming its layer and step: a state of
+    either recursion stays non-finite once it is, so each layer's last step
+    shows it, and a lean pass reruns only the failing layer to find the step.
+    """
+    states: list[np.ndarray] = []
+    activity: list[np.ndarray] = []
+    z = below
+    for idx in range(start, params.n_layers):
+        x, layer = z, params.layers[idx]
+        if membrane:
+            u, z = lif_layer(layer, params.alpha, spec, x, keep_states=keep_states, drive=drive)
+        else:
+            folded = fold(layer, params.alpha, spec, not idx)
+            u, z = smooth_layer(folded, params.alpha, spec, x, keep_states=keep_states)
+        if not _all_finite(u[-1] if keep_states else u):
+            if not keep_states:
+                run_layers(params, spec, x, True, membrane, idx, drive)
             bad = np.argwhere(~np.isfinite(np.moveaxis(u, 0, -2)))[0]  # (sample, [model,] step, unit)
-            raise InstabilityError(f"non-finite membrane state at layer {idx + 1}, step {bad[-2] + 1}")
+            what = "membrane state" if membrane else "spike argument"
+            raise InstabilityError(f"non-finite {what} at layer {idx + 1}, step {bad[-2] + 1}")
+        drive = None  # the layers above compute their own
         if keep_states:
-            us.append(u.swapaxes(0, -2))
-            zs.append(z.swapaxes(0, -2))
-    return us, zs, z
+            states.append(u.swapaxes(0, -2))
+            activity.append(z.swapaxes(0, -2))
+    return states, activity, z
 
 
 # OpenBLAS runs a dot product over more than 10000 entries on its thread pool,
@@ -754,31 +777,6 @@ def _bounded(params: NetworkParams, spec: SurrogateSpec, x: np.ndarray) -> bool:
     x_max = max(math.sqrt(_squared_norm(x)), 1.0)  # max(NaN, 1.0) is NaN: NaN frames are not bounded
     v = (params.buffer.shape[-1] * x_max + 4.0) * p / (1.0 - params.alpha)
     return max(1.0, spec.slope) * v < _BOUND_LIMIT
-
-
-def _argument_pass(
-    params: NetworkParams, spec: SurrogateSpec, x: np.ndarray, keep_states: bool
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Every layer on :func:`smooth_layer`: the arguments and ``r`` kept, and the top
-    layer's time-major ``r``.  Unless :func:`_bounded` vouches for the states, the
-    membrane recursion runs first and raises where a membrane state goes non-finite;
-    a non-finite argument then raises (see :func:`forward`)."""
-    if not _bounded(params, spec, x):
-        _membrane_pass(params, spec, x, False)
-    r = x.transpose(1, 0, 2)
-    ss: list[np.ndarray] = []
-    rs: list[np.ndarray] = []
-    for idx, layer in enumerate(params.layers):
-        s, r = smooth_layer(fold(layer, params.alpha, spec, not idx), params.alpha, spec, r, keep_states=keep_states)
-        if not _all_finite(s[-1] if keep_states else s):  # the last step shows any non-finite argument
-            if not keep_states:
-                _argument_pass(params, spec, x, True)
-            bad = np.argwhere(~np.isfinite(np.moveaxis(s, 0, -2)))[0]
-            raise InstabilityError(f"non-finite spike argument at layer {idx + 1}, step {bad[-2] + 1}")
-        if keep_states:
-            ss.append(s.swapaxes(0, -2))
-            rs.append(r.swapaxes(0, -2))
-    return ss, rs, r
 
 
 # ---------------------------------------------------------------------------

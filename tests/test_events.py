@@ -368,14 +368,15 @@ def test_property_every_proper_prefix_of_a_dataset_is_refused(tmp_path_factory, 
     path = tmp_path_factory.mktemp("prefix") / "ds.bin"
     save_dataset(str(path), ds)
     data = path.read_bytes()
-    cut_path = path.with_name("cut.bin")
-    for cut in range(len(data)):
+    for cut in range(len(data)):  # each cut a new file: overwriting one is far slower on some file systems
+        cut_path = path.with_name(f"cut{cut}.bin")
         cut_path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match="magic|truncated"):
             load_frames(str(cut_path))
-    cut_path.write_bytes(data + bytes(1))
+    long_path = path.with_name("long.bin")
+    long_path.write_bytes(data + bytes(1))
     with pytest.raises(ValueError, match="trailing"):
-        load_frames(str(cut_path))
+        load_frames(str(long_path))
 
 
 @pytest.mark.parametrize(

@@ -217,6 +217,33 @@ def test_cli_set_overrides_every_schema_leaf_on_an_empty_file(tmp_path, cfg):
     assert load([f"{path}={json.dumps(value)}" for path, value in leaves.items()]) == cfg
 
 
+FUZZ_VALUES = ("0", "-1", "1e308", "NaN", "Infinity", '""', "[]", "[0]", "null", "true", "5e-324", "0.5", '"zzz"')
+
+
+@pytest.mark.parametrize(
+    "cfg, head",
+    [(RunConfig(out_dir="x"), ["--set", "train.epochs=1"]), (micro_config("x", rho=0.1), [])],
+    ids=["default", "micro"],
+)
+def test_schema_fuzz_every_leaf_value_trains_or_is_refused_by_name(tmp_path, capsys, cfg, head):
+    # Each leaf but out_dir (--out-dir sets it) takes each value of the table.  The
+    # default config trains one epoch, not thirty, unless the case sets the epochs.
+    cfg_path = tmp_path / "config.json"
+    save_config(str(cfg_path), cfg)
+    refused = []
+    for path, _ in _leaves(config_to_dict(cfg)):
+        for value in FUZZ_VALUES if path != "out_dir" else ():
+            out_dir = tmp_path / f"{path}={value}"
+            code = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir), *head, "--set", f"{path}={value}"])
+            err = capsys.readouterr().err
+            assert code in (0, 1) and "Traceback" not in err, (path, value, err)
+            if code:
+                refused.append(path)
+                assert path.rpartition(".")[2] in err, (path, value, err)
+                assert not (out_dir / "config.json").exists(), (path, value)
+    assert len(refused) > 350
+
+
 @pytest.mark.parametrize("content", ["{}", '{"optimizer": {"eta": 0.5}}'])
 def test_cli_set_overrides_a_leaf_the_file_omits(tmp_path, content):
     cfg_path = tmp_path / "config.json"
@@ -309,6 +336,33 @@ def test_cli_refuses_an_out_of_range_train_setting_by_name(tmp_path, capsys, set
     save_config(str(cfg_path), micro_config(str(tmp_path / "run")))
     assert cli.main(["train", "--config", str(cfg_path), "--set", setting]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("surrogate.slope=0", "slope must be positive and at most 1.3407807929942596e+154, got 0.0"),
+        ("surrogate.slope=-1", "slope must be positive and at most 1.3407807929942596e+154, got -1.0"),
+        ("surrogate.slope=NaN", "slope must be positive and at most 1.3407807929942596e+154, got nan"),
+        ("surrogate.slope=Infinity", "slope must be positive and at most 1.3407807929942596e+154, got inf"),
+        ("surrogate.slope=1e308", "slope must be positive and at most 1.3407807929942596e+154, got 1e+308"),
+        ('surrogate.family="zzz"', "family must be 'arctan' or 'fast_sigmoid', got 'zzz'"),
+        ('surrogate.family="hard"', "family must be 'arctan' or 'fast_sigmoid', got 'hard'"),
+        ("model.theta_init=1e308", "model.theta_init=1e+308 makes the initial cap m_theta overflow"),
+        ("model.weight_scale=1e308", "model.weight_scale=1e+308 makes the initial cap m_a overflow"),
+        (
+            "model.weight_scale=1.7e308 model.hidden_dims=[256]",  # some of 3,584 draws pass the float range
+            "model.weight_scale=1.7e+308 draws initial weights that overflow: weight has non-finite entries",
+        ),
+    ],
+)
+def test_cli_refuses_a_surrogate_or_an_overflowing_initial_cap_before_any_file(tmp_path, capsys, setting, message):
+    cfg_path = tmp_path / "config.json"
+    save_config(str(cfg_path), micro_config(str(tmp_path / "run")))
+    sets = [arg for item in setting.split() for arg in ("--set", item)]
+    assert cli.main(["train", "--config", str(cfg_path), *sets]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -518,6 +572,17 @@ def test_a_diverged_run_keeps_its_last_finite_loss_iterate(tmp_path):
     finals = [os.path.join(train(c).run_dir, "seed_0", "checkpoints", "final.bin") for c in (cfg, one_step)]
     with open(finals[0], "rb") as diverged, open(finals[1], "rb") as started:
         assert diverged.read() == started.read()
+
+
+def test_a_diverged_iterate_whose_validation_forward_raises_scores_nan(tmp_path):
+    # On the default config's 64 inputs the huge iterate's membrane states overflow,
+    # so its own training pass and its validation forward both raise.
+    cfg = RunConfig(out_dir=str(tmp_path / "blowup"))
+    res = train(replace(cfg, optimizer=replace(cfg.optimizer, eta=1e308), train=replace(cfg.train, epochs=2, seeds=(0,))))
+    assert_divergence_recorded(res, "^non-finite membrane state at layer 1, step \\d+$", step=2)
+    with open(res.seeds[0].metrics_path) as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["diverged"], row["val_acc_surrogate"], row["val_acc_hard"]) == ("1", "nan", "nan")
 
 
 def assert_divergence_recorded(res, reason: str, step: int) -> None:
@@ -1317,6 +1382,30 @@ def test_calibration_reports_a_candidate_blow_up_as_the_full_pass_does(mode):
     with pytest.raises(InstabilityError) as full_pass:
         forward(scaled, hard, frames)
     assert str(full_pass.value) == "non-finite membrane state at layer 2, step 2"
+    with pytest.raises(InstabilityError, match=f"^{re.escape(str(full_pass.value))}$"):
+        calibrate_thresholds(params, spec, ds, mode=mode)
+
+
+@pytest.mark.parametrize("mode", [GLOBAL_CALIBRATION, PER_LAYER_CALIBRATION])
+def test_a_candidate_blow_up_raises_the_forwards_message_without_a_second_forward(mode, monkeypatch):
+    # Layer 2's thresholds of 1.2e308 keep its units silent, but the grid's largest
+    # scale, 1.5, makes them inf: the reset inf * 0 is NaN at step 2.
+    rng = np.random.default_rng(5)
+    params = init_network((3, 4, 2), 2, alpha=0.5, theta=0.5, seed=rng)
+    params.layers[1].threshold[:] = 1.2e308
+    ds = events.Dataset(rng.random((6, 3, 3)), rng.integers(0, 2, size=6), 2)
+    spec = SurrogateConfig(slope=2.0).spec()
+    with np.errstate(over="ignore"):
+        scaled = harness.apply_threshold_scale(params, [1.5] if mode == GLOBAL_CALIBRATION else [1.0, 1.5])
+    with pytest.raises(InstabilityError) as full_pass:
+        forward(scaled, mode_spec(spec, HARD_MODE), ds.frames, keep_states=False)
+    assert str(full_pass.value) == "non-finite membrane state at layer 2, step 2"
+
+    def second_forward(*args, **kwargs):
+        raise AssertionError("calibration ran a second forward")
+
+    for module, name in ((harness, "accuracy"), (harness, "accuracies"), (diagnostics, "forward")):
+        monkeypatch.setattr(module, name, second_forward)
     with pytest.raises(InstabilityError, match=f"^{re.escape(str(full_pass.value))}$"):
         calibrate_thresholds(params, spec, ds, mode=mode)
 

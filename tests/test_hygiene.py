@@ -274,7 +274,7 @@ def test_every_private_helper_is_referenced():
 # most of its time.
 HOT_PATH = {
     "network": (
-        "forward", "_membrane_pass", "_argument_pass", "_bounded", "_squared_norm", "lif_layer", "fold", "smooth_layer",
+        "forward", "run_layers", "_bounded", "_squared_norm", "lif_layer", "fold", "smooth_layer",
         "layer_drive", "readout", "replace_parameters", "_admissible", "_argument_derivative",
     ),
     "gradients": (

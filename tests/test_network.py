@@ -345,6 +345,32 @@ def test_forward_without_states_names_the_same_layer_and_step(spec, layer, step)
     assert messages == [f"non-finite membrane state at layer {layer + 1}, step {step + 1}"] * 2
 
 
+@pytest.mark.parametrize("spec", [ARCTAN_PI, SurrogateSpec(HARD, 1.0)], ids=["smooth", "hard"])
+def test_a_lean_forward_reruns_only_the_failing_layer_to_name_the_step(spec, monkeypatch):
+    # Layer 2's drive overflows from step 2; the smooth spec is unbounded, so it
+    # fails in the membrane recursion that runs first.
+    params = tiny_net(dims=(6, 5, 4, 3), seed=8)
+    params.layers[1].weight[:] = 1e308
+    frames = np.full((3, 4, params.dims[0]), 1e-300)
+    frames[1, 1:] = 1.0
+    calls = {"lif_layer": 0, "smooth_layer": 0}
+
+    def counted(name):
+        real = getattr(network, name)
+
+        def kernel(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return kernel
+
+    for name in calls:
+        monkeypatch.setattr(network, name, counted(name))
+    with pytest.raises(InstabilityError, match="^non-finite membrane state at layer 2, step 2$"):
+        forward(params, spec, frames, keep_states=False)
+    assert calls == {"lif_layer": 3, "smooth_layer": 0}
+
+
 def three_study_nets() -> list[NetworkParams]:
     """Three packaged 48-16-16-16 nets with distinct weights, biases and thresholds."""
     rng = np.random.default_rng(45)
@@ -669,7 +695,7 @@ def test_an_argument_that_overflows_before_its_membrane_state_is_named(keep_stat
     frames[1, 2:] = 1e155
     spec = SurrogateSpec(ARCTAN, 1e154)
     with np.errstate(over="ignore"):  # the membrane recursion's z = sigma(u - theta) overflows k (u - theta) inside
-        assert all(np.isfinite(u).all() for u in network._membrane_pass(params, spec, frames, True)[0])
+        assert all(np.isfinite(u).all() for u in network.run_layers(params, spec, frames.transpose(1, 0, 2), True, True)[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InstabilityError, match="^non-finite spike argument at layer 1, step 3$"):
@@ -960,14 +986,15 @@ def test_property_every_proper_prefix_of_a_checkpoint_is_refused(tmp_path_factor
     path = tmp_path_factory.mktemp("prefix") / "net.bin"
     save_checkpoint(str(path), tiny_net(dims=tuple(dims), n_classes=n_classes), ARCTAN_PI)
     data = path.read_bytes()
-    cut_path = path.with_name("cut.bin")
-    for cut in range(len(data)):
+    for cut in range(len(data)):  # each cut a new file: overwriting one is far slower on some file systems
+        cut_path = path.with_name(f"cut{cut}.bin")
         cut_path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match="magic|truncated"):
             load_checkpoint(str(cut_path))
-    cut_path.write_bytes(data + bytes(1))
+    long_path = path.with_name("long.bin")
+    long_path.write_bytes(data + bytes(1))
     with pytest.raises(ValueError, match="trailing"):
-        load_checkpoint(str(cut_path))
+        load_checkpoint(str(long_path))
 
 
 def test_checkpoint_load_reads_the_payload_straight_into_the_buffer(tmp_path):
