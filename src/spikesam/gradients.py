@@ -138,8 +138,8 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise ValueError("label exceeds the network's class count")
 
 
-def _softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross entropy over a batch and the per-sample logit gradients.
+def _softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross entropy over a batch, and each sample's log-sum-exp (keeping its class axis).
 
     Stacked logits (M, n, C) give one mean loss per model, an (M,) array.
     The max, sums and mean are the ufunc reductions that ``max``, ``sum`` and
@@ -147,14 +147,20 @@ def _softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[floa
     """
     _check_labels(labels, logits.shape[-1])
     m = np.maximum.reduce(logits, axis=-1, keepdims=True)
-    rows = np.arange(logits.shape[-2])
     with np.errstate(over="ignore", invalid="ignore"):  # logits near the float range's top: a non-finite loss
         lse = m + np.log(np.add.reduce(np.exp(logits - m), axis=-1, keepdims=True))
-        losses = lse[..., 0] - logits[..., rows, labels]
-        v = np.exp(logits - lse)
+        losses = lse[..., 0] - logits[..., np.arange(logits.shape[-2]), labels]
         loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
-    v[..., rows, labels] -= 1.0
-    return (float(loss) if logits.ndim == 2 else loss), v
+    return (float(loss) if logits.ndim == 2 else loss), lse
+
+
+def _softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """:func:`_softmax_loss`'s mean cross entropy and the per-sample logit gradients."""
+    loss, lse = _softmax_loss(logits, labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.exp(logits - lse)
+    v[..., np.arange(logits.shape[-2]), labels] -= 1.0
+    return loss, v
 
 
 def _require_smooth(spec: SurrogateSpec) -> None:
@@ -166,7 +172,7 @@ def batch_loss(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> floa
     """Mean cross entropy of the smooth forward pass on the batch."""
     _require_smooth(spec)
     logits = forward(params, spec, batch.inputs, keep_states=False).logits
-    return _softmax_loss_and_grad(logits, batch.labels)[0]
+    return _softmax_loss(logits, batch.labels)[0]
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

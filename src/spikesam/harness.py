@@ -41,7 +41,7 @@ from .events import (
     load_frames,
     synth_task,
 )
-from .gradients import Batch, _check_labels, _softmax_loss_and_grad, backward
+from .gradients import Batch, _check_labels, _softmax_loss, backward
 from .network import (
     ARCTAN,
     FAST_SIGMOID,
@@ -59,8 +59,9 @@ from .network import (
     run_layers,
     save_checkpoint,
     stack,
+    threshold_slices,
 )
-from .optim import INDEPENDENT, OptimizerConfig, SastOptimizer, epoch_chunks, step_plan
+from .optim import INDEPENDENT, NON_FINITE_POINT, OptimizerConfig, SastOptimizer, epoch_chunks, next_points, step_plan
 
 METRICS_COLUMNS = (
     "seed",
@@ -387,6 +388,39 @@ def train(cfg: RunConfig, data: SplitDataset | None = None) -> TrainResult:
     return _train_lockstep([cfg], data)[0]
 
 
+class _Group:
+    """A seed's lockstep runs' iterates and the points their next passes
+    evaluate: one (M, P) buffer each, whose row ``m`` is run ``m``'s."""
+
+    def __init__(self, params: NetworkParams, n_rows: int):
+        self.iterates = np.tile(params.buffer, (n_rows, 1))
+        self.queries = self.iterates.copy()
+        self.layout = (params.dims, params.n_classes, params.alpha)
+        self.thresholds = threshold_slices(params)
+        self._runs: dict[tuple[int, int], NetworkParams] = {}  # the networks over runs of query rows
+
+    def net(self, buffer: np.ndarray) -> NetworkParams:
+        return NetworkParams._over(buffer, *self.layout)
+
+    def rows(self, arms: Sequence[_Arm]) -> slice | list[int]:
+        """The rows of ``arms``, in group order: a slice when they are consecutive."""
+        start, n = arms[0].row, len(arms)
+        return slice(start, start + n) if arms[-1].row - start == n - 1 else [arm.row for arm in arms]
+
+    def queried(self, arms: Sequence[_Arm], rows: slice | list[int]) -> NetworkParams:
+        """The networks at ``arms``' query points, for one pass: a lone arm's own
+        network, consecutive rows a view of the query buffer, and scattered
+        rows (once an arm between them has stopped) a stacked copy."""
+        if len(arms) == 1:
+            return arms[0].query
+        if isinstance(rows, list):
+            return stack([arm.query for arm in arms])
+        key = (rows.start, rows.stop)
+        if key not in self._runs:
+            self._runs[key] = self.net(self.queries[rows])
+        return self._runs[key]
+
+
 @dataclass(eq=False)
 class _Arm:
     """One configuration's run of one seed: its iterate, records and open files."""
@@ -394,7 +428,9 @@ class _Arm:
     cfg: RunConfig
     seed: int
     val: Dataset  # the diagnostics rows read its first 64 samples
-    params: NetworkParams
+    row: int  # the run's row of its group's buffers
+    params: NetworkParams  # the iterate: a view of the group's iterate row
+    query: NetworkParams  # the point the next pass evaluates: a view of the group's query row
     files: contextlib.ExitStack  # holds the open CSV files
     metrics: TextIO
     best: tuple[float, int, NetworkParams]  # (val surrogate acc, epoch, params)
@@ -404,7 +440,6 @@ class _Arm:
     diverged_reason: str | None = None  # the error message, or "non-finite loss"
     diagnostics: TextIO | None = None
     losses: list[float] = field(default_factory=list)  # this epoch's first-pass losses
-    query: NetworkParams | None = None  # the network the next pass evaluates
     loss_first: float = math.nan  # the current step's first-pass loss
 
     @classmethod
@@ -413,7 +448,8 @@ class _Arm:
         cfg: RunConfig,
         seed: int,
         val: Dataset,
-        params: NetworkParams,
+        group: _Group,
+        row: int,
         constants: TheoryConstants,
         files: contextlib.ExitStack,
     ) -> _Arm:
@@ -422,7 +458,8 @@ class _Arm:
         save_constants(os.path.join(seed_dir, "constants.json"), constants)
         metrics = files.enter_context(open(os.path.join(seed_dir, "metrics.csv"), "w", newline=""))
         csv.DictWriter(metrics, fieldnames=METRICS_COLUMNS).writeheader()
-        return cls(cfg, seed, val, params, files, metrics, best=(-1.0, 0, params.copy()), query=params)
+        params, query = group.net(group.iterates[row]), group.net(group.queries[row])
+        return cls(cfg, seed, val, row, params, query, files, metrics, best=(-1.0, 0, params.copy()))
 
     def path(self, *parts: str) -> str:
         return os.path.join(self.cfg.out_dir, f"seed_{self.seed}", *parts)
@@ -438,26 +475,23 @@ class _Arm:
         budget = self.cfg.train.pass_budget
         return not (self.diverged or (budget and self.passes >= budget))
 
-    def take(self, answer, i: int, n: int) -> None:
-        """Take pass ``i`` of the current step's ``n``: its loss and gradient,
-        or the ``InstabilityError`` or ``FloatingPointError`` that it raised."""
-        if isinstance(answer, Exception):
-            self.diverged_reason = str(answer)
+    def take(self, loss: float, failure: str | None, i: int, n: int) -> None:
+        """Take pass ``i`` of the current step's ``n``: its loss, and why its pass
+        or the point that it led to failed, if one did.  :func:`_round` has
+        written that point to ``query``.  A finished step's point becomes the
+        iterate once the step's first-pass loss is finite; that iterate's own
+        loss and forward are not known until the next step or validation."""
+        if failure is not None:
+            self.diverged_reason = failure
             return
-        loss, g = answer
         if i == 0:
             self.loss_first = loss
-        try:
-            self.query = SastOptimizer(self.cfg.optimizer).advance(self.params, g, last=i == n - 1)
-        except (InstabilityError, FloatingPointError) as exc:
-            self.diverged_reason = str(exc)
-            return
         if i < n - 1:
             return
         if not np.isfinite(self.loss_first):  # the arm keeps the iterate that this step started from
             self.diverged_reason = "non-finite loss"
             return
-        self.params = self.query
+        np.copyto(self.params.buffer, self.query.buffer)
         self.losses.append(self.loss_first)
         self.passes += n
         self.steps += 1
@@ -505,8 +539,8 @@ class _Arm:
 
     def selected(self) -> NetworkParams:
         """The checkpoint reported metrics come from: the best one, or the final iterate under
-        ``select="final"``.  A diverged run reports its best checkpoint; its final iterate is its
-        last finite-loss one."""
+        ``select="final"``.  A diverged run reports its best checkpoint.  Its final iterate is the
+        one its last finite-loss step produced, whose own loss or forward may not be finite."""
         return self.params if self.cfg.train.select == "final" and not self.diverged else self.best[2]
 
     def finish(self, val_s: float, val_h: float, test_s: float, test_h: float) -> SeedResult:
@@ -611,9 +645,10 @@ def _train_seed(cfgs: Sequence[RunConfig], data: SplitDataset, r_x: float, seed:
     """Train one seed's runs in lockstep and write their files; each run's result."""
     spec = cfgs[0].surrogate.spec()
     params, constants = _seed_start(cfgs[0], data, r_x, seed)
+    group = _Group(params, len(cfgs))
     with contextlib.ExitStack() as files:
-        arms = [_Arm.start(cfg, seed, data.val, params, constants, files) for cfg in cfgs]
-        _run_epochs(arms, spec, data, np.random.default_rng([seed, 202]))
+        arms = [_Arm.start(cfg, seed, data.val, group, m, constants, files) for m, cfg in enumerate(cfgs)]
+        _run_epochs(group, arms, spec, data, np.random.default_rng([seed, 202]))
     selected = [arm.selected() for arm in arms]
     accs = [
         accuracies(selected, spec, split.frames, split.labels, mode)
@@ -759,7 +794,9 @@ def _share_child(work, share: tuple, sender) -> None:
     sender.close()
 
 
-def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: np.random.Generator) -> None:
+def _run_epochs(
+    group: _Group, arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: np.random.Generator
+) -> None:
     """Train a seed's arms epoch by epoch and validate them with stacked forwards.
 
     ``wall_clock_s`` is the wall time of the shared epoch.
@@ -770,7 +807,7 @@ def _run_epochs(arms: list[_Arm], spec: SurrogateSpec, data: SplitDataset, rng: 
     while live:
         epoch += 1
         t0 = time.perf_counter()
-        _run_steps(live, spec, data.train, epoch_chunks(n, batch_size, rng))
+        _run_steps(group, live, spec, data.train, epoch_chunks(n, batch_size, rng))
         acc_s, acc_h = (_validate(live, spec, data.val, mode) for mode in (SURROGATE_MODE, HARD_MODE))
         wall_s = time.perf_counter() - t0
         live = [arm for arm, s, h in zip(live, acc_s, acc_h) if arm.end_epoch(epoch, s, h, wall_s)]
@@ -790,7 +827,9 @@ def _validate(arms: list[_Arm], spec: SurrogateSpec, val: Dataset, mode: str) ->
         return [math.nan]
 
 
-def _run_steps(arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks: list[np.ndarray]) -> None:
+def _run_steps(
+    group: _Group, arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks: list[np.ndarray]
+) -> None:
     """Run one epoch of every arm's steps, in rounds of one stacked pass per
     chunk read.  Round ``j`` runs pass ``j % n`` of step ``j // n`` of each
     training arm whose steps take ``n`` passes, as :func:`optim.step_plan` plans them."""
@@ -805,26 +844,57 @@ def _run_steps(arms: list[_Arm], spec: SurrogateSpec, train_set: Dataset, chunks
                 by_chunk.setdefault(plan[j // n][j % n], []).append((arm, j % n, n))
         if not by_chunk:
             return
-        for k, group in by_chunk.items():
-            batch = Batch(train_set.frames[chunks[k]], train_set.labels[chunks[k]])
-            for (arm, i, n), answer in zip(group, _passes([arm.query for arm, _, _ in group], spec, batch)):
-                arm.take(answer, i, n)
+        for k, items in by_chunk.items():
+            _round(group, items, spec, Batch(train_set.frames[chunks[k]], train_set.labels[chunks[k]]))
 
 
-def _passes(nets: list[NetworkParams], spec: SurrogateSpec, batch: Batch) -> list:
-    """Each network's loss and gradient on the batch, from one pass over them stacked.
+def _round(group: _Group, items: list[tuple[_Arm, int, int]], spec: SurrogateSpec, batch: Batch) -> None:
+    """Pass ``i`` of ``n`` of each item's arm on the batch: one ``backward`` at
+    the arms' query points (see :meth:`_Group.queried`), then one row-wise
+    update that writes their next query points.
 
-    If the stacked pass raises, each network's pass is rerun alone, so a
-    network gets an ``InstabilityError`` or ``FloatingPointError`` in place
-    of its answer only when its own pass raises it.
+    If the pass raises, each arm's round is rerun alone, so an arm gets an
+    ``InstabilityError`` or ``FloatingPointError`` only when its own pass
+    raises it.
     """
+    arms = [arm for arm, _, _ in items]
+    rows = group.rows(arms)
     try:
-        bundle = backward(stack(nets), spec, batch)
+        bundle = backward(group.queried(arms, rows), spec, batch)
     except (InstabilityError, FloatingPointError) as exc:
-        if len(nets) == 1:
-            return [exc]
-        return [answer for net in nets for answer in _passes([net], spec, batch)]
-    return list(zip(np.reshape(bundle.loss, -1).tolist(), bundle.grads.buffer.reshape(len(nets), -1)))
+        if len(arms) == 1:
+            arms[0].diverged_reason = str(exc)
+            return
+        for item in items:
+            _round(group, [item], spec, batch)
+        return
+    grads = bundle.grads.buffer.reshape(len(arms), -1)
+    failures = _update(group, arms, rows, grads, [i == n - 1 for _, i, n in items])
+    for (arm, i, n), loss, failure in zip(items, np.reshape(bundle.loss, -1).tolist(), failures):
+        arm.take(loss, failure, i, n)
+
+
+def _update(group: _Group, arms: list[_Arm], rows: slice | list[int], grads: np.ndarray, last: list[bool]) -> list:
+    """Write the arms' next query points from their iterates and pass
+    gradients (:func:`optim.next_points`); why each arm's point failed, or
+    ``None``.  Consecutive rows are written in place.  A ``FloatingPointError``
+    (under ``np.errstate`` set to raise) reruns each row alone, so that only
+    the arms whose own rows raise it diverge."""
+    w = group.iterates[rows]
+    out = group.queries[rows] if isinstance(rows, slice) else np.empty_like(w)
+    try:
+        finite = next_points(w, grads, [arm.cfg.optimizer for arm in arms], last, group.thresholds, out)
+    except FloatingPointError as exc:
+        if len(arms) == 1:
+            return [str(exc)]
+        return [
+            failure
+            for m, arm in enumerate(arms)
+            for failure in _update(group, [arm], slice(arm.row, arm.row + 1), grads[m : m + 1], last[m : m + 1])
+        ]
+    if isinstance(rows, list):
+        group.queries[rows] = out
+    return [None if ok else NON_FINITE_POINT for ok in finite.tolist()]
 
 
 _UNRECORDED = ("best_params", "final_params", "metrics_path", "checkpoint_path")
@@ -896,7 +966,7 @@ def evaluate(params: NetworkParams, spec: SurrogateSpec, ds: Dataset, mode: str)
     _check_labels(ds.labels, params.n_classes)
     logits = forward(params, mode_spec(spec, mode), ds.frames, keep_states=False).logits
     acc = float((logits.argmax(axis=1) == ds.labels).mean())
-    loss = _softmax_loss_and_grad(logits, ds.labels)[0] if mode == SURROGATE_MODE else None
+    loss = _softmax_loss(logits, ds.labels)[0] if mode == SURROGATE_MODE else None
     return EvalReport(mode=mode, accuracy=acc, loss=loss)
 
 

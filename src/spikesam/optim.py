@@ -19,12 +19,13 @@ import numpy as np
 from .bounds import INIT_CAP_MARGIN, assumptions_from, check_caps, compute_constants, convergence_rhs
 from .events import measured_input_bound
 from .gradients import Batch, backward
-from .network import InstabilityError, NetworkParams, SurrogateSpec, _all_finite, threshold_slices
+from .network import InstabilityError, NetworkParams, SurrogateSpec, threshold_slices
 
 REUSED = "reused"
 INDEPENDENT = "independent"
 DELTA = 1e-12  # floor on the gradient norm in the ascent normalization
 THETA_FLOOR = 1e-3  # thresholds are clamped here, so they stay strictly positive
+NON_FINITE_POINT = "parameter vector has non-finite entries"  # why a run whose update leaves the float range diverges
 CAP_CHECK_EVERY = 10  # convergence trials check the caps every this many updates, and at the end
 
 
@@ -182,42 +183,80 @@ def clamp_thresholds(w: np.ndarray, params: NetworkParams) -> np.ndarray:
     return w
 
 
+def next_points(
+    w: np.ndarray,
+    g: np.ndarray,
+    cfgs: Sequence[OptimizerConfig],
+    last: Sequence[bool],
+    thresholds: Sequence[slice],
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write each row's next point to ``out``; whether each row of it is finite.
+
+    Row ``m`` of the (M, P) arrays is one run's step: ``w[m]`` its start,
+    ``g[m]`` the raw gradient of a pass under ``cfgs[m]``, and ``last[m]``
+    whether that pass is the step's last.  A row of frozen thresholds has
+    its ``thresholds`` entries of ``g`` zeroed in place.  An ascent row gets
+    the perturbed point ``w + eps`` (:func:`sam_perturbation` of its own
+    row, so each norm is a lone step's 1-D one: a reduction over the row
+    axis would round differently); a last-pass row gets the SGD step
+    ``w - eta g``, taken as ``w + (-eta) g``, which is the same bit for bit.
+    Thresholds are clamped at ``THETA_FLOOR``.  Each row is thus
+    :func:`_next_point` then :func:`clamp_thresholds` of its own arguments.
+    ``out`` must not overlap ``w`` or ``g``.
+    """
+    steps = np.zeros((len(cfgs), 1))
+    eps = {}
+    for m, (cfg, is_last) in enumerate(zip(cfgs, last)):
+        if not cfg.train_threshold:
+            for sl in thresholds:
+                g[m, sl] = 0.0
+        if is_last:
+            steps[m] = -cfg.eta
+        else:
+            eps[m] = sam_perturbation(g[m], cfg.rho)
+    if len(eps) < len(cfgs):
+        np.multiply(g, steps, out=out)
+    for m, e in eps.items():
+        out[m] = e
+    np.add(w, out, out=out)
+    for sl in thresholds:
+        theta = out[:, sl]
+        np.maximum(theta, THETA_FLOOR, out=theta)
+    return np.logical_and.reduce(np.isfinite(out), axis=-1)
+
+
 class SastOptimizer:
     """The vector-level updates applied to networks.
 
     A step's first pass evaluates the network it starts from; each pass's
-    gradient goes to :meth:`advance`, which gives the network the next pass
-    evaluates or, after the step's last pass, the updated network.  Frozen
-    thresholds receive no perturbation and no update.  The given network is
-    never written to.
+    gradient leads, through :func:`next_points` on one row, to the network
+    the next pass evaluates or, after the step's last pass, the updated
+    network.  Frozen thresholds receive no perturbation and no update.  The
+    given network is never written to.
     """
 
     def __init__(self, cfg: OptimizerConfig):
         self.cfg = cfg
 
-    def advance(self, params: NetworkParams, g: np.ndarray, last: bool) -> NetworkParams:
-        """The network a pass's raw gradient ``g`` leads to from ``params``, the step's start.
-
-        Zeroes ``g``'s frozen threshold entries in place, then builds the
-        perturbed point or, with ``last``, the updated one, with thresholds
-        clamped at ``THETA_FLOOR``.  A non-finite entry raises
-        :class:`InstabilityError`.
-        """
-        if not self.cfg.train_threshold:
-            _freeze_thresholds(g, params)
-        w = clamp_thresholds(_next_point(params.buffer, g, self.cfg, last), params)
-        if not _all_finite(w):
-            raise InstabilityError("parameter vector has non-finite entries")
-        return NetworkParams._over(w, params.dims, params.n_classes, params.alpha)
+    def _point(self, params: NetworkParams, g: np.ndarray, last: bool) -> NetworkParams:
+        """The network a pass's raw gradient ``g`` leads to from ``params``, the
+        step's start: :func:`next_points` with one row.  A non-finite entry
+        raises :class:`InstabilityError`."""
+        out = np.empty_like(params.buffer)
+        rows = (params.buffer[np.newaxis], g[np.newaxis], (self.cfg,), (last,), threshold_slices(params))
+        if not next_points(*rows, out[np.newaxis])[0]:
+            raise InstabilityError(NON_FINITE_POINT)
+        return NetworkParams._over(out, params.dims, params.n_classes, params.alpha)
 
     def _step(
         self, params: NetworkParams, spec: SurrogateSpec, batches: tuple[Batch, ...]
     ) -> tuple[NetworkParams, StepReport]:
-        """One update with a pass on each batch: ``backward``, then :meth:`advance`."""
+        """One update with a pass on each batch: ``backward``, then :meth:`_point`."""
         net, passes = params, []
         for j, batch in enumerate(batches):
             bundle = backward(net, spec, batch)
-            net = self.advance(params, bundle.grads.buffer, last=j == len(batches) - 1)
+            net = self._point(params, bundle.grads.buffer, last=j == len(batches) - 1)
             passes += [bundle.loss, bundle.grads.buffer]
         return net, _report(self.cfg, *passes)
 
@@ -375,8 +414,8 @@ def convergence_trial(
             if full_batch:  # the iterate's gradient is the step's first pass
                 g = g_full
                 if cfg.rho > 0.0:
-                    g = backward(opt.advance(params, g, last=False), task.spec, data).grads.buffer
-                params = opt.advance(params, g, last=True)
+                    g = backward(opt._point(params, g, last=False), task.spec, data).grads.buffer
+                params = opt._point(params, g, last=True)
             else:
                 if k % len(plan) == 0:
                     sigma_sq = max(sigma_sq, _gradient_noise_sq(params, task, g_full, cfg.train_threshold, rng))

@@ -826,6 +826,81 @@ def test_a_lockstep_group_of_mixed_step_shapes_matches_separate_train_runs(tmp_p
         assert [row["passes"] for row in json.load(fh)["per_seed"]] == [7, 7]
 
 
+def counted_group_rows(monkeypatch) -> tuple[list, list]:
+    """The rows of each pass the steps run, and the networks the steps stack into copies."""
+    rows, stacked = [], []
+    real_queried, real_stack = harness._Group.queried, harness.stack
+
+    def queried(self, arms, arm_rows):
+        rows.append(arm_rows)
+        return real_queried(self, arms, arm_rows)
+
+    def stack(nets):
+        stacked.append(len(nets))
+        return real_stack(nets)
+
+    monkeypatch.setattr(harness._Group, "queried", queried)
+    monkeypatch.setattr(harness, "stack", stack)
+    return rows, stacked
+
+
+@pytest.mark.parametrize("policy", [INDEPENDENT, REUSED])
+def test_lockstep_passes_read_their_query_rows_in_place(tmp_path, monkeypatch, policy):
+    # The baseline and two radii: under the independent policy every round is
+    # one pass over rows 0-2, and under the reused one the two radii's rounds
+    # after the first read rows 1-2 as a group of their own.
+    rows, stacked = counted_group_rows(monkeypatch)
+    base = micro_config(str(tmp_path / "study"), epochs=2, seeds=(0,))
+    base = replace(base, optimizer=replace(base.optimizer, second_batch=policy))
+    run_transfer_study(base, rho_grid=(0.05, 0.2))
+    assert stacked == []
+    assert rows and all(isinstance(r, slice) for r in rows)
+    assert {(r.start, r.stop) for r in rows} == ({(0, 3)} if policy == INDEPENDENT else {(0, 3), (0, 1), (1, 3)})
+
+
+def test_a_run_whose_point_leaves_the_float_range_diverges_alone(tmp_path, monkeypatch):
+    # The middle radius's first perturbed point is infinite, so only its arm
+    # diverges; the other two then pass as rows 0 and 2, stacked into a copy.
+    real = optim.sam_perturbation
+
+    def perturbation(grad, rho):
+        return np.full_like(grad, np.inf) if rho == BLOWN_UP_RHO else real(grad, rho)
+
+    monkeypatch.setattr(optim, "sam_perturbation", perturbation)
+    rows, stacked = counted_group_rows(monkeypatch)
+    base = micro_config(str(tmp_path / "lockstep"), epochs=2, seeds=(0,))
+    data = load_data(base.data)
+    study = run_transfer_study(base, rho_grid=(BLOWN_UP_RHO, 0.05), data=data)
+    (blown,) = study.by_rho[BLOWN_UP_RHO].seeds
+    assert (blown.diverged_reason, blown.diverged_step) == (optim.NON_FINITE_POINT, 1)
+    assert not study.baseline.seeds[0].diverged and not study.by_rho[0.05].seeds[0].diverged
+    assert [0, 2] in rows and stacked and set(stacked) == {2}
+    for run in [study.baseline, *study.by_rho.values()]:
+        train(replace(run.config, out_dir=str(tmp_path / "separate" / os.path.basename(run.run_dir))), data)
+    assert_runs_match(run_files(tmp_path / "lockstep"), run_files(tmp_path / "separate"))
+
+
+def test_a_floating_point_error_in_one_row_of_the_update_diverges_only_its_arm(tmp_path, monkeypatch):
+    # Under np.errstate(over="raise") the middle radius's ascent overflows, and
+    # the update is rerun row by row to find the row that raises.
+    real = optim.sam_perturbation
+
+    def perturbation(grad, rho):
+        return grad * 1e308 * 1e308 if rho == BLOWN_UP_RHO else real(grad, rho)
+
+    monkeypatch.setattr(optim, "sam_perturbation", perturbation)
+    base = micro_config(str(tmp_path / "lockstep"), epochs=2, seeds=(0,))
+    data = load_data(base.data)
+    with np.errstate(over="raise"):
+        study = run_transfer_study(base, rho_grid=(0.05, BLOWN_UP_RHO, 0.2), data=data)
+        for run in [study.baseline, *study.by_rho.values()]:
+            train(replace(run.config, out_dir=str(tmp_path / "separate" / os.path.basename(run.run_dir))), data)
+    (blown,) = study.by_rho[BLOWN_UP_RHO].seeds
+    assert (blown.diverged_reason, blown.diverged_step) == ("overflow encountered in multiply", 1)
+    assert not any(run.seeds[0].diverged for run in (study.baseline, study.by_rho[0.05], study.by_rho[0.2]))
+    assert_runs_match(run_files(tmp_path / "lockstep"), run_files(tmp_path / "separate"))
+
+
 def test_a_programming_error_in_one_lockstep_arm_propagates_and_closes_every_file(tmp_path, monkeypatch):
     real = optim.sam_perturbation
     calls = []

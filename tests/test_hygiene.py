@@ -192,7 +192,7 @@ def docstring_roles(module, source: str) -> list[tuple[str, bool]]:
 
 def test_detector_flags_a_reference_to_a_missing_name():
     source = (
-        'class SastOptimizer:\n    """See :meth:`advance` and :meth:`requests`."""\n\n'
+        'class SastOptimizer:\n    """See :meth:`sast_step` and :meth:`requests`."""\n\n'
         'def f():\n    """Calls :func:`step_plan`, :func:`network.stack` and :func:`_answer`."""\n'
     )
     assert [ref for ref, ok in docstring_roles(optim, source) if not ok] == ["1: :meth:`requests`", "4: :func:`_answer`"]
@@ -278,10 +278,10 @@ HOT_PATH = {
         "layer_drive", "readout", "replace_parameters", "_admissible", "_argument_derivative",
     ),
     "gradients": (
-        "Batch.__post_init__", "_softmax_loss_and_grad", "batch_loss", "backward", "_reverse_sweep",
+        "Batch.__post_init__", "_softmax_loss", "_softmax_loss_and_grad", "batch_loss", "backward", "_reverse_sweep",
         "logit_jacobians",
     ),
-    "optim": ("SastOptimizer.advance",),
+    "optim": ("next_points", "SastOptimizer._point"),
     "diagnostics": ("accuracies",),
 }
 WRAPPED_REDUCTIONS = ("all", "any", "mean")  # NumPy functions and methods that wrap a ufunc reduction

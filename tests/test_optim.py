@@ -12,23 +12,29 @@ the wide minimum.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ARCTAN_PI, spike_batch, tiny_net
 from spikesam import optim
 from spikesam.gradients import backward
-from spikesam.network import parameter_vector, threshold_slices
+from spikesam.network import InstabilityError, parameter_vector, threshold_slices
 from spikesam.optim import (
     INDEPENDENT,
+    NON_FINITE_POINT,
     REUSED,
     THETA_FLOOR,
     ConvergenceTask,
     OptimizerConfig,
     SastOptimizer,
     convergence_trial,
+    clamp_thresholds,
     epoch_chunks,
+    next_points,
     sam_perturbation,
     single_pass_update,
     step_plan,
@@ -281,6 +287,97 @@ def test_steps_leave_the_input_network_untouched(train_threshold):
         for out, _ in (opt.baseline_step(params, ARCTAN_PI, batch), opt.sast_step(params, ARCTAN_PI, batch)):
             assert params.buffer.tobytes() == before
             assert not np.shares_memory(out.buffer, params.buffer)
+
+
+# ---------------------------------------------------------------------------
+# The row-wise update of a lockstep group
+# ---------------------------------------------------------------------------
+
+ROW_NET = tiny_net(theta=5e-4, seed=70)  # thresholds below the floor, so every clamp shows
+ROW_KINDS = ("plain", "zero", "huge_rho", "non_finite")  # a row's gradient and radius
+
+
+def _row(kind: str, eta: float, frozen: bool, last: bool, seed: int):
+    """One row: its start, raw gradient, config and whether its pass is the step's last."""
+    rng = np.random.default_rng(seed)
+    size = ROW_NET.buffer.size
+    w = ROW_NET.buffer + 0.1 * rng.standard_normal(size)
+    g = {"zero": np.zeros(size), "huge_rho": 1e-3 * rng.standard_normal(size)}.get(kind, rng.standard_normal(size))
+    if kind == "non_finite":  # an SGD step that leaves the float range in a weight, which no clamp bounds
+        g[rng.integers(ROW_NET.layers[0].weight.size)] = np.inf
+        last = True
+    rho = {"huge_rho": 1e307, "zero": 0.1}.get(kind, float(rng.choice([0.0, 0.05, 0.3])))
+    return w, g, OptimizerConfig(eta=eta, rho=rho, train_threshold=not frozen), last
+
+
+def _row_rule(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A lone row's point, as the per-row rule gives it, and its gradient with frozen thresholds zeroed."""
+    g = g.copy()
+    if not cfg.train_threshold:
+        for sl in threshold_slices(ROW_NET):
+            g[sl] = 0.0
+    return clamp_thresholds(optim._next_point(w, g, cfg, last), ROW_NET), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(ROW_KINDS),
+            st.sampled_from([0.05, 0.5, 2.0, 1e3]),
+            st.booleans(),
+            st.booleans(),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_property_each_row_of_the_update_is_its_lone_rule_bit_for_bit(rows):
+    # Zero gradients (the DELTA floor), a radius whose scale overflows (the
+    # normalize-first branch), frozen and trained thresholds, a step size per
+    # row, and rows that leave the float range, in one group.
+    drawn = [_row(*row) for row in rows]
+    w = np.stack([row[0] for row in drawn])
+    g = np.stack([row[1] for row in drawn])
+    cfgs, last = [row[2] for row in drawn], [row[3] for row in drawn]
+    want = [_row_rule(row[0], row[1], cfg, is_last) for row, cfg, is_last in zip(drawn, cfgs, last)]
+    out = np.empty_like(w)
+    finite = next_points(w, g, cfgs, last, threshold_slices(ROW_NET), out)
+    for m, (point, grad) in enumerate(want):
+        assert out[m].tobytes() == point.tobytes()
+        assert g[m].tobytes() == grad.tobytes()  # frozen thresholds zeroed in place
+        assert finite[m] == bool(np.all(np.isfinite(point)))
+        assert finite[m] == (rows[m][0] != "non_finite")
+
+
+def test_every_ascent_row_is_its_own_sam_perturbation(monkeypatch):
+    # Each ascent row goes through sam_perturbation with its own gradient
+    # and radius, which refuses a bad radius and checks ||eps|| <= rho.
+    calls = []
+    real = optim.sam_perturbation
+
+    def spy(grad, rho):
+        calls.append((grad.tobytes(), rho))
+        return real(grad, rho)
+
+    monkeypatch.setattr(optim, "sam_perturbation", spy)
+    drawn = [_row("plain", 0.5, False, last, seed) for seed, last in enumerate([False, True, False])]
+    w, g = np.stack([row[0] for row in drawn]), np.stack([row[1] for row in drawn])
+    cfgs = [OptimizerConfig(eta=0.5, rho=rho) for rho in (0.1, 0.2, 0.3)]
+    next_points(w, g, cfgs, [False, True, False], threshold_slices(ROW_NET), np.empty_like(w))
+    assert calls == [(g[0].tobytes(), 0.1), (g[2].tobytes(), 0.3)]
+    bad = SimpleNamespace(eta=0.5, rho=math.nan, train_threshold=True)  # past OptimizerConfig's own check
+    with pytest.raises(ValueError, match="perturbation radius must be non-negative and finite, got nan"):
+        next_points(w, g, [cfgs[0], cfgs[1], bad], [False, True, False], threshold_slices(ROW_NET), np.empty_like(w))
+
+
+def test_a_lone_step_that_leaves_the_float_range_raises_the_rows_message():
+    params = tiny_net(seed=71)
+    g = np.zeros(params.buffer.size)
+    g[0] = np.inf
+    with pytest.raises(InstabilityError, match=f"^{NON_FINITE_POINT}$"):
+        SastOptimizer(OptimizerConfig(eta=0.5))._point(params, g, last=True)
 
 
 # ---------------------------------------------------------------------------
