@@ -138,8 +138,11 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise ValueError("label exceeds the network's class count")
 
 
-def _softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross entropy over a batch, and each sample's log-sum-exp (keeping its class axis).
+def _softmax_loss(
+    logits: np.ndarray, labels: np.ndarray, grad: bool = False
+) -> tuple[float | np.ndarray, np.ndarray | None]:
+    """Mean cross entropy over a batch and, with ``grad``, the per-sample
+    logit gradients (``None`` without it).
 
     Stacked logits (M, n, C) give one mean loss per model, an (M,) array.
     The max, sums and mean are the ufunc reductions that ``max``, ``sum`` and
@@ -147,20 +150,15 @@ def _softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.nd
     """
     _check_labels(labels, logits.shape[-1])
     m = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    rows = np.arange(logits.shape[-2])
     with np.errstate(over="ignore", invalid="ignore"):  # logits near the float range's top: a non-finite loss
         lse = m + np.log(np.add.reduce(np.exp(logits - m), axis=-1, keepdims=True))
-        losses = lse[..., 0] - logits[..., np.arange(logits.shape[-2]), labels]
+        losses = lse[..., 0] - logits[..., rows, labels]
+        v = np.exp(logits - lse) if grad else None
         loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
-    return (float(loss) if logits.ndim == 2 else loss), lse
-
-
-def _softmax_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """:func:`_softmax_loss`'s mean cross entropy and the per-sample logit gradients."""
-    loss, lse = _softmax_loss(logits, labels)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = np.exp(logits - lse)
-    v[..., np.arange(logits.shape[-2]), labels] -= 1.0
-    return loss, v
+    if grad:
+        v[..., rows, labels] -= 1.0
+    return (float(loss) if logits.ndim == 2 else loss), v
 
 
 def _require_smooth(spec: SurrogateSpec) -> None:
@@ -320,7 +318,7 @@ def backward(params: NetworkParams, spec: SurrogateSpec, batch: Batch) -> Gradie
     """
     _require_smooth(spec)
     trace = forward(params, spec, batch.inputs)
-    loss, v = _softmax_loss_and_grad(trace.logits, batch.labels)
+    loss, v = _softmax_loss(trace.logits, batch.labels, grad=True)
     v /= batch.n_samples  # mean reduction
     return GradientBundle(loss, ParamGrads(_reverse_sweep(params, trace, v)[0]))
 
@@ -333,7 +331,7 @@ def per_sample_gradients(params: NetworkParams, spec: SurrogateSpec, batch: Batc
     """
     _require_smooth(spec)
     trace = forward(params, spec, batch.inputs)
-    loss, v = _softmax_loss_and_grad(trace.logits, batch.labels)
+    loss, v = _softmax_loss(trace.logits, batch.labels, grad=True)
     vectors, d_alpha, input_grads = _reverse_sweep(params, trace, v, per_sample=True)
     n = batch.n_samples
     return GradientBundle(

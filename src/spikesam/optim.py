@@ -244,8 +244,8 @@ class SastOptimizer:
         step's start: :func:`next_points` with one row.  A non-finite entry
         raises :class:`InstabilityError`."""
         out = np.empty_like(params.buffer)
-        rows = (params.buffer[np.newaxis], g[np.newaxis], (self.cfg,), (last,), threshold_slices(params))
-        if not next_points(*rows, out[np.newaxis])[0]:
+        row = np.newaxis  # the network's buffer as the one row of an M = 1 group
+        if not next_points(params.buffer[row], g[row], (self.cfg,), (last,), threshold_slices(params), out[row])[0]:
             raise InstabilityError(NON_FINITE_POINT)
         return NetworkParams._over(out, params.dims, params.n_classes, params.alpha)
 

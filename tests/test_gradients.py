@@ -18,7 +18,7 @@ from conftest import ARCTAN_PI, dense_batch, spike_batch, tiny_net
 from spikesam.gradients import (
     Batch,
     _reverse_sweep,
-    _softmax_loss_and_grad,
+    _softmax_loss,
     backward,
     batch_loss,
     central_difference,
@@ -248,7 +248,7 @@ def test_backward_matches_einsum_reference_at_the_study_shape(spec):
     params, batch = study_net_and_batch()
     bundle = backward(params, spec, batch)
     trace = forward(params, spec, batch.inputs)
-    v = _softmax_loss_and_grad(trace.logits, batch.labels)[1] / batch.n_samples
+    v = _softmax_loss(trace.logits, batch.labels, grad=True)[1] / batch.n_samples
     want = einsum_reverse_sweep(params, trace, v, per_sample=False)[0]
     # atol only covers entries that cancel to ~1e-19 against O(0.1) gradients; the
     # per-sample test below pins the leak and input gradients
@@ -260,7 +260,7 @@ def test_per_sample_gradients_match_einsum_reference_at_the_study_shape(spec):
     params, batch = study_net_and_batch()
     bundle = per_sample_gradients(params, spec, batch)
     trace = forward(params, spec, batch.inputs)
-    want, want_inputs = einsum_reverse_sweep(params, trace, _softmax_loss_and_grad(trace.logits, batch.labels)[1], True)
+    want, want_inputs = einsum_reverse_sweep(params, trace, _softmax_loss(trace.logits, batch.labels, grad=True)[1], True)
     np.testing.assert_allclose(bundle.per_sample_grad_vectors, want[:, :-1], rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(bundle.grads.alpha, want[:, -1].sum() / batch.n_samples, rtol=1e-12)
     np.testing.assert_allclose(bundle.input_grads, want_inputs, rtol=1e-12, atol=1e-15)
@@ -270,7 +270,7 @@ def test_reverse_sweep_names_the_layer_and_step_of_a_non_finite_gradient():
     params, batch = study_net_and_batch()
     trace = forward(params, ARCTAN_PI, batch.inputs)
     trace.s[0][0, 2, 0] = np.nan  # a poisoned spike argument: steps 3, 2 and 1 of layer 1 on the way back
-    v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
+    v = _softmax_loss(trace.logits, batch.labels, grad=True)[1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InstabilityError, match="at layer 1, step 3$"):
@@ -287,7 +287,7 @@ def test_stacked_reverse_sweep_equals_lone_sweeps_bit_for_bit(spec):
             layer.threshold *= rng.uniform(0.8, 1.2, layer.threshold.shape)
     batch = spike_batch(nets[0], n_samples=32, n_steps=8, rate=0.4, seed=49)
     trace = forward(stack(nets), spec, batch.inputs)
-    v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
+    v = _softmax_loss(trace.logits, batch.labels, grad=True)[1]
     grads, d_alpha, input_grads = _reverse_sweep(stack(nets), trace, v)
     assert grads.shape == (3, nets[0].buffer.size) and d_alpha is None and input_grads is None
     assert trace.s == [None] * 3 and trace.r == [None] * 3  # the sweep read the trace last
@@ -295,7 +295,7 @@ def test_stacked_reverse_sweep_equals_lone_sweeps_bit_for_bit(spec):
     assert stacked.loss.shape == (3,) and stacked.grads.buffer.shape == grads.shape
     for m, net in enumerate(nets):
         lone = forward(net, spec, batch.inputs)
-        assert grads[m].tobytes() == _reverse_sweep(net, lone, _softmax_loss_and_grad(lone.logits, batch.labels)[1])[0].tobytes()
+        assert grads[m].tobytes() == _reverse_sweep(net, lone, _softmax_loss(lone.logits, batch.labels, grad=True)[1])[0].tobytes()
         bundle = backward(net, spec, batch)  # a lone network, unstacked
         assert stacked.loss[m] == bundle.loss and stacked.grads.buffer[m].tobytes() == bundle.grads.buffer.tobytes()
 
@@ -340,7 +340,7 @@ def test_reverse_sweep_equals_the_zero_state_sweep_bit_for_bit(monkeypatch, swee
 
     def sweep_once():
         trace = forward(params, ARCTAN_PI, batch.inputs)
-        v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
+        v = _softmax_loss(trace.logits, batch.labels, grad=True)[1]
         return _reverse_sweep(params, trace, v, per_sample=sweep == "per_sample")
 
     got = sweep_once()
@@ -386,16 +386,18 @@ def test_softmax_loss_equals_the_wrapped_reductions_bit_for_bit(scale, n_models)
     rng = np.random.default_rng(76)
     logits = scale * rng.standard_normal((n_models, 6, 4) if n_models else (6, 4))
     labels = rng.integers(0, 4, size=6)
-    loss, v = _softmax_loss_and_grad(logits, labels)
+    loss, v = _softmax_loss(logits, labels, grad=True)
     want_loss, want_v = reference_softmax_loss_and_grad(logits, labels)
     assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes() and v.tobytes() == want_v.tobytes()
+    loss_only, no_grad = _softmax_loss(logits, labels)  # batch_loss's and evaluate's call
+    assert np.asarray(loss_only).tobytes() == np.asarray(want_loss).tobytes() and no_grad is None
 
 
 def test_stacked_reverse_sweep_gives_batch_parameter_gradients_only():
     nets = [tiny_net(seed=50), tiny_net(seed=51)]
     batch = spike_batch(nets[0], seed=52)
     trace = forward(stack(nets), ARCTAN_PI, batch.inputs)
-    v = _softmax_loss_and_grad(trace.logits, batch.labels)[1]
+    v = _softmax_loss(trace.logits, batch.labels, grad=True)[1]
     with pytest.raises(ValueError, match="batch parameter gradients only"):
         _reverse_sweep(stack(nets), trace, v, per_sample=True)
 

@@ -278,7 +278,7 @@ HOT_PATH = {
         "layer_drive", "readout", "replace_parameters", "_admissible", "_argument_derivative",
     ),
     "gradients": (
-        "Batch.__post_init__", "_softmax_loss", "_softmax_loss_and_grad", "batch_loss", "backward", "_reverse_sweep",
+        "Batch.__post_init__", "_softmax_loss", "batch_loss", "backward", "_reverse_sweep",
         "logit_jacobians",
     ),
     "optim": ("next_points", "SastOptimizer._point"),
